@@ -1,10 +1,10 @@
 """Numerical laboratory for autoregressive processes on binary trees.
 
 The package simulates bifurcating autoregressive processes on full binary
-trees, evaluates the exact limit variance series of the associated central
-limit theorems in all three ergodicity regimes, cross-checks simulations
-against closed-form moment formulas, and drives the phase-transition slope
-experiment.  `bmclab.cli` exposes the same studies as a command-line tool.
+trees, evaluates the limit variances of the associated central limit
+theorems in closed form, cross-checks simulations against closed-form
+moment formulas, and drives the phase-transition slope experiment.
+`bmclab.cli` exposes the same studies as a command-line tool.
 """
 
 from __future__ import annotations

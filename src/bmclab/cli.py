@@ -48,14 +48,13 @@ from .variance import critical_variance, martingale_path, subcritical_variance
 
 _MAX_MONOMIAL_POWER = 8
 
-_FLOAT_KEYS = frozenset({"a", "sigma", "tol"})
+_FLOAT_KEYS = frozenset({"a", "sigma"})
 _INT_KEYS = frozenset({"n", "replicas", "seed", "n_min", "outer_repeats"})
 
 _DEFAULTS: dict[str, dict] = {
     "simulate": {"a": None, "sigma": 1.0, "n": None, "replicas": None, "f": "x",
                  "shape": "single", "nu": "stationary", "seed": 0},
-    "variance": {"a": None, "sigma": 1.0, "f": "x", "shape": "single",
-                 "regime": "auto", "tol": 1e-10},
+    "variance": {"a": None, "sigma": 1.0, "f": "x", "shape": "single"},
     "clt": {"a": None, "sigma": 1.0, "n": None, "replicas": None, "f": "x",
             "shape": "single", "nu": "stationary", "seed": 0},
     "slopes": {"alphas": None, "f": "x", "n": None, "n_min": DEFAULT_N_MIN,
@@ -238,18 +237,19 @@ def _write_manifest(out_dir: str, command: str, digest: str, seed,
     return path
 
 
-def _experiment_config(cfg: dict, target: str = "Gn") -> ExperimentConfig:
+def _params_and_fseq(cfg: dict) -> tuple[BarParams, FunctionalSeq]:
+    """Kernel parameters and the test function in the requested shape."""
     params = BarParams.symmetric_params(_as_float(cfg["a"], "--a"),
                                         _as_float(cfg["sigma"], "--sigma"))
-    coeffs = _parse_f(cfg["f"])
-    f = from_monomial(coeffs, params.sigma_a())
-    shape = str(cfg.get("shape", "single"))
-    if shape == "single":
-        fseq = FunctionalSeq.single(f)
-    elif shape == "tree":
-        fseq = FunctionalSeq.tree(f)
-    else:
+    f = from_monomial(_parse_f(cfg["f"]), params.sigma_a())
+    shape = str(cfg["shape"])
+    if shape not in ("single", "tree"):
         raise ConfigError(f"--shape takes single or tree, got {shape!r}")
+    return params, getattr(FunctionalSeq, shape)(f)
+
+
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    params, fseq = _params_and_fseq(cfg)
     return ExperimentConfig(
         params=params,
         nu=_parse_nu(cfg["nu"]),
@@ -257,7 +257,6 @@ def _experiment_config(cfg: dict, target: str = "Gn") -> ExperimentConfig:
         n=_as_int(cfg["n"], "--n"),
         replicas=_as_int(cfg["replicas"], "--replicas"),
         master_seed=_as_int(cfg["seed"], "--seed"),
-        target=target,
     )
 
 
@@ -272,37 +271,20 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int) -> list[str]:
 
 
 def _run_variance(cfg: dict, out_dir: str, threads: int) -> list[str]:
-    params = BarParams.symmetric_params(_as_float(cfg["a"], "--a"),
-                                        _as_float(cfg["sigma"], "--sigma"))
-    f = from_monomial(_parse_f(cfg["f"]), params.sigma_a())
-    shape = str(cfg["shape"])
-    if shape == "single":
-        fseq = FunctionalSeq.single(f)
-    elif shape == "tree":
-        fseq = FunctionalSeq.tree(f)
+    params, fseq = _params_and_fseq(cfg)
+    regime = classify_regime(params.a0).regime
+    if regime == SUBCRITICAL:
+        report = subcritical_variance(fseq, params)
+    elif regime == CRITICAL:
+        report = critical_variance(fseq, params)
     else:
-        raise ConfigError(f"--shape takes single or tree, got {shape!r}")
-    tol = _as_float(cfg["tol"], "--tol")
-    regime = str(cfg["regime"])
-    if regime == "auto":
-        regime = {SUBCRITICAL: "sub", CRITICAL: "crit"}.get(
-            classify_regime(params.a0).regime)
-        if regime is None:
-            raise ComputationRejected(
-                "no finite limit variance in the supercritical regime; "
-                "use the supercritical subcommand")
-    if regime == "sub":
-        report = subcritical_variance(fseq, params, tol=tol)
-    elif regime == "crit":
-        report = critical_variance(fseq, params, tol=tol)
-    else:
-        raise ConfigError(f"--regime takes sub, crit, or auto, got {regime!r}")
+        raise ComputationRejected(
+            "no finite limit variance in the supercritical regime; "
+            "use the supercritical subcommand")
     print(f"regime = {report.regime}")
     print(f"value = {_g17(report.value)}")
     print(f"sigma1 = {_g17(report.sigma1)}")
     print(f"sigma2 = {_g17(report.sigma2)}")
-    print(f"tail_bound = {_g17(report.tail_bound)}")
-    print("truncation = " + ",".join(str(t) for t in report.truncation))
     return []
 
 
@@ -462,8 +444,6 @@ def _add_common(sub: argparse.ArgumentParser, keys) -> None:
         "n_min": "smallest regression depth (default 5)",
         "target": "population for slopes: Gn or Tn",
         "outer_repeats": "independent slope repetitions (default 20)",
-        "regime": "variance series: sub, crit, or auto",
-        "tol": "series truncation tolerance (default 1e-10)",
     }
     for key in keys:
         sub.add_argument("--" + key.replace("_", "-"), dest=key,
@@ -479,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "simulate": "replicate the regime-normalized statistic to CSV",
-        "variance": "evaluate the limit variance series",
+        "variance": "evaluate the limit variance in closed form",
         "clt": "compare the replicated statistic with its Gaussian limit",
         "slopes": "fit variance decay exponents over a slope grid",
         "supercritical": "rescaled-statistic ratio and martingale increments",

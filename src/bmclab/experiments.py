@@ -41,18 +41,12 @@ class ExperimentConfig:
     n: int
     replicas: int
     master_seed: int
-    target: str = "Gn"
-    normalization: str = "auto"
 
     def __post_init__(self) -> None:
         if self.replicas < 2:
             raise ConfigError("variance estimation needs at least 2 replicas")
         if self.n < 3:
             raise ConfigError("experiments need depth n >= 3")
-        if self.target not in ("Gn", "Tn"):
-            raise ConfigError(f"unknown target {self.target!r}")
-        if self.normalization != "auto":
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)

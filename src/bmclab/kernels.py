@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import gaussian_expect, hermite_nodes
+from .quadrature import hermite_nodes
 from .rng import RandomStream
 
 EPS_REGIME = 1e-12
@@ -233,8 +233,8 @@ def check_assumptions(a: float, sigma: float = 1.0, orders=(32, 64, 128)) -> Ass
     """
     if not (-1.0 < a < 1.0):
         raise ConfigError(f"slope must lie in (-1, 1), got {a}")
-    if sigma <= 0.0:
-        raise ConfigError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     var = sigma**2
     var_a = var / (1.0 - a * a)
     flags: list[str] = []
@@ -337,8 +337,3 @@ def _quadrature_cross_check(a, sigma, orders, h_finite, qh_finite, hs_finite,
             if not diverging:
                 flags.append(f"quadrature-not-diverging:{name}")
     return flags
-
-
-def stationary_expect(fn, params: BarParams, order: int = 64) -> float:
-    """E[fn(X)] under the invariant law of the symmetric lineage chain."""
-    return gaussian_expect(fn, mean=0.0, std=params.sigma_a(), order=order)

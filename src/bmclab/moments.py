@@ -26,20 +26,6 @@ from .treesim import TreeIndex, common_ancestor_depth
 ENUM_DEPTH_MAX = 4
 
 
-class _KahanSum:
-    """Compensated accumulator; order of added terms is fixed by the caller."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._comp = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """E_x of the sum of f over generation n: 2^n Q^n f(x)."""
     a = params.require_symmetric("the generation-sum mean")
@@ -54,13 +40,12 @@ def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> f
     itself.
     """
     a = params.require_symmetric("the generation-sum second moment")
-    acc = _KahanSum()
-    acc.add(2.0**n * apply_kernel(product(f, f), a, steps=n)(x))
+    terms = [2.0**n * apply_kernel(product(f, f), a, steps=n)(x)]
     for k in range(n):
         fk = apply_kernel(f, a, steps=k)
         branch = pair_expect(fk, fk, a)
-        acc.add(2.0 ** (n + k) * apply_kernel(branch, a, steps=n - k - 1)(x))
-    return acc.total
+        terms.append(2.0 ** (n + k) * apply_kernel(branch, a, steps=n - k - 1)(x))
+    return math.fsum(terms)
 
 
 def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
@@ -70,15 +55,14 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     if n < m:
         f, g = g, f
         n, m = m, n
-    acc = _KahanSum()
     lifted = product(g, apply_kernel(f, a, steps=n - m))
-    acc.add(2.0**n * apply_kernel(lifted, a, steps=m)(x))
+    terms = [2.0**n * apply_kernel(lifted, a, steps=m)(x)]
     for k in range(m):
         gk = apply_kernel(g, a, steps=k)
         fk = apply_kernel(f, a, steps=n - m + k)
         branch = pair_expect(gk, fk, a)
-        acc.add(2.0 ** (n + k) * apply_kernel(branch, a, steps=m - k - 1)(x))
-    return acc.total
+        terms.append(2.0 ** (n + k) * apply_kernel(branch, a, steps=m - k - 1)(x))
+    return math.fsum(terms)
 
 
 def _check_enum_depth(n: int) -> None:
@@ -123,21 +107,18 @@ def _gaussian_pair_expect(cf: np.ndarray, cg: np.ndarray,
                           mean2: float, var2: float, cov: float) -> float:
     """E[f(X) g(Y)] for monomial coefficient vectors and jointly Gaussian (X, Y)."""
     memo: dict = {}
-    acc = _KahanSum()
+    terms = []
     for i, ci in enumerate(cf):
         for j, cj in enumerate(cg):
             if ci == 0.0 or cj == 0.0:
                 continue
-            raw = _KahanSum()
-            for p in range(i + 1):
-                for q in range(j + 1):
-                    raw.add(
-                        math.comb(i, p) * math.comb(j, q)
-                        * mean1 ** (i - p) * mean2 ** (j - q)
-                        * _centered_pair_moment(p, q, var1, var2, cov, memo)
-                    )
-            acc.add(ci * cj * raw.total)
-    return acc.total
+            raw = math.fsum(
+                math.comb(i, p) * math.comb(j, q)
+                * mean1 ** (i - p) * mean2 ** (j - q)
+                * _centered_pair_moment(p, q, var1, var2, cov, memo)
+                for p in range(i + 1) for q in range(j + 1))
+            terms.append(ci * cj * raw)
+    return math.fsum(terms)
 
 
 def enumerated_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -166,11 +147,11 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     cg = as_monomial(g)
     mean_u, var_u = _node_mean_var(a, params.sigma, n, x)
     mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
-    acc = _KahanSum()
+    terms = []
     for i in range(1 << n):
         u = TreeIndex(n, i)
         for j in range(1 << m):
             depth = common_ancestor_depth(u, TreeIndex(m, j))
             cov = _pair_cov(a, params.sigma, n, m, depth)
-            acc.add(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
-    return acc.total
+            terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
+    return math.fsum(terms)

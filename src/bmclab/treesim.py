@@ -166,9 +166,6 @@ class FunctionalSeq:
             return self.funcs[0]
         return self.funcs[offset] if offset < len(self.funcs) else None
 
-    def distinct_funcs(self) -> tuple:
-        return self.funcs
-
     def sigma_a(self) -> float:
         return self.funcs[0].sigma_a
 
@@ -312,20 +309,17 @@ def replicate(config, threads: int = 1) -> np.ndarray:
     sigma_a = params.sigma_a()
     if abs(fseq.sigma_a() - sigma_a) > 1e-12 * sigma_a:
         raise ConfigError("functional scale does not match the kernel parameters")
-    normalization = getattr(config, "normalization", "auto")
-    if normalization != "auto":
-        raise ConfigError(f"unknown normalization {normalization!r}")
 
     master = RandomStream.from_seed(int(config.master_seed))
     keys = master.split_keys(np.arange(replicas))
-    centered = [center(f) for f in fseq.distinct_funcs()]
+    centered = [center(f) for f in fseq.funcs]
     sums = generation_sums(params, config.nu, centered, n, keys, threads=threads)
 
     regime = classify_regime(a).regime
     if regime in (SUBCRITICAL, CRITICAL):
         if regime == CRITICAL and n == 0:
             raise ConfigError("the critical normalization needs depth n >= 1")
-        index_of = {id(f): j for j, f in enumerate(fseq.distinct_funcs())}
+        index_of = {id(f): j for j, f in enumerate(fseq.funcs)}
         raw = np.zeros(replicas)
         for offset in range(n + 1):
             f = fseq.func_at(offset)

@@ -1,12 +1,14 @@
 """Limit variances of the normalized fluctuation statistics.
 
 The centered multi-generation statistic has a limiting Gaussian whose
-variance is an explicit series in the spectral coefficients of the test
-functions.  Away from the critical slope the series runs over a generation
-offset, a depth gap, and a branching level; at the critical slope only the
-degree-one coefficients survive and the series collapses to two geometric
-sums.  Every truncation is certified: the report carries an upper bound on
-the discarded mass, so the returned value is exact to tail_bound.
+variance is a sum over the Hermite degrees of the test functions.  The
+lineage kernel multiplies the degree-n coefficient by lambda = a^n
+(Mehler's formula), so the branching, depth-gap and generation-offset sums
+of the series are geometric and are summed here in closed form, leaving a
+finite sum over degrees and offsets.  Below the critical slope degree n
+carries the factor n! (1 - lambda^2) / (1 - 2 lambda^2); at the critical
+slope only the degree-one coefficients survive.  See Guyon, "Limit theorems
+for bifurcating Markov chains", Ann. Appl. Probab. 17 (2007).
 
 The module also evaluates the additive martingale along a simulated tree
 for the supercritical regime.
@@ -19,255 +21,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import ComputationRejected, RegimeError
 from .kernels import CRITICAL, SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
-from .spectral import SpectralFn, apply_kernel, center, project_linear, stationary_inner
+from .spectral import SpectralFn, center, project_linear
 from .treesim import FunctionalSeq, generation_sum
 
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """A limit variance with its decomposition and truncation certificate.
+    """A limit variance with its decomposition.
 
     value is sigma1 + 2 * sigma2, where sigma1 collects the diagonal
     (equal-offset) terms and sigma2 the strictly off-diagonal ones.
-    truncation records the deepest (depth, offset, branching) indices that
-    were summed; tail_bound bounds the absolute error from stopping there.
     """
 
     value: float
     sigma1: float
     sigma2: float
-    truncation: tuple[int, int, int]
-    tail_bound: float
     regime: str
 
 
-def _zero_report(regime: str) -> VarianceReport:
-    return VarianceReport(value=0.0, sigma1=0.0, sigma2=0.0,
-                          truncation=(0, 0, 0), tail_bound=0.0, regime=regime)
+def _report(sigma1: float, sigma2: float, regime: str) -> VarianceReport:
+    value = sigma1 + 2.0 * sigma2
+    if not math.isfinite(value):
+        raise ComputationRejected(f"the {regime} limit variance is not finite")
+    return VarianceReport(value=value, sigma1=sigma1, sigma2=sigma2, regime=regime)
 
 
-def _centered_sequence(fseq: FunctionalSeq):
-    """Centered functions by offset, their norms, and lowest active degrees.
-
-    Returns (funcs, norms, degrees, infinite) where funcs[i] is the centered
-    function at offset i (None when zero), and infinite marks the tree shape
-    whose sequence repeats funcs[0] at every offset.
-    """
-    infinite = fseq.shape == "tree"
-    raw = [fseq.funcs[0]] if infinite else [
-        fseq.func_at(i) for i in range(len(fseq.funcs))
-    ]
-    funcs, norms, degrees = [], [], []
-    for f in raw:
-        centered = None if f is None else center(f)
-        if centered is not None and centered.is_zero():
-            centered = None
-        funcs.append(centered)
-        norms.append(0.0 if centered is None else
-                     math.sqrt(centered.stationary_norm_sq()))
-        degrees.append(0 if centered is None else centered.min_active_index())
-    return funcs, norms, degrees, infinite
-
-
-def subcritical_variance(fseq: FunctionalSeq, params: BarParams,
-                         tol: float = 1e-10) -> VarianceReport:
+def subcritical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     """Limit variance of the fluctuation statistic below the critical slope.
 
-    For offsets l <= k the series weights each pair bracket by 2^(-l); the
-    bracket couples the depth-k and depth-l functions through the iterated
-    kernel directly and through every branching level r >= 0 with weight
-    2^r.  All three sums are truncated against geometric envelopes derived
-    from the stationary norms and lowest active degrees.
+    With lambda_n = a^n and w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2),
+    centered functions f, g at depth gap d are coupled by
+    B(f, g, d) = sum_n w_n f_n g_n lambda_n^d.  For the function f_l at
+    offset l, sigma1 = sum_l 2^-l B(f_l, f_l, 0) and
+    sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).  The tree shape repeats f at
+    every offset, so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
+    sigma2 = 2 sum_n w_n f_n^2 lambda_n / (1 - lambda_n).
     """
     a = params.require_symmetric("the limit variance")
     if classify_regime(a).regime != SUBCRITICAL:
         raise RegimeError(f"the subcritical series needs 2 a^2 < 1, got a={a}")
-    funcs, norms, degrees, infinite = _centered_sequence(fseq)
-    if all(f is None for f in funcs):
-        return _zero_report(SUBCRITICAL)
-    abs_a = abs(a)
+    length = max(len(f.coeffs) for f in fseq.funcs)
+    coeffs = np.zeros((len(fseq.funcs), length - 1))
+    for row, f in zip(coeffs, fseq.funcs):
+        row[: len(f.coeffs) - 1] = f.coeffs[1:]
+    degrees = np.arange(1, length)
+    lam = np.power(float(a), degrees)
+    factorials = np.array([math.factorial(n) for n in degrees], dtype=np.float64)
+    weights = factorials * (1.0 - lam * lam) / (1.0 - 2.0 * lam * lam)
 
+    if fseq.shape == "tree":
+        diagonal = weights * coeffs[0] ** 2
+        return _report(2.0 * math.fsum(diagonal),
+                       2.0 * math.fsum(diagonal * lam / (1.0 - lam)), SUBCRITICAL)
     sigma1_terms: list[float] = []
     sigma2_terms: list[float] = []
-    tail_total = 0.0
-    depth_max = offset_max = branch_max = 0
-
-    def pair_bracket(f_hi, norm_hi, deg_hi, f_lo, norm_lo, deg_lo, gap, budget):
-        """Bracket for offsets (l, l + gap), truncated to within budget."""
-        nonlocal branch_max
-        terms = [stationary_inner(f_hi, apply_kernel(f_lo, a, steps=gap))]
-        ratio = 2.0 * abs_a ** (deg_hi + deg_lo)
-        envelope = norm_hi * norm_lo * abs_a ** (deg_lo * gap + deg_hi + deg_lo)
-        q_hi = apply_kernel(f_hi, a, steps=1)
-        q_lo = apply_kernel(f_lo, a, steps=gap + 1)
-        weight = 1.0
-        branch = 0
-        while True:
-            tail = envelope * ratio**branch / (1.0 - ratio)
-            if tail < budget:
-                if branch > 0:
-                    branch_max = max(branch_max, branch - 1)
-                return math.fsum(terms), tail
-            terms.append(weight * stationary_inner(q_hi, q_lo))
-            q_hi = apply_kernel(q_hi, a, steps=1)
-            q_lo = apply_kernel(q_lo, a, steps=1)
-            weight *= 2.0
-            branch += 1
-
-    def level_count():
-        level = 0
-        while True:
-            if not infinite and level >= len(funcs):
-                return
-            yield level
-            level += 1
-
-    for level in level_count():
-        weight = 0.5**level
-        if infinite:
-            deg = degrees[0]
-            env = 1.0 + abs_a ** (2 * deg) / (1.0 - 2.0 * abs_a ** (2 * deg))
-            remaining = (2.0 * weight * norms[0] ** 2 * env
-                         * (1.0 + 2.0 * abs_a**deg / (1.0 - abs_a**deg)))
-            if remaining < tol * 0.25:
-                tail_total += remaining
-                break
-        f_lo = funcs[0] if infinite else funcs[level]
-        if f_lo is None:
-            continue
-        norm_lo = norms[0] if infinite else norms[level]
-        deg_lo = degrees[0] if infinite else degrees[level]
-        offset_max = max(offset_max, level)
-
-        gap = 0
-        while True:
-            if infinite:
-                f_hi, norm_hi, deg_hi = funcs[0], norms[0], degrees[0]
-                if gap > 0:
-                    env = 1.0 + abs_a ** (deg_hi + deg_lo) / (
-                        1.0 - 2.0 * abs_a ** (deg_hi + deg_lo))
-                    remaining = (2.0 * weight * norm_hi * norm_lo * env
-                                 * abs_a ** (deg_lo * gap)
-                                 / (1.0 - abs_a**deg_lo))
-                    if remaining < tol * 0.25 * 0.5 ** (level + 1):
-                        tail_total += remaining
-                        break
-            else:
-                if level + gap >= len(funcs):
-                    break
-                f_hi = funcs[level + gap]
-                if f_hi is None:
-                    gap += 1
-                    continue
-                norm_hi = norms[level + gap]
-                deg_hi = degrees[level + gap]
-            budget = tol * 0.25 * 0.5 ** (level + 1) * 0.5 ** (gap + 1)
-            bracket, r_tail = pair_bracket(
-                f_hi, norm_hi, deg_hi, f_lo, norm_lo, deg_lo, gap,
-                budget / (2.0 * weight))
-            tail_total += 2.0 * weight * r_tail
-            depth_max = max(depth_max, level + gap)
-            if gap == 0:
-                sigma1_terms.append(weight * bracket)
-            else:
-                sigma2_terms.append(weight * bracket)
-            gap += 1
-
-    sigma1 = math.fsum(sigma1_terms)
-    sigma2 = math.fsum(sigma2_terms)
-    return VarianceReport(
-        value=sigma1 + 2.0 * sigma2,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        truncation=(depth_max, offset_max, branch_max),
-        tail_bound=tail_total,
-        regime=SUBCRITICAL,
-    )
+    for low, f_low in enumerate(coeffs):
+        scaled = 0.5**low * weights * f_low
+        sigma1_terms.extend(scaled * f_low)
+        for high in range(low + 1, len(coeffs)):
+            sigma2_terms.extend(scaled * coeffs[high] * lam ** (high - low))
+    return _report(math.fsum(sigma1_terms), math.fsum(sigma2_terms), SUBCRITICAL)
 
 
-def critical_variance(fseq: FunctionalSeq, params: BarParams,
-                      tol: float = 1e-10) -> VarianceReport:
+def critical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     """Limit variance of the fluctuation statistic at the critical slope.
 
-    Only the degree-one coefficient of each test function contributes: the
-    diagonal sum weights the squared coefficient at offset k by 2^(-k) and
-    the off-diagonal sum weights the coefficient product at offsets l < k
-    by 2^(-(k+l)/2), both times a^2.
+    Only the degree-one coefficient c_k of each test function contributes:
+    the diagonal sum weights a^2 c_k^2 at offset k by 2^(-k) and the
+    off-diagonal sum weights a^2 c_k c_l at offsets l < k by 2^(-(k+l)/2).
+    For the tree shape these are geometric: sigma1 = 2 a^2 c^2 and
+    sigma2 = sigma1 r / (1 - r) with r = 2^(-1/2).
     """
     a = params.require_symmetric("the limit variance")
     if classify_regime(a).regime != CRITICAL:
         raise RegimeError(f"the critical series needs 2 a^2 = 1, got a={a}")
-    funcs, _, _, infinite = _centered_sequence(fseq)
-
-    def lin_coeff(f):
-        if f is None or f.degree < 1:
-            return 0.0
-        return float(f.coeffs[1])
-
-    coeffs = [lin_coeff(f) for f in funcs]
-    if all(c == 0.0 for c in coeffs):
-        return _zero_report(CRITICAL)
+    coeffs = [float(f.coeffs[1]) if f.degree >= 1 else 0.0 for f in fseq.funcs]
     a2 = a * a
-
-    sigma1_terms: list[float] = []
-    sigma2_terms: list[float] = []
-    tail_total = 0.0
-    depth_max = offset_max = 0
-
-    if infinite:
-        c2 = a2 * coeffs[0] ** 2
-        depth = 0
-        while c2 * 0.5**depth * 2.0 >= tol * 0.25:
-            sigma1_terms.append(0.5**depth * c2)
-            depth += 1
-        tail_total += c2 * 0.5**depth * 2.0
-        depth_max = max(0, depth - 1)
-
-        root_half = math.sqrt(0.5)
-        level = 0
-        while True:
-            remaining = (2.0 * c2 * (0.5**level / 0.5)
-                         * root_half / (1.0 - root_half))
-            if remaining < tol * 0.25:
-                tail_total += remaining
-                break
-            offset_max = max(offset_max, level)
-            gap = 1
-            while True:
-                remaining = (2.0 * c2 * root_half ** (2 * level + gap)
-                             / (1.0 - root_half))
-                if remaining < tol * 0.25 * 0.5 ** (level + 2):
-                    tail_total += remaining
-                    break
-                sigma2_terms.append(root_half ** (2 * level + gap) * c2)
-                depth_max = max(depth_max, level + gap)
-                gap += 1
-            level += 1
-    else:
-        for high in range(len(coeffs)):
-            if coeffs[high] == 0.0:
-                continue
-            sigma1_terms.append(0.5**high * a2 * coeffs[high] ** 2)
-            depth_max = max(depth_max, high)
-            for low in range(high):
-                if coeffs[low] == 0.0:
-                    continue
-                offset_max = max(offset_max, low)
-                sigma2_terms.append(
-                    math.sqrt(0.5) ** (high + low) * a2 * coeffs[high] * coeffs[low])
-
-    sigma1 = math.fsum(sigma1_terms)
-    sigma2 = math.fsum(sigma2_terms)
-    return VarianceReport(
-        value=sigma1 + 2.0 * sigma2,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        truncation=(depth_max, offset_max, 0),
-        tail_bound=tail_total,
-        regime=CRITICAL,
-    )
+    root_half = math.sqrt(0.5)
+    if fseq.shape == "tree":
+        sigma1 = 2.0 * a2 * coeffs[0] ** 2
+        return _report(sigma1, sigma1 * root_half / (1.0 - root_half), CRITICAL)
+    sigma1 = math.fsum(0.5**high * a2 * c**2 for high, c in enumerate(coeffs))
+    sigma2 = math.fsum(
+        root_half ** (high + low) * a2 * coeffs[high] * coeffs[low]
+        for high in range(len(coeffs)) for low in range(high))
+    return _report(sigma1, sigma2, CRITICAL)
 
 
 def martingale_path(f: SpectralFn, gens, params: BarParams) -> np.ndarray:

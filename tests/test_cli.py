@@ -88,14 +88,33 @@ def _printed_number(out: str, name: str) -> float:
 
 
 def test_variance_prints_identity_value(capsys):
-    assert main(["variance", "--regime", "sub", "--a", "0.5", "--f", "x"]) == 0
+    assert main(["variance", "--a", "0.5", "--f", "x"]) == 0
     out = capsys.readouterr().out
-    assert "regime = subcritical" in out
-    value = _printed_number(out, "value")
-    bound = _printed_number(out, "tail_bound")
-    assert abs(value - 2.0) <= bound + 1e-14
-    assert bound < 1e-9
-    assert "truncation = " in out
+    assert out.splitlines()[0] == "regime = subcritical"
+    assert abs(_printed_number(out, "value") - 2.0) <= 1e-14
+    assert _printed_number(out, "sigma2") == 0.0
+    assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("a,f,want", [
+    ("0.7", "x", 50.0),
+    ("0.7", "x^3", 1782.2941164434221),
+    ("0.705", "x", 1.0 / (1.0 - 2.0 * 0.705**2)),
+    ("0.705", "x^3", 6033.885048612309),
+])
+def test_variance_finite_near_the_critical_slope(a, f, want, capsys):
+    assert main(["variance", "--a", a, "--f", f]) == 0
+    value = _printed_number(capsys.readouterr().out, "value")
+    assert value == pytest.approx(want, rel=1e-12)
+
+
+def test_removed_variance_options_exit_two(tmp_path, capsys):
+    assert main(["variance", "--a", "0.5", "--f", "x", "--tol", "0"]) == 2
+    assert main(["variance", "--a", "0.5", "--f", "x", "--regime", "sub"]) == 2
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"a": 0.5, "tol": 1e-10}), encoding="utf-8")
+    assert main(["variance", "--config", str(cfg_path)]) == 2
+    capsys.readouterr()
 
 
 def test_variance_auto_classifies(capsys):
@@ -194,6 +213,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--a", "0.5", "--n", "6", "--replicas", "4",
                  "--threads", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+def test_check_assumptions_rejects_bad_sigma(sigma, capsys):
+    assert main(["check-assumptions", "--a", "0.5", "--sigma", sigma]) == 2
+    assert "sigma" in capsys.readouterr().err
 
 
 def test_check_assumptions_key_order(tmp_path, capsys):

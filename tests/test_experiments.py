@@ -62,12 +62,6 @@ def test_config_validation():
         ExperimentConfig(params, nu, fseq, n=10, replicas=1, master_seed=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(params, nu, fseq, n=2, replicas=10, master_seed=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(params, nu, fseq, n=10, replicas=10, master_seed=0,
-                         target="Xn")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(params, nu, fseq, n=10, replicas=10, master_seed=0,
-                         normalization="unit")
 
 
 def test_fit_loglog_recovers_exponent():

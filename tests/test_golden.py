@@ -1,0 +1,99 @@
+"""Golden digests of every file the CLI writes, at small fixed configs.
+
+Each case runs one file-writing command and compares blake2b digests of its
+CSV/SVG/JSON outputs with the values stored below.  manifest.json is left
+out because it records wall time.  A refactor that should not change any
+output must leave this table unchanged; a deliberate output change updates
+the table and is recorded in CHANGES.md.  The bytes depend on the floating
+point results of numpy and scipy, so a dependency upgrade can move them too.
+
+Print the current table with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import pytest
+
+from bmclab.cli import main
+
+CRITICAL_A = repr(2.0**-0.5)
+
+CASES = {
+    "simulate": ["simulate", "--a", "0.5", "--n", "6", "--replicas", "20",
+                 "--f", "x^2", "--seed", "11"],
+    "clt-critical": ["clt", "--a", CRITICAL_A, "--n", "6", "--replicas", "50",
+                     "--nu", "dirac:0", "--seed", "3"],
+    "clt-subcritical": ["clt", "--a", "0.5", "--n", "6", "--replicas", "50",
+                        "--f", "0.3,1,0.5,0.2", "--seed", "1"],
+    "slopes": ["slopes", "--alphas", "0.3,0.6", "--f", "x", "--n", "8",
+               "--replicas", "40", "--outer-repeats", "2", "--seed", "3",
+               "--plot"],
+    "supercritical": ["supercritical", "--a", "0.85", "--n", "7",
+                      "--replicas", "50", "--seed", "5"],
+    "martingale": ["martingale", "--a", "0.85", "--n", "6", "--seed", "4"],
+    "check-assumptions": ["check-assumptions", "--a", "0.75"],
+}
+
+GOLDEN = {
+    "check-assumptions": {
+        "assumptions.json": "db21a197d7cd846475d486ca65fc8b23",
+    },
+    "clt-critical": {
+        "clt.csv": "c76c4add6e21eed5f7f49cb31e0376e3",
+        "stats.csv": "1210bfed7359d2da028654d518e59311",
+    },
+    "clt-subcritical": {
+        "clt.csv": "cfbf8a94e502a5280e07c1fe284e0b13",
+        "stats.csv": "7ae330426e35fc765b48bcb992e12095",
+    },
+    "martingale": {
+        "martingale.csv": "88f27e566d3de0a312d1d9388f91c2f0",
+    },
+    "simulate": {
+        "stats.csv": "90dd038cac2e69890d7dc5d67896fa2e",
+    },
+    "slopes": {
+        "slopes.csv": "0b8ce7ae7107d1d9dab5c9fcdf501717",
+        "slopes.svg": "d887d0d88e10567a2ab898fce750fbed",
+    },
+    "supercritical": {
+        "supercritical.csv": "2b788f206627409b66305c302e040722",
+    },
+}
+
+
+def output_digests(argv, out_dir) -> dict[str, str]:
+    """Run one command into out_dir; digest every output but the manifest."""
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        if name == "manifest.json":
+            continue
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_digests(case, tmp_path, capsys):
+    got = output_digests(CASES[case], tmp_path)
+    capsys.readouterr()
+    assert got == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        table = {}
+        for case in sorted(CASES):
+            table[case] = output_digests(CASES[case], os.path.join(root, case))
+    sys.stdout.flush()
+    for case, digests in table.items():
+        print(f"    {case!r}: {{")
+        for name, digest in digests.items():
+            print(f"        {name!r}: {digest!r},")
+        print("    },")

@@ -306,10 +306,6 @@ def test_replicate_validation():
     wrong_scale = identity(2.0 * params.sigma_a())
     with pytest.raises(ConfigError):
         replicate(_config(params, nu, FunctionalSeq.single(wrong_scale), 4, 2, 1))
-    bad = _config(params, nu, FunctionalSeq.single(f), 4, 2, 1)
-    bad.normalization = "unit"
-    with pytest.raises(ConfigError):
-        replicate(bad)
 
 
 def test_chunking_and_threads_do_not_change_results(monkeypatch):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmclab.errors import ConfigError, RegimeError
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
@@ -44,7 +46,6 @@ def test_single_identity_closed_form():
     assert report.sigma1 == pytest.approx(2.0, abs=1e-10)
     assert report.sigma2 == 0.0
     assert report.regime == SUBCRITICAL
-    assert report.tail_bound < 1e-10
 
     params = BarParams.symmetric_params(0.3, sigma=1.7)
     report = subcritical_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
@@ -115,7 +116,6 @@ def test_constant_functions_give_zero():
     flat = constant(2.5, params.sigma_a())
     report = subcritical_variance(FunctionalSeq.tree(flat), params)
     assert report.value == report.sigma1 == report.sigma2 == 0.0
-    assert report.tail_bound == 0.0
 
     params = BarParams.symmetric_params(A_CRIT)
     report = critical_variance(FunctionalSeq.single(constant(1.0, params.sigma_a())), params)
@@ -163,21 +163,97 @@ def test_quadratic_scaling():
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
 
-def test_truncation_certificate():
-    params = BarParams.symmetric_params(0.6)
-    f = from_monomial([0.0, 1.0, 0.5, 0.2], params.sigma_a())
-    loose = subcritical_variance(FunctionalSeq.tree(f), params, tol=1e-4)
-    tight = subcritical_variance(FunctionalSeq.tree(f), params, tol=1e-12)
-    assert loose.tail_bound <= 1e-4
-    assert abs(loose.value - tight.value) <= loose.tail_bound
-    assert tight.truncation[0] >= loose.truncation[0]
+SERIES_POLYS = {
+    "x": [0.0, 1.0],
+    "x^2": [0.0, 0.0, 1.0],
+    "x^3": [0.0, 0.0, 0.0, 1.0],
+    "0.3+x+0.2x^2": [0.3, 1.0, 0.2],
+    "x+0.5x^2+0.2x^3": [0.0, 1.0, 0.5, 0.2],
+}
 
-    params = BarParams.symmetric_params(A_CRIT)
-    f = from_monomial([0.0, 1.0], params.sigma_a())
-    loose = critical_variance(FunctionalSeq.tree(f), params, tol=1e-4)
-    tight = critical_variance(FunctionalSeq.tree(f), params, tol=1e-12)
-    assert loose.tail_bound <= 1e-4
-    assert abs(loose.value - tight.value) <= loose.tail_bound
+# Values of the truncated three-level series (tolerance 1e-10) that bmclab
+# 0.1.0 summed before the closed forms replaced it, at every grid point
+# where that series was finite.
+TRUNCATED_SERIES = {
+    ("single", 0.3, "x"): 1.2195121951211374,
+    ("single", 0.3, "x^2"): 2.4350522419231972,
+    ("single", 0.3, "x^3"): 21.221869292543428,
+    ("single", 0.3, "0.3+x+0.2x^2"): 1.3169142847980795,
+    ("single", 0.3, "x+0.5x^2+0.2x^3"): 4.285297976913764,
+    ("single", 0.5, "x"): 1.9999999999975753,
+    ("single", 0.5, "x^2"): 3.8095238095233497,
+    ("single", 0.5, "x^3"): 46.45161290322464,
+    ("single", 0.5, "0.3+x+0.2x^2"): 2.1523809523785276,
+    ("single", 0.5, "x+0.5x^2+0.2x^3"): 8.010445468508026,
+    ("single", 0.6, "x"): 3.5714285714256766,
+    ("single", 0.6, "x^2"): 5.737041036715462,
+    ("single", 0.6, "x^3"): 102.53972720337082,
+    ("single", 0.6, "0.3+x+0.2x^2"): 3.800910212895169,
+    ("single", 0.6, "x+0.5x^2+0.2x^3"): 15.803706490169205,
+    ("single", -0.4, "x"): 1.4705882352929538,
+    ("single", -0.4, "x^2"): 2.91094515377802,
+    ("single", -0.4, "x^3"): 28.922406544083483,
+    ("single", -0.4, "0.3+x+0.2x^2"): 1.587026041444082,
+    ("single", -0.4, "x+0.5x^2+0.2x^3"): 5.456061121635428,
+    ("single", 0.55, "x"): 2.531645569617278,
+    ("single", 0.55, "x^2"): 4.571388209842879,
+    ("single", 0.55, "x^3"): 65.03313883472825,
+    ("single", 0.55, "0.3+x+0.2x^2"): 2.7145010980121977,
+    ("single", 0.55, "x+0.5x^2+0.2x^3"): 10.631337435029797,
+    ("tree", 0.3, "x"): 4.529616724690616,
+    ("tree", 0.3, "x^2"): 5.833421854251932,
+    ("tree", 0.3, "x^3"): 66.0492368452571,
+    ("tree", 0.3, "0.3+x+0.2x^2"): 4.762953598860903,
+    ("tree", 0.3, "x+0.5x^2+0.2x^3"): 14.6030626177788,
+    ("tree", 0.5, "x"): 11.999999999949072,
+    ("tree", 0.5, "x^2"): 12.69841269836466,
+    ("tree", 0.5, "x^3"): 229.16129032254602,
+    ("tree", 0.5, "0.3+x+0.2x^2"): 12.507936507884654,
+    ("tree", 0.5, "x+0.5x^2+0.2x^3"): 43.541054787463054,
+    ("tree", 0.6, "x"): 28.57142857137661,
+    ("tree", 0.6, "x^2"): 24.382424406003587,
+    ("tree", 0.6, "x^3"): 702.4437528990578,
+    ("tree", 0.6, "0.3+x+0.2x^2"): 29.546725547629755,
+    ("tree", 0.6, "x+0.5x^2+0.2x^3"): 116.33621336028922,
+    ("tree", -0.4, "x"): 1.2605042016729828,
+    ("tree", -0.4, "x^2"): 8.039753281828421,
+    ("tree", -0.4, "x^3"): 33.961975723095364,
+    ("tree", -0.4, "0.3+x+0.2x^2"): 1.582094332945402,
+    ("tree", -0.4, "x+0.5x^2+0.2x^3"): 6.429641839183561,
+    ("tree", 0.55, "x"): 17.44022503511721,
+    ("tree", 0.55, "x^2"): 17.073069944973476,
+    ("tree", 0.55, "x^3"): 373.55936718222836,
+    ("tree", 0.55, "0.3+x+0.2x^2"): 18.123147832919383,
+    ("tree", 0.55, "x+0.5x^2+0.2x^3"): 66.6555554411993,
+}
+
+
+@pytest.mark.parametrize("shape,a,poly", sorted(TRUNCATED_SERIES))
+def test_matches_truncated_series_pins(shape, a, poly):
+    params = BarParams.symmetric_params(a)
+    f = from_monomial(SERIES_POLYS[poly], params.sigma_a())
+    fseq = FunctionalSeq.single(f) if shape == "single" else FunctionalSeq.tree(f)
+    got = subcritical_variance(fseq, params).value
+    assert got == pytest.approx(TRUNCATED_SERIES[shape, a, poly], rel=1e-9)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=st.floats(-0.7, 0.7),
+       funcs=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+                      min_size=1, max_size=3),
+       shape=st.sampled_from(["single", "tree", "custom"]))
+def test_closed_form_finite_and_nonnegative(a, funcs, shape):
+    params = BarParams.symmetric_params(a)
+    fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
+    if shape == "custom":
+        fseq = FunctionalSeq.custom(fns)
+    else:
+        fseq = getattr(FunctionalSeq, shape)(fns[0])
+    report = subcritical_variance(fseq, params)
+    assert math.isfinite(report.value)
+    # The custom shape is a positive semidefinite form with cross terms, so
+    # its rounding error scales with the diagonal sum.
+    assert report.value >= -1e-12 * max(1.0, report.sigma1)
 
 
 def test_nonnegative_on_random_sequences():
