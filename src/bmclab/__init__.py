@@ -28,6 +28,7 @@ from .experiments import (
     clt_study,
     h1,
     h2,
+    martingale_path,
     slope_study,
     slope_summary,
     supercritical_study,
@@ -61,23 +62,8 @@ from .spectral import (
     project_linear,
     stationary_inner,
 )
-from .treesim import (
-    FunctionalSeq,
-    GenerationBuffer,
-    InitialLaw,
-    TreeIndex,
-    generation_sums,
-    iter_generations,
-    replicate,
-    simulate,
-)
-from .variance import (
-    VarianceReport,
-    critical_variance,
-    martingale_path,
-    subcritical_variance,
-    supercritical_limits,
-)
+from .treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
+from .variance import VarianceReport, critical_variance, subcritical_variance
 
 __all__ = [
     "AssumptionReport",
@@ -90,7 +76,6 @@ __all__ = [
     "DegreeCapError",
     "ExperimentConfig",
     "FunctionalSeq",
-    "GenerationBuffer",
     "InitialLaw",
     "RandomStream",
     "RegimeError",
@@ -101,7 +86,6 @@ __all__ = [
     "SlopeSummary",
     "SpectralFn",
     "SupercriticalResult",
-    "TreeIndex",
     "VarianceReport",
     "apply_kernel",
     "as_monomial",
@@ -120,18 +104,15 @@ __all__ = [
     "generation_sums",
     "h1",
     "h2",
-    "iter_generations",
     "martingale_path",
     "pair_expect",
     "product",
     "project_linear",
     "replicate",
-    "simulate",
     "slope_study",
     "slope_summary",
     "stationary_inner",
     "subcritical_variance",
-    "supercritical_limits",
     "supercritical_study",
     "__version__",
 ]

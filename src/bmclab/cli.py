@@ -19,6 +19,8 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .errors import ComputationRejected, ConfigError, ResourceCapError
@@ -29,6 +31,7 @@ from .experiments import (
     clt_study,
     h1,
     h2,
+    martingale_path,
     slope_study,
     slope_summary,
     supercritical_study,
@@ -40,33 +43,15 @@ from .kernels import (
     check_assumptions,
     classify_regime,
 )
-from .rng import RandomStream
 from .spectral import from_monomial
 from .svg import Band, Series, line_chart
-from .treesim import FunctionalSeq, InitialLaw, replicate, simulate
-from .variance import critical_variance, martingale_path, subcritical_variance
+from .treesim import FunctionalSeq, InitialLaw, replicate
+from .variance import critical_variance, subcritical_variance
 
 _MAX_MONOMIAL_POWER = 8
 
 _FLOAT_KEYS = frozenset({"a", "sigma"})
 _INT_KEYS = frozenset({"n", "replicas", "seed", "n_min", "outer_repeats"})
-
-_DEFAULTS: dict[str, dict] = {
-    "simulate": {"a": None, "sigma": 1.0, "n": None, "replicas": None, "f": "x",
-                 "shape": "single", "nu": "stationary", "seed": 0},
-    "variance": {"a": None, "sigma": 1.0, "f": "x", "shape": "single"},
-    "clt": {"a": None, "sigma": 1.0, "n": None, "replicas": None, "f": "x",
-            "shape": "single", "nu": "stationary", "seed": 0},
-    "slopes": {"alphas": None, "f": "x", "n": None, "n_min": DEFAULT_N_MIN,
-               "replicas": None, "target": "Gn",
-               "outer_repeats": DEFAULT_OUTER_REPEATS, "sigma": 1.0,
-               "nu": "stationary", "seed": 0},
-    "supercritical": {"a": None, "sigma": 1.0, "n": None, "replicas": None,
-                      "f": "x", "shape": "single", "nu": "stationary", "seed": 0},
-    "martingale": {"a": None, "sigma": 1.0, "n": None, "f": "x",
-                   "nu": "stationary", "seed": 0},
-    "check-assumptions": {"a": None, "sigma": 1.0},
-}
 
 
 def _g17(value) -> str:
@@ -171,7 +156,7 @@ def _load_config_file(path: str, command: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     data.pop("command", None)
-    unknown = sorted(set(data) - set(_DEFAULTS[command]))
+    unknown = sorted(set(data) - set(_COMMANDS[command].defaults))
     if unknown:
         raise ConfigError(
             f"config file {path} has unknown keys for {command}: "
@@ -260,7 +245,8 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     )
 
 
-def _run_simulate(cfg: dict, out_dir: str, threads: int) -> list[str]:
+def _run_simulate(cfg: dict, out_dir: str, threads: int,
+                  args: argparse.Namespace) -> list[str]:
     ecfg = _experiment_config(cfg)
     values = replicate(ecfg, threads=threads)
     path = os.path.join(out_dir, "stats.csv")
@@ -270,7 +256,8 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int) -> list[str]:
     return [path]
 
 
-def _run_variance(cfg: dict, out_dir: str, threads: int) -> list[str]:
+def _run_variance(cfg: dict, out_dir: str, threads: int,
+                  args: argparse.Namespace) -> list[str]:
     params, fseq = _params_and_fseq(cfg)
     regime = classify_regime(params.a0).regime
     if regime == SUBCRITICAL:
@@ -288,7 +275,8 @@ def _run_variance(cfg: dict, out_dir: str, threads: int) -> list[str]:
     return []
 
 
-def _run_clt(cfg: dict, out_dir: str, threads: int) -> list[str]:
+def _run_clt(cfg: dict, out_dir: str, threads: int,
+             args: argparse.Namespace) -> list[str]:
     ecfg = _experiment_config(cfg)
     res = clt_study(ecfg, threads=threads)
     clt_path = os.path.join(out_dir, "clt.csv")
@@ -339,7 +327,8 @@ def _slope_plot(alphas, summaries) -> str:
                       band=band)
 
 
-def _run_slopes(cfg: dict, out_dir: str, threads: int, plot: bool) -> list[str]:
+def _run_slopes(cfg: dict, out_dir: str, threads: int,
+                args: argparse.Namespace) -> list[str]:
     alphas = _parse_alphas(cfg["alphas"])
     results = slope_study(
         alphas,
@@ -372,7 +361,7 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int, plot: bool) -> list[str]:
     flagged = [r for r in results if r.flags]
     if flagged:
         print(f"flagged runs: {len(flagged)}")
-    if plot:
+    if args.plot:
         svg_path = os.path.join(out_dir, "slopes.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(_slope_plot(alphas, summaries))
@@ -381,7 +370,8 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int, plot: bool) -> list[str]:
     return outputs
 
 
-def _run_supercritical(cfg: dict, out_dir: str, threads: int) -> list[str]:
+def _run_supercritical(cfg: dict, out_dir: str, threads: int,
+                       args: argparse.Namespace) -> list[str]:
     ecfg = _experiment_config(cfg)
     res = supercritical_study(ecfg, threads=threads)
     path = os.path.join(out_dir, "supercritical.csv")
@@ -395,14 +385,14 @@ def _run_supercritical(cfg: dict, out_dir: str, threads: int) -> list[str]:
     return [path]
 
 
-def _run_martingale(cfg: dict, out_dir: str, threads: int) -> list[str]:
+def _run_martingale(cfg: dict, out_dir: str, threads: int,
+                    args: argparse.Namespace) -> list[str]:
     params = BarParams.symmetric_params(_as_float(cfg["a"], "--a"),
                                         _as_float(cfg["sigma"], "--sigma"))
     f = from_monomial(_parse_f(cfg["f"]), params.sigma_a())
     n = _as_int(cfg["n"], "--n")
-    stream = RandomStream.from_seed(_as_int(cfg["seed"], "--seed")).split(0)
-    gens = simulate(_parse_nu(cfg["nu"]), params, n, stream)
-    path_values = martingale_path(f, gens, params)
+    path_values = martingale_path(f, params, _parse_nu(cfg["nu"]), n,
+                                  _as_int(cfg["seed"], "--seed"))
     path = os.path.join(out_dir, "martingale.csv")
     _write_csv(path, ("level", "value"),
                ((str(g), _g17(v)) for g, v in enumerate(path_values)))
@@ -410,18 +400,70 @@ def _run_martingale(cfg: dict, out_dir: str, threads: int) -> list[str]:
     return [path]
 
 
-def _run_check_assumptions(cfg: dict, out_dir: str | None) -> list[str]:
+def _run_check_assumptions(cfg: dict, out_dir: str, threads: int,
+                           args: argparse.Namespace) -> list[str]:
     report = check_assumptions(_as_float(cfg["a"], "--a"),
                                sigma=_as_float(cfg["sigma"], "--sigma"))
     text = json.dumps(report.as_json_dict(), indent=2)
     print(text)
-    if out_dir is None:
+    if args.out is None:
         return []
     path = os.path.join(out_dir, "assumptions.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
     return [path]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help line, option defaults and runner.
+
+    A default of None marks a required option.  The runner takes the merged
+    config, the output directory, the thread count and the parsed flags, and
+    returns the paths it wrote.  switches are extra store-true flags that
+    steer the run without entering the config or its digest.
+    """
+
+    help: str
+    defaults: dict
+    run: Callable[[dict, str, int, argparse.Namespace], list[str]]
+    switches: tuple[tuple[str, str], ...] = ()
+
+
+_SIMULATION_DEFAULTS = {"a": None, "sigma": 1.0, "n": None, "replicas": None,
+                        "f": "x", "shape": "single", "nu": "stationary",
+                        "seed": 0}
+
+_COMMANDS: dict[str, _Command] = {
+    "simulate": _Command(
+        "replicate the regime-normalized statistic to CSV",
+        _SIMULATION_DEFAULTS, _run_simulate),
+    "variance": _Command(
+        "evaluate the limit variance in closed form",
+        {"a": None, "sigma": 1.0, "f": "x", "shape": "single"}, _run_variance),
+    "clt": _Command(
+        "compare the replicated statistic with its Gaussian limit",
+        _SIMULATION_DEFAULTS, _run_clt),
+    "slopes": _Command(
+        "fit variance decay exponents over a slope grid",
+        {"alphas": None, "f": "x", "n": None, "n_min": DEFAULT_N_MIN,
+         "replicas": None, "target": "Gn",
+         "outer_repeats": DEFAULT_OUTER_REPEATS, "sigma": 1.0,
+         "nu": "stationary", "seed": 0},
+        _run_slopes, switches=(("--plot", "also write slopes.svg"),)),
+    "supercritical": _Command(
+        "rescaled-statistic ratio and martingale increments",
+        _SIMULATION_DEFAULTS, _run_supercritical),
+    "martingale": _Command(
+        "one martingale path along a simulated tree",
+        {"a": None, "sigma": 1.0, "n": None, "f": "x", "nu": "stationary",
+         "seed": 0},
+        _run_martingale),
+    "check-assumptions": _Command(
+        "integrability thresholds for the density row",
+        {"a": None, "sigma": 1.0}, _run_check_assumptions),
+}
 
 
 def _add_common(sub: argparse.ArgumentParser, keys) -> None:
@@ -457,31 +499,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "binary trees.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "replicate the regime-normalized statistic to CSV",
-        "variance": "evaluate the limit variance in closed form",
-        "clt": "compare the replicated statistic with its Gaussian limit",
-        "slopes": "fit variance decay exponents over a slope grid",
-        "supercritical": "rescaled-statistic ratio and martingale increments",
-        "martingale": "one martingale path along a simulated tree",
-        "check-assumptions": "integrability thresholds for the density row",
-    }
-    for command, defaults in _DEFAULTS.items():
-        sub = subs.add_parser(command, help=descriptions[command])
-        _add_common(sub, defaults.keys())
-        if command == "slopes":
-            sub.add_argument("--plot", action="store_true",
-                             help="also write slopes.svg")
+    for command, spec in _COMMANDS.items():
+        sub = subs.add_parser(command, help=spec.help)
+        _add_common(sub, spec.defaults.keys())
+        for flag, text in spec.switches:
+            sub.add_argument(flag, action="store_true", help=text)
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
-    defaults = dict(_DEFAULTS[command])
+    spec = _COMMANDS[command]
     file_cfg = _load_config_file(args.config, command) if args.config else {}
     flag_cfg = {key: value for key, value in vars(args).items()
-                if key in defaults and value is not None}
-    cfg = {**defaults, **file_cfg, **flag_cfg}
+                if key in spec.defaults and value is not None}
+    cfg = {**spec.defaults, **file_cfg, **flag_cfg}
     missing = sorted(key for key, value in cfg.items() if value is None)
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
@@ -501,21 +533,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"config written to {args.dump_config} (digest {digest})")
 
     start = time.perf_counter()
-    if command == "simulate":
-        outputs = _run_simulate(cfg, out_dir, threads)
-    elif command == "variance":
-        outputs = _run_variance(cfg, out_dir, threads)
-    elif command == "clt":
-        outputs = _run_clt(cfg, out_dir, threads)
-    elif command == "slopes":
-        outputs = _run_slopes(cfg, out_dir, threads, plot=args.plot)
-    elif command == "supercritical":
-        outputs = _run_supercritical(cfg, out_dir, threads)
-    elif command == "martingale":
-        outputs = _run_martingale(cfg, out_dir, threads)
-    else:
-        outputs = _run_check_assumptions(
-            cfg, out_dir if args.out is not None else None)
+    outputs = spec.run(cfg, out_dir, threads, args)
     wall = time.perf_counter() - start
 
     if outputs:

@@ -3,7 +3,8 @@
 clt_study replicates the regime-normalized fluctuation statistic and compares
 its empirical law with the Gaussian limit predicted by the variance series.
 supercritical_study tracks the rescaled statistics and the additive
-martingale above the critical slope.  slope_study regresses log-variance of
+martingale above the critical slope, and martingale_path follows that
+martingale along one tree.  slope_study regresses log-variance of
 the averaged statistic against log of the population size over a grid of
 slopes, reproducing the phase transition in the decay exponent.
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, RegimeError
 from .kernels import CRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .rng import RandomStream
-from .spectral import center, from_monomial, project_linear
+from .spectral import SpectralFn, center, from_monomial, project_linear
 from .stats import SampleMoments, fit_line, ks_normal_distance, ks_threshold, sample_moments
 from .treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
 from .variance import critical_variance, subcritical_variance
@@ -200,6 +201,27 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
         martingale_l1_diffs=l1_diffs,
         flags=tuple(flags),
     )
+
+
+def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
+                    master_seed: int) -> np.ndarray:
+    """Values of (2a)^(-g) times the generation-g sum of the linear part of f.
+
+    The tree is replica 0 of the master seed, the same tree the other
+    drivers simulate first; one tree is one chunk, so there is no thread
+    count.  For a nonzero slope this sequence is a martingale in g; above
+    the critical slope it converges and its limit drives the supercritical
+    fluctuations.
+    """
+    a = params.require_symmetric("the additive martingale")
+    if a == 0.0:
+        raise RegimeError("the additive martingale needs a nonzero slope")
+    keys = RandomStream.from_seed(master_seed).split_keys(np.arange(1))
+    sums = generation_sums(params, nu, [project_linear(f)], n, keys)
+    # Python's scalar power, not numpy's vectorized one: the two can differ
+    # in the last bit, and these values are written to martingale.csv.
+    return np.array([(2.0 * a) ** (-g) * float(sum_g)
+                     for g, sum_g in enumerate(sums[0, :, 0])])
 
 
 def _poly_label(coeffs) -> str:

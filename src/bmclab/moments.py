@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ResourceCapError
 from .kernels import BarParams
 from .spectral import SpectralFn, apply_kernel, as_monomial, pair_expect, product
-from .treesim import TreeIndex, common_ancestor_depth
 
 ENUM_DEPTH_MAX = 4
 
@@ -77,6 +76,17 @@ def _node_mean_var(a: float, sigma: float, gen: int, x: float) -> tuple[float, f
     mean = a**gen * x
     var = sigma**2 * sum(a ** (2 * (gen - j)) for j in range(1, gen + 1))
     return mean, var
+
+
+def common_ancestor_depth(n: int, i: int, m: int, j: int) -> int:
+    """Generation of the deepest common ancestor of nodes (n, i) and (m, j).
+
+    Node (g, k) has parent (g-1, k >> 1), so both ranks are cut to the
+    shallower generation and every bit where they still differ is one more
+    generation above it.
+    """
+    d = min(n, m)
+    return d - ((i >> (n - d)) ^ (j >> (m - d))).bit_length()
 
 
 def _pair_cov(a: float, sigma: float, gen_u: int, gen_v: int, depth: int) -> float:
@@ -149,9 +159,8 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
     terms = []
     for i in range(1 << n):
-        u = TreeIndex(n, i)
         for j in range(1 << m):
-            depth = common_ancestor_depth(u, TreeIndex(m, j))
+            depth = common_ancestor_depth(n, i, m, j)
             cov = _pair_cov(a, params.sigma, n, m, depth)
             terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
     return math.fsum(terms)

@@ -7,8 +7,10 @@ replica r comes from the counter-based stream keyed by (master seed, r, g)
 with the parent position as the counter, which makes every simulation a pure
 function of (config, seed) regardless of chunking or thread count.
 
-The module also evaluates the additive functionals over generations and the
-normalized fluctuation statistics built from them.
+generation_sums is the one simulation engine: it advances a batch of
+replicas and keeps only per-generation sums of the test functions, never a
+whole tree.  A single replica is a batch of one key.  replicate turns those
+sums into the normalized fluctuation statistics.
 """
 
 from __future__ import annotations
@@ -38,58 +40,6 @@ CHUNK_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
-class TreeIndex:
-    """A node of the full binary tree, identified by generation and rank."""
-
-    gen: int
-    pos: int
-
-    def __post_init__(self) -> None:
-        if self.gen < 0 or not 0 <= self.pos < (1 << self.gen):
-            raise ConfigError(f"invalid tree index ({self.gen}, {self.pos})")
-
-    def children(self) -> tuple["TreeIndex", "TreeIndex"]:
-        return (
-            TreeIndex(self.gen + 1, 2 * self.pos),
-            TreeIndex(self.gen + 1, 2 * self.pos + 1),
-        )
-
-    def parent(self) -> "TreeIndex":
-        if self.gen == 0:
-            raise ConfigError("the root has no parent")
-        return TreeIndex(self.gen - 1, self.pos >> 1)
-
-
-def common_ancestor_depth(i: TreeIndex, j: TreeIndex) -> int:
-    """Generation of the deepest common ancestor of two nodes."""
-    d = min(i.gen, j.gen)
-    while (i.pos >> (i.gen - d)) != (j.pos >> (j.gen - d)):
-        d -= 1
-    return d
-
-
-@dataclass(frozen=True)
-class GenerationBuffer:
-    """All traits of one generation, in level order."""
-
-    gen: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (1 << self.gen,):
-            raise ConfigError(
-                f"generation {self.gen} needs {1 << self.gen} values, got {v.shape}"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class InitialLaw:
     """Law of the root trait: a point mass, the invariant law, or a Gaussian."""
 
@@ -108,15 +58,15 @@ class InitialLaw:
 
     @classmethod
     def gaussian(cls, mean: float, var: float) -> "InitialLaw":
-        if not var > 0.0:
-            raise ConfigError("gaussian initial law needs var > 0")
         return cls(kind="gaussian", mean=float(mean), var=float(var))
 
     def __post_init__(self) -> None:
         if self.kind not in ("dirac", "stationary", "gaussian"):
             raise ConfigError(f"unknown initial law {self.kind!r}")
-        if self.kind == "gaussian" and not self.var > 0.0:
-            raise ConfigError("gaussian initial law needs var > 0")
+        if not (math.isfinite(self.x0) and math.isfinite(self.mean)):
+            raise ConfigError("the initial law needs a finite point and mean")
+        if not (math.isfinite(self.var) and self.var > 0.0):
+            raise ConfigError("the initial law needs a finite var > 0")
 
     def label(self) -> str:
         if self.kind == "dirac":
@@ -198,60 +148,6 @@ def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray) -> np.
     out[:, 0::2] = params.a0 * values + params.b0 + l11 * z0
     out[:, 1::2] = params.a1 * values + params.b1 + l21 * z0 + l22 * z1
     return out
-
-
-def iter_generations(nu: InitialLaw, params: BarParams, n: int, stream: RandomStream,
-                     n_cap: int = N_MAX):
-    """Yield GenerationBuffers 0..n, holding one generation at a time."""
-    _check_depth(n, n_cap)
-    keys = np.array([stream.key], dtype=np.uint64)
-    vals = _root_values(nu, params, keys)
-    yield GenerationBuffer(gen=0, values=vals[0])
-    for g in range(n):
-        vals = _advance(vals, params, derive_keys(keys, g + 1))
-        yield GenerationBuffer(gen=g + 1, values=vals[0])
-
-
-def simulate(nu: InitialLaw, params: BarParams, n: int, stream: RandomStream,
-             mode: str = "full", accumulators=(), n_cap: int = N_MAX):
-    """Simulate one replica to depth n.
-
-    mode="full" returns all generation buffers; mode="streaming" keeps only
-    one generation alive and returns, per generation, the tuple of values of
-    the registered accumulators (each a callable on a GenerationBuffer).
-    """
-    gens = iter_generations(nu, params, n, stream, n_cap=n_cap)
-    if mode == "full":
-        return list(gens)
-    if mode != "streaming":
-        raise ConfigError(f"unknown simulation mode {mode!r}")
-    return [tuple(acc(buf) for acc in accumulators) for buf in gens]
-
-
-def generation_sum(buf: GenerationBuffer, f: SpectralFn) -> float:
-    """Sum of f over one generation."""
-    return float(np.sum(f.evaluate(buf.values)))
-
-
-def fluctuation_statistic(gens, fseq: FunctionalSeq, n: int) -> float:
-    """Centered multi-generation sum, scaled by the deepest generation size.
-
-    Computes |G_n|^(-1/2) * sum over offsets l of the centered f_l summed
-    over generation n-l.  With shape "single" this is the one-generation
-    statistic; with shape "tree" the whole-tree statistic.
-    """
-    if len(gens) <= n:
-        raise ConfigError(f"need generations 0..{n}, got {len(gens)}")
-    terms = []
-    for offset in range(n + 1):
-        f = fseq.func_at(offset)
-        if f is None:
-            continue
-        centered = center(f)
-        if centered.is_zero():
-            continue
-        terms.append(generation_sum(gens[n - offset], centered))
-    return math.fsum(terms) / math.sqrt(2.0**n)
 
 
 def generation_sums(params: BarParams, nu: InitialLaw, funcs, n: int,

@@ -10,8 +10,9 @@ carries the factor n! (1 - lambda^2) / (1 - 2 lambda^2); at the critical
 slope only the degree-one coefficients survive.  See Guyon, "Limit theorems
 for bifurcating Markov chains", Ann. Appl. Probab. 17 (2007).
 
-The module also evaluates the additive martingale along a simulated tree
-for the supercritical regime.
+Above the critical slope there is no finite limit variance; the rescaled
+sums and the additive martingale of that regime are simulated by the
+experiments module.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationRejected, RegimeError
-from .kernels import CRITICAL, SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
-from .spectral import SpectralFn, center, project_linear
-from .treesim import FunctionalSeq, generation_sum
+from .kernels import CRITICAL, SUBCRITICAL, BarParams, classify_regime
+from .treesim import FunctionalSeq
 
 
 @dataclass(frozen=True)
@@ -108,38 +108,3 @@ def critical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
         root_half ** (high + low) * a2 * coeffs[high] * coeffs[low]
         for high in range(len(coeffs)) for low in range(high))
     return _report(sigma1, sigma2, CRITICAL)
-
-
-def martingale_path(f: SpectralFn, gens, params: BarParams) -> np.ndarray:
-    """Values of (2a)^(-g) times the generation-g sum of the linear part of f.
-
-    For a nonzero slope this sequence is a martingale in g; above the
-    critical slope it converges and its limit drives the supercritical
-    fluctuations.
-    """
-    a = params.require_symmetric("the additive martingale")
-    if a == 0.0:
-        raise RegimeError("the additive martingale needs a nonzero slope")
-    lin = project_linear(f)
-    return np.array([
-        (2.0 * a) ** (-buf.gen) * generation_sum(buf, lin) for buf in gens
-    ])
-
-
-def supercritical_limits(f: SpectralFn, gens, params: BarParams) -> tuple[float, float]:
-    """Rescaled deepest-generation and whole-tree sums of the centered f.
-
-    Returns ((2a)^(-n) M_n, (2a)^(-n) T_n) where M_n sums the centered f
-    over generation n and T_n over the whole depth-n tree.  Above the
-    critical slope both converge to multiples of the same random limit,
-    with ratio T/M tending to 2a / (2a - 1).
-    """
-    a = params.require_symmetric("the supercritical limits")
-    if classify_regime(a).regime != SUPERCRITICAL:
-        raise RegimeError(f"the supercritical limits need 2 a^2 > 1, got a={a}")
-    centered = center(f)
-    n = gens[-1].gen
-    scale = (2.0 * a) ** (-n)
-    gen_stat = scale * generation_sum(gens[n], centered)
-    tree_stat = scale * math.fsum(generation_sum(buf, centered) for buf in gens)
-    return gen_stat, tree_stat

@@ -35,10 +35,11 @@ def test_parse_nu_forms():
     assert _parse_nu("stationary").label() == "stationary"
     assert _parse_nu("dirac:1.5").label() == "dirac(1.5)"
     assert _parse_nu("gaussian:0,2").label() == "gaussian(0,2)"
-    with pytest.raises(ConfigError):
-        _parse_nu("uniform")
-    with pytest.raises(ConfigError):
-        _parse_nu("gaussian:1")
+    for bad in ("uniform", "gaussian:1", "dirac:nan", "dirac:inf",
+                "gaussian:inf,1", "gaussian:nan,1", "gaussian:0,inf",
+                "gaussian:0,nan", "gaussian:0,0"):
+        with pytest.raises(ConfigError):
+            _parse_nu(bad)
 
 
 def test_parse_alpha_grids():

@@ -14,19 +14,7 @@ from bmclab.kernels import BarParams
 from bmclab.rng import RandomStream
 from bmclab.spectral import apply_kernel, center, constant, from_monomial, identity
 from bmclab import treesim
-from bmclab.treesim import (
-    FunctionalSeq,
-    GenerationBuffer,
-    InitialLaw,
-    TreeIndex,
-    common_ancestor_depth,
-    fluctuation_statistic,
-    generation_sum,
-    generation_sums,
-    iter_generations,
-    replicate,
-    simulate,
-)
+from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
 
 
 def _config(params, nu, fseq, n, replicas, master_seed):
@@ -36,49 +24,17 @@ def _config(params, nu, fseq, n, replicas, master_seed):
     )
 
 
-def test_tree_index_navigation():
-    root = TreeIndex(0, 0)
-    left, right = root.children()
-    assert (left.gen, left.pos) == (1, 0)
-    assert (right.gen, right.pos) == (1, 1)
-    assert left.parent() == root
-    assert right.parent() == root
-    node = TreeIndex(4, 11)
-    for child in node.children():
-        assert child.parent() == node
-    with pytest.raises(ConfigError):
-        root.parent()
-    with pytest.raises(ConfigError):
-        TreeIndex(2, 4)
-    with pytest.raises(ConfigError):
-        TreeIndex(-1, 0)
-
-
-def test_common_ancestor_depth():
-    assert common_ancestor_depth(TreeIndex(3, 0), TreeIndex(3, 1)) == 2
-    assert common_ancestor_depth(TreeIndex(3, 0), TreeIndex(3, 3)) == 1
-    assert common_ancestor_depth(TreeIndex(3, 0), TreeIndex(3, 4)) == 0
-    assert common_ancestor_depth(TreeIndex(3, 3), TreeIndex(2, 1)) == 2
-    assert common_ancestor_depth(TreeIndex(2, 1), TreeIndex(3, 3)) == 2
-    node = TreeIndex(5, 19)
-    assert common_ancestor_depth(node, node) == 5
-    assert common_ancestor_depth(node, node.parent()) == 4
-
-
-def test_generation_buffer_validation():
-    buf = GenerationBuffer(gen=2, values=np.arange(4.0))
-    assert len(buf) == 4
-    assert not buf.values.flags.writeable
-    with pytest.raises(ConfigError):
-        GenerationBuffer(gen=2, values=np.arange(3.0))
-
-
 def test_initial_law():
     assert InitialLaw.dirac(1.5).label() == "dirac(1.5)"
     assert InitialLaw.stationary().label() == "stationary"
     assert InitialLaw.gaussian(0.5, 2.0).label() == "gaussian(0.5,2)"
-    with pytest.raises(ConfigError):
-        InitialLaw.gaussian(0.0, 0.0)
+    for bad in ((0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf),
+                (0.0, math.nan)):
+        with pytest.raises(ConfigError):
+            InitialLaw.gaussian(*bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            InitialLaw.dirac(bad)
     with pytest.raises(ConfigError):
         InitialLaw(kind="uniform")
 
@@ -108,68 +64,72 @@ def test_functional_seq_shapes():
         FunctionalSeq.custom([f, lambda x: x])
 
 
-def test_buffer_lengths_and_generations():
+def _keys(seed, rows=1):
+    return RandomStream.from_seed(seed).split_keys(np.arange(rows))
+
+
+def test_generation_sizes():
     params = BarParams.symmetric_params(0.5)
-    gens = simulate(InitialLaw.stationary(), params, 5, RandomStream.from_seed(3))
-    assert [len(buf) for buf in gens] == [1, 2, 4, 8, 16, 32]
-    assert [buf.gen for buf in gens] == [0, 1, 2, 3, 4, 5]
+    one = constant(1.0, params.sigma_a())
+    sums = generation_sums(params, InitialLaw.stationary(), [one], 5, _keys(3, 2))
+    assert sums.shape == (2, 6, 1)
+    assert np.array_equal(sums[:, :, 0], np.tile(2.0 ** np.arange(6), (2, 1)))
 
 
 def test_near_deterministic_limit():
     params = BarParams.symmetric_params(0.5, sigma=1e-12)
-    gens = simulate(InitialLaw.dirac(1.0), params, 2, RandomStream.from_seed(0))
-    assert np.allclose(gens[1].values, 0.5, atol=1e-9)
-    assert np.allclose(gens[2].values, 0.25, atol=1e-9)
-    f = identity(params.sigma_a())
-    assert generation_sum(gens[2], f) == pytest.approx(1.0, abs=1e-9)
+    sigma_a = params.sigma_a()
+    funcs = [identity(sigma_a), from_monomial([0.0, 0.0, 1.0], sigma_a)]
+    sums = generation_sums(params, InitialLaw.dirac(1.0), funcs, 2, _keys(0))
+    # With the sum of x at 2^g a^g and of x^2 at 2^g a^(2g), every one of
+    # the 2^g traits equals a^g.
+    for g in (1, 2):
+        size = 2.0**g
+        assert sums[0, g, 0] == pytest.approx(size * 0.5**g, abs=1e-9)
+        assert sums[0, g, 1] == pytest.approx(size * 0.25**g, abs=1e-9)
 
 
-def test_streaming_matches_full():
+def test_rows_are_independent_of_the_batch(monkeypatch):
     params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1.1, rho=0.3)
     nu = InitialLaw.gaussian(0.3, 0.8)
-    stream = RandomStream.from_seed(11)
-    gens = simulate(nu, params, 6, stream)
-    f = from_monomial([0.0, 1.0, 0.5], 1.0)
-    accs = (len, lambda buf: generation_sum(buf, f), lambda buf: float(buf.values.max()))
-    streamed = simulate(nu, params, 6, stream, mode="streaming", accumulators=accs)
-    assert len(streamed) == 7
-    for buf, row in zip(gens, streamed):
-        assert row[0] == len(buf)
-        assert row[1] == generation_sum(buf, f)
-        assert row[2] == buf.values.max()
-    with pytest.raises(ConfigError):
-        simulate(nu, params, 3, stream, mode="lazy")
+    funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
+    keys = _keys(11, 5)
+    batch = generation_sums(params, nu, funcs, 6, keys)
+    monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
+    assert np.array_equal(generation_sums(params, nu, funcs, 6, keys), batch)
+    for r in range(len(keys)):
+        alone = generation_sums(params, nu, funcs, 6, keys[r:r + 1])
+        assert np.array_equal(batch[r], alone[0])
 
 
 def test_same_stream_same_tree():
     params = BarParams.symmetric_params(0.6)
     nu = InitialLaw.stationary()
-    first = simulate(nu, params, 7, RandomStream.from_seed(42))
-    second = simulate(nu, params, 7, RandomStream.from_seed(42))
-    for a, b in zip(first, second):
-        assert np.array_equal(a.values, b.values)
-    other = simulate(nu, params, 7, RandomStream.from_seed(43))
-    assert not np.array_equal(first[7].values, other[7].values)
+    funcs = [identity(params.sigma_a()),
+             from_monomial([0.0, 0.0, 1.0], params.sigma_a())]
+    first = generation_sums(params, nu, funcs, 7, _keys(42))
+    second = generation_sums(params, nu, funcs, 7, _keys(42))
+    assert np.array_equal(first, second)
+    other = generation_sums(params, nu, funcs, 7, _keys(43))
+    assert not np.array_equal(first[0, 7], other[0, 7])
 
 
 def test_depth_cap():
     params = BarParams.symmetric_params(0.5)
     nu = InitialLaw.dirac(0.0)
+    f = [identity(params.sigma_a())]
     with pytest.raises(ResourceCapError, match="bytes"):
-        simulate(nu, params, treesim.N_MAX + 1, RandomStream.from_seed(0))
+        generation_sums(params, nu, f, treesim.N_MAX + 1, _keys(0, 2))
     with pytest.raises(ResourceCapError):
-        generation_sums(params, nu, [identity(params.sigma_a())], treesim.N_MAX + 1,
-                        RandomStream.from_seed(0).split_keys(np.arange(2)))
-    with pytest.raises(ResourceCapError):
-        simulate(nu, params, 6, RandomStream.from_seed(0), n_cap=5)
+        generation_sums(params, nu, f, 6, _keys(0), n_cap=5)
     with pytest.raises(ConfigError):
-        simulate(nu, params, -1, RandomStream.from_seed(0))
+        generation_sums(params, nu, f, -1, _keys(0))
 
 
 def test_stationary_root_needs_symmetric_kernel():
     params = BarParams(a0=0.4, a1=0.7)
     with pytest.raises(ConfigError):
-        simulate(InitialLaw.stationary(), params, 2, RandomStream.from_seed(0))
+        generation_sums(params, InitialLaw.stationary(), [identity(1.0)], 2, _keys(0))
 
 
 def test_child_pair_joint_moments():
@@ -195,11 +155,11 @@ def test_leaf_marginal_distribution():
     a, n, x0 = 0.6, 6, 0.7
     params = BarParams.symmetric_params(a)
     nu = InitialLaw.dirac(x0)
-    master = RandomStream.from_seed(19)
-    leaves = np.array([
-        simulate(nu, params, n, master.split(r))[n].values[0]
-        for r in range(1500)
-    ])
+    keys = _keys(19, 1500)
+    vals = treesim._root_values(nu, params, keys)
+    for g in range(n):
+        vals = treesim._advance(vals, params, treesim.derive_keys(keys, g + 1))
+    leaves = vals[:, 0]
     mean = a**n * x0
     std = math.sqrt((1.0 - a ** (2 * n)) * params.sigma_a() ** 2)
     result = stats.kstest(leaves, "norm", args=(mean, std))
@@ -221,45 +181,28 @@ def test_generation_mean_matches_iterated_kernel():
         assert abs(sample.mean() - exact) < 4 * se
 
 
-def test_fluctuation_statistic_shapes():
+def test_replicate_matches_generation_sums():
     params = BarParams.symmetric_params(0.5)
     sigma_a = params.sigma_a()
-    n = 6
-    gens = simulate(InitialLaw.stationary(), params, n, RandomStream.from_seed(5))
-    f = from_monomial([0.2, 1.0, 0.3], sigma_a)
-    g = from_monomial([0.0, 0.0, 1.0], sigma_a)
-    scale = math.sqrt(2.0**n)
-
-    single = fluctuation_statistic(gens, FunctionalSeq.single(f), n)
-    assert single == pytest.approx(generation_sum(gens[n], center(f)) / scale, rel=1e-12)
-
-    tree = fluctuation_statistic(gens, FunctionalSeq.tree(f), n)
-    whole = sum(generation_sum(buf, center(f)) for buf in gens)
-    assert tree == pytest.approx(whole / scale, rel=1e-12)
-
-    custom = fluctuation_statistic(gens, FunctionalSeq.custom([f, g]), n)
-    manual = (generation_sum(gens[n], center(f))
-              + generation_sum(gens[n - 1], center(g))) / scale
-    assert custom == pytest.approx(manual, rel=1e-12)
-
-    flat = constant(3.0, sigma_a)
-    assert fluctuation_statistic(gens, FunctionalSeq.single(flat), n) == 0.0
-    with pytest.raises(ConfigError):
-        fluctuation_statistic(gens[:n], FunctionalSeq.single(f), n)
-
-
-def test_replicate_matches_simulate_per_replica():
-    params = BarParams.symmetric_params(0.5)
-    f = from_monomial([0.1, 1.0, 0.4], params.sigma_a())
     n, seed = 6, 909
     nu = InitialLaw.stationary()
-    for fseq in (FunctionalSeq.single(f), FunctionalSeq.tree(f)):
-        values = replicate(_config(params, nu, fseq, n, 3, seed))
-        master = RandomStream.from_seed(seed)
-        for r in range(3):
-            gens = simulate(nu, params, n, master.split(r))
-            manual = fluctuation_statistic(gens, fseq, n)
-            assert values[r] == pytest.approx(manual, rel=1e-12, abs=1e-12)
+    f = from_monomial([0.1, 1.0, 0.4], sigma_a)
+    g = from_monomial([0.0, 0.0, 1.0], sigma_a)
+    sums = generation_sums(params, nu, [center(f), center(g)], n, _keys(seed, 3))
+    scale = math.sqrt(2.0**n)
+
+    single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
+    assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12, abs=1e-12)
+    tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale,
+                                 rel=1e-12, abs=1e-12)
+    custom = replicate(_config(params, nu, FunctionalSeq.custom([f, g]), n, 3, seed))
+    manual = (sums[:, n, 0] + sums[:, n - 1, 1]) / scale
+    assert custom == pytest.approx(manual, rel=1e-12, abs=1e-12)
+
+    flat = constant(3.0, sigma_a)
+    zeros = replicate(_config(params, nu, FunctionalSeq.single(flat), n, 3, seed))
+    assert np.array_equal(zeros, np.zeros(3))
 
 
 def test_replicate_critical_and_supercritical_scaling():
@@ -270,21 +213,17 @@ def test_replicate_critical_and_supercritical_scaling():
     params = BarParams.symmetric_params(a_crit)
     f = identity(params.sigma_a())
     values = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
-    master = RandomStream.from_seed(seed)
-    gens = simulate(nu, params, n, master.split(0))
-    raw = generation_sum(gens[n], center(f))
-    assert values[0] == pytest.approx(raw / math.sqrt(n * 2.0**n), rel=1e-12)
+    sums = generation_sums(params, nu, [center(f)], n, _keys(seed, 2))
+    assert values == pytest.approx(sums[:, n, 0] / math.sqrt(n * 2.0**n), rel=1e-12)
 
     params = BarParams.symmetric_params(0.85)
     f = from_monomial([0.3, 1.0, 0.2], params.sigma_a())
     single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
     tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 2, seed))
-    gens = simulate(nu, params, n, RandomStream.from_seed(seed).split(0))
+    sums = generation_sums(params, nu, [center(f)], n, _keys(seed, 2))
     scale = (2.0 * 0.85) ** n
-    assert single[0] == pytest.approx(generation_sum(gens[n], center(f)) / scale,
-                                      rel=1e-12)
-    whole = sum(generation_sum(buf, center(f)) for buf in gens)
-    assert tree[0] == pytest.approx(whole / scale, rel=1e-12)
+    assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12)
+    assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale, rel=1e-12)
 
     with pytest.raises(RegimeError):
         replicate(_config(params, nu, FunctionalSeq.custom([f, f]), n, 2, seed))

@@ -10,16 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmclab.errors import ConfigError, RegimeError
+from bmclab.experiments import ExperimentConfig, martingale_path, supercritical_study
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
 from bmclab.rng import RandomStream
-from bmclab.spectral import SpectralFn, center, constant, from_monomial, identity, project_linear
-from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate, simulate
-from bmclab.variance import (
-    critical_variance,
-    martingale_path,
-    subcritical_variance,
-    supercritical_limits,
-)
+from bmclab.spectral import SpectralFn, constant, from_monomial, identity, project_linear
+from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
+from bmclab.variance import critical_variance, subcritical_variance
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -275,13 +271,13 @@ def test_regime_guards():
     f = identity(params.sigma_a())
     with pytest.raises(RegimeError):
         critical_variance(FunctionalSeq.single(f), params)
-    gens = simulate(InitialLaw.dirac(0.0), params, 3, RandomStream.from_seed(0))
     with pytest.raises(RegimeError):
-        supercritical_limits(f, gens, params)
+        supercritical_study(ExperimentConfig(params, InitialLaw.dirac(0.0),
+                                             FunctionalSeq.single(f), 3, 2, 0))
     zero_slope = BarParams.symmetric_params(0.0)
-    gens0 = simulate(InitialLaw.dirac(0.0), zero_slope, 3, RandomStream.from_seed(0))
     with pytest.raises(RegimeError):
-        martingale_path(identity(zero_slope.sigma_a()), gens0, zero_slope)
+        martingale_path(identity(zero_slope.sigma_a()), zero_slope,
+                        InitialLaw.dirac(0.0), 3, 0)
     asym = BarParams(a0=0.3, a1=0.4)
     with pytest.raises(ConfigError):
         subcritical_variance(FunctionalSeq.single(f), asym)
@@ -312,8 +308,7 @@ def test_martingale_path_properties():
     scales = (2.0 * a) ** (-np.arange(n + 1))
     paths = sums[:, :, 0] * scales
 
-    gens = simulate(InitialLaw.dirac(1.0), params, n, master.split(0))
-    path0 = martingale_path(f, gens, params)
+    path0 = martingale_path(f, params, InitialLaw.dirac(1.0), n, 55)
     assert np.allclose(path0, paths[0], rtol=1e-12)
 
     for g in (2, 5, 8):
@@ -328,13 +323,8 @@ def test_supercritical_ratio():
     a, n, rows = 0.85, 10, 400
     params = BarParams.symmetric_params(a)
     f = from_monomial([0.2, 1.0, 0.1], params.sigma_a())
-    master = RandomStream.from_seed(91)
-    ratios = []
-    for r in range(rows):
-        gens = simulate(InitialLaw.stationary(), params, n, master.split(r))
-        gen_stat, tree_stat = supercritical_limits(f, gens, params)
-        if abs(gen_stat) > 0.05:
-            ratios.append(tree_stat / gen_stat)
-    assert len(ratios) > rows // 2
+    res = supercritical_study(ExperimentConfig(
+        params, InitialLaw.stationary(), FunctionalSeq.single(f), n, rows, 91))
+    assert res.flags == ()
     want = 2.0 * a / (2.0 * a - 1.0)
-    assert abs(np.median(ratios) - want) < 0.1
+    assert abs(res.ratio_median - want) < 0.1
