@@ -12,7 +12,6 @@ from bmclab.errors import ConfigError, ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import (
     _gaussian_pair_expect,
-    common_ancestor_depth,
     enumerated_cross_moment,
     enumerated_mean,
     enumerated_second_moment,
@@ -54,31 +53,6 @@ def _quad_pair_expect(cf, cg, mean1, var1, mean2, var2, cov):
         return out
 
     return gaussian_expect(outer, mean=mean1, std=math.sqrt(var1), order=96)
-
-
-def test_common_ancestor_depth():
-    assert common_ancestor_depth(3, 0, 3, 1) == 2
-    assert common_ancestor_depth(3, 0, 3, 3) == 1
-    assert common_ancestor_depth(3, 0, 3, 4) == 0
-    assert common_ancestor_depth(3, 3, 2, 1) == 2
-    assert common_ancestor_depth(2, 1, 3, 3) == 2
-    assert common_ancestor_depth(5, 19, 5, 19) == 5
-    assert common_ancestor_depth(5, 19, 4, 19 >> 1) == 4
-    for gen, pos in ((0, 0), (4, 11)):
-        assert common_ancestor_depth(gen + 1, 2 * pos, gen + 1, 2 * pos + 1) == gen
-        assert common_ancestor_depth(gen + 1, 2 * pos + 1, gen, pos) == gen
-
-    def climb(n, i, m, j):
-        d = min(n, m)
-        while (i >> (n - d)) != (j >> (m - d)):
-            d -= 1
-        return d
-
-    for n in range(7):
-        for m in range(7):
-            for i in range(1 << n):
-                for j in range(1 << m):
-                    assert common_ancestor_depth(n, i, m, j) == climb(n, i, m, j)
 
 
 def test_gaussian_pair_expect_against_quadrature():

@@ -11,6 +11,7 @@ from scipy import stats
 
 from bmclab.errors import ConfigError, RegimeError, ResourceCapError
 from bmclab.kernels import BarParams
+from bmclab.moments import common_ancestor_depth
 from bmclab.rng import RandomStream
 from bmclab.spectral import apply_kernel, center, constant, from_monomial, identity
 from bmclab import treesim
@@ -22,6 +23,48 @@ def _config(params, nu, fseq, n, replicas, master_seed):
         params=params, nu=nu, fseq=fseq, n=n, replicas=replicas,
         master_seed=master_seed,
     )
+
+
+def test_tree_index_navigation():
+    # Node (g, p) has its children at (g + 1, 2p) and (g + 1, 2p + 1): with
+    # near-zero noise, each child of _advance is its parent's affine image.
+    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1e-12)
+    parents = np.array([[0.0, 1.0, -2.0, 3.5], [10.0, -1.0, 0.25, 7.0]])
+    children = treesim._advance(parents, params, _keys(4, 2))
+    assert children.shape == (2, 8)
+    for p in range(4):
+        assert children[:, 2 * p] == pytest.approx(0.4 * parents[:, p] + 0.5, abs=1e-9)
+        assert children[:, 2 * p + 1] == pytest.approx(0.7 * parents[:, p] - 0.2,
+                                                       abs=1e-9)
+    for gen, pos in ((0, 0), (2, 3), (4, 11)):
+        for child in (2 * pos, 2 * pos + 1):
+            assert common_ancestor_depth(gen + 1, child, gen, pos) == gen
+            assert child >> 1 == pos
+
+
+def test_common_ancestor_depth():
+    assert common_ancestor_depth(3, 0, 3, 1) == 2
+    assert common_ancestor_depth(3, 0, 3, 3) == 1
+    assert common_ancestor_depth(3, 0, 3, 4) == 0
+    assert common_ancestor_depth(3, 3, 2, 1) == 2
+    assert common_ancestor_depth(2, 1, 3, 3) == 2
+    assert common_ancestor_depth(5, 19, 5, 19) == 5
+    assert common_ancestor_depth(5, 19, 4, 19 >> 1) == 4
+    for gen, pos in ((0, 0), (4, 11)):
+        assert common_ancestor_depth(gen + 1, 2 * pos, gen + 1, 2 * pos + 1) == gen
+        assert common_ancestor_depth(gen + 1, 2 * pos + 1, gen, pos) == gen
+
+    def climb(n, i, m, j):
+        d = min(n, m)
+        while (i >> (n - d)) != (j >> (m - d)):
+            d -= 1
+        return d
+
+    for n in range(7):
+        for m in range(7):
+            for i in range(1 << n):
+                for j in range(1 << m):
+                    assert common_ancestor_depth(n, i, m, j) == climb(n, i, m, j)
 
 
 def test_initial_law():
@@ -68,7 +111,7 @@ def _keys(seed, rows=1):
     return RandomStream.from_seed(seed).split_keys(np.arange(rows))
 
 
-def test_generation_sizes():
+def test_buffer_lengths_and_generations():
     params = BarParams.symmetric_params(0.5)
     one = constant(1.0, params.sigma_a())
     sums = generation_sums(params, InitialLaw.stationary(), [one], 5, _keys(3, 2))
@@ -181,12 +224,12 @@ def test_generation_mean_matches_iterated_kernel():
         assert abs(sample.mean() - exact) < 4 * se
 
 
-def test_replicate_matches_generation_sums():
+def test_fluctuation_statistic_shapes():
     params = BarParams.symmetric_params(0.5)
     sigma_a = params.sigma_a()
-    n, seed = 6, 909
+    n, seed = 6, 5
     nu = InitialLaw.stationary()
-    f = from_monomial([0.1, 1.0, 0.4], sigma_a)
+    f = from_monomial([0.2, 1.0, 0.3], sigma_a)
     g = from_monomial([0.0, 0.0, 1.0], sigma_a)
     sums = generation_sums(params, nu, [center(f), center(g)], n, _keys(seed, 3))
     scale = math.sqrt(2.0**n)
@@ -203,6 +246,22 @@ def test_replicate_matches_generation_sums():
     flat = constant(3.0, sigma_a)
     zeros = replicate(_config(params, nu, FunctionalSeq.single(flat), n, 3, seed))
     assert np.array_equal(zeros, np.zeros(3))
+
+
+def test_replicate_matches_simulate_per_replica():
+    # Replica r of replicate is the tree of key r simulated on its own.
+    params = BarParams.symmetric_params(0.5)
+    f = from_monomial([0.1, 1.0, 0.4], params.sigma_a())
+    n, seed = 6, 909
+    nu = InitialLaw.stationary()
+    keys = _keys(seed, 3)
+    scale = math.sqrt(2.0**n)
+    single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
+    tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    for r in range(3):
+        alone = generation_sums(params, nu, [center(f)], n, keys[r:r + 1])[0, :, 0]
+        assert single[r] == pytest.approx(alone[n] / scale, rel=1e-12, abs=1e-12)
+        assert tree[r] == pytest.approx(alone.sum() / scale, rel=1e-12, abs=1e-12)
 
 
 def test_replicate_critical_and_supercritical_scaling():
