@@ -37,8 +37,8 @@ from .experiments import (
     supercritical_study,
 )
 from .kernels import (
-    CRITICAL,
     SUBCRITICAL,
+    SUPERCRITICAL,
     BarParams,
     check_assumptions,
     classify_regime,
@@ -49,9 +49,6 @@ from .treesim import FunctionalSeq, InitialLaw, replicate
 from .variance import critical_variance, subcritical_variance
 
 _MAX_MONOMIAL_POWER = 8
-
-_FLOAT_KEYS = frozenset({"a", "sigma"})
-_INT_KEYS = frozenset({"n", "replicas", "seed", "n_min", "outer_repeats"})
 
 
 def _g17(value) -> str:
@@ -73,10 +70,14 @@ def _as_int(value, name: str) -> int:
     return out
 
 
-def _parse_f(value) -> list[float]:
+def _as_str(value, name: str) -> str:
+    return str(value)
+
+
+def _parse_f(value, name: str = "--f") -> list[float]:
     """A test function: "x", "x^p" (p <= 8), "1", or monomial coefficients."""
     if isinstance(value, (list, tuple)):
-        return [float(c) for c in value]
+        return [_as_float(c, name) for c in value]
     text = str(value).strip()
     if text == "1":
         return [1.0]
@@ -93,46 +94,68 @@ def _parse_f(value) -> list[float]:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(
-            f"--f takes x, x^p, 1, or a coefficient list, got {value!r}") from None
+            f"{name} takes x, x^p, 1, or a coefficient list, got {value!r}") from None
 
 
-def _parse_nu(value) -> InitialLaw:
+def _parse_nu(value, name: str = "--nu") -> InitialLaw:
     """An initial law: "stationary", "dirac:X", or "gaussian:MEAN,VAR"."""
     text = str(value).strip()
     if text == "stationary":
         return InitialLaw.stationary()
     if text.startswith("dirac:"):
-        return InitialLaw.dirac(_as_float(text[6:], "--nu dirac point"))
+        return InitialLaw.dirac(_as_float(text[6:], f"{name} dirac point"))
     if text.startswith("gaussian:"):
         parts = text[9:].split(",")
         if len(parts) != 2:
-            raise ConfigError("--nu gaussian takes MEAN,VAR")
-        return InitialLaw.gaussian(_as_float(parts[0], "--nu gaussian mean"),
-                                   _as_float(parts[1], "--nu gaussian var"))
+            raise ConfigError(f"{name} gaussian takes MEAN,VAR")
+        return InitialLaw.gaussian(_as_float(parts[0], f"{name} gaussian mean"),
+                                   _as_float(parts[1], f"{name} gaussian var"))
     raise ConfigError(
-        f"--nu takes stationary, dirac:X, or gaussian:MEAN,VAR, got {value!r}")
+        f"{name} takes stationary, dirac:X, or gaussian:MEAN,VAR, got {value!r}")
 
 
-def _parse_alphas(value) -> list[float]:
+def _parse_alphas(value, name: str = "--alphas") -> list[float]:
     """A slope grid: "start:stop:step" (inclusive) or a comma list."""
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+        return [_as_float(v, name) for v in value]
     text = str(value).strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError("--alphas grid form is start:stop:step")
-        start = _as_float(parts[0], "--alphas start")
-        stop = _as_float(parts[1], "--alphas stop")
-        step = _as_float(parts[2], "--alphas step")
+            raise ConfigError(f"{name} grid form is start:stop:step")
+        start = _as_float(parts[0], f"{name} start")
+        stop = _as_float(parts[1], f"{name} stop")
+        step = _as_float(parts[2], f"{name} step")
         if step <= 0.0 or stop < start:
-            raise ConfigError("--alphas grid needs step > 0 and stop >= start")
+            raise ConfigError(f"{name} grid needs step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [round(start + i * step, 10) for i in range(count)]
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--alphas takes a grid or comma list, got {value!r}") from None
+        raise ConfigError(f"{name} takes a grid or comma list, got {value!r}") from None
+
+
+# Every config key: the parser that turns a flag or config-file value into
+# the typed value the runners read, and the flag's help text.
+_OPTIONS: dict[str, tuple[Callable, str]] = {
+    "a": (_as_float, "autoregression slope in (-1, 1)"),
+    "sigma": (_as_float, "noise standard deviation (default 1)"),
+    "n": (_as_int, "tree depth"),
+    "replicas": (_as_int, "number of independent trees"),
+    "f": (_parse_f, "test function: x, x^p, 1, or coefficients c0,c1,..."),
+    "shape": (_as_str, "functional shape: single or tree"),
+    "nu": (_parse_nu, "root law: stationary, dirac:X, or gaussian:MEAN,VAR"),
+    "seed": (_as_int, "master seed (default 0)"),
+    "alphas": (_parse_alphas, "slope grid: start:stop:step or comma list"),
+    "n_min": (_as_int, "smallest regression depth (default 5)"),
+    "target": (_as_str, "population for slopes: Gn or Tn"),
+    "outer_repeats": (_as_int, "independent slope repetitions (default 20)"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _resolve_threads(flag) -> int:
@@ -162,30 +185,6 @@ def _load_config_file(path: str, command: str) -> dict:
             f"config file {path} has unknown keys for {command}: "
             + ", ".join(unknown))
     return data
-
-
-def _normalize_cfg(cfg: dict) -> dict:
-    """Coerce merged option values to their semantic types.
-
-    Flags arrive as strings while config files may already hold numbers;
-    normalizing first makes the canonical digest independent of the source.
-    """
-    out = {}
-    for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if key in _FLOAT_KEYS:
-            out[key] = _as_float(value, flag)
-        elif key in _INT_KEYS:
-            out[key] = _as_int(value, flag)
-        elif key == "f":
-            out[key] = _parse_f(value)
-        elif key == "alphas":
-            out[key] = _parse_alphas(value)
-        else:
-            out[key] = str(value)
-    if "nu" in out:
-        _parse_nu(out["nu"])
-    return out
 
 
 def _canonical_json(payload: dict) -> str:
@@ -224,10 +223,9 @@ def _write_manifest(out_dir: str, command: str, digest: str, seed,
 
 def _params_and_fseq(cfg: dict) -> tuple[BarParams, FunctionalSeq]:
     """Kernel parameters and the test function in the requested shape."""
-    params = BarParams.symmetric_params(_as_float(cfg["a"], "--a"),
-                                        _as_float(cfg["sigma"], "--sigma"))
-    f = from_monomial(_parse_f(cfg["f"]), params.sigma_a())
-    shape = str(cfg["shape"])
+    params = BarParams.symmetric_params(cfg["a"], cfg["sigma"])
+    f = from_monomial(cfg["f"], params.sigma_a())
+    shape = cfg["shape"]
     if shape not in ("single", "tree"):
         raise ConfigError(f"--shape takes single or tree, got {shape!r}")
     return params, getattr(FunctionalSeq, shape)(f)
@@ -235,14 +233,8 @@ def _params_and_fseq(cfg: dict) -> tuple[BarParams, FunctionalSeq]:
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     params, fseq = _params_and_fseq(cfg)
-    return ExperimentConfig(
-        params=params,
-        nu=_parse_nu(cfg["nu"]),
-        fseq=fseq,
-        n=_as_int(cfg["n"], "--n"),
-        replicas=_as_int(cfg["replicas"], "--replicas"),
-        master_seed=_as_int(cfg["seed"], "--seed"),
-    )
+    return ExperimentConfig(params=params, nu=cfg["nu"], fseq=fseq, n=cfg["n"],
+                            replicas=cfg["replicas"], master_seed=cfg["seed"])
 
 
 def _run_simulate(cfg: dict, out_dir: str, threads: int,
@@ -259,15 +251,13 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int,
 def _run_variance(cfg: dict, out_dir: str, threads: int,
                   args: argparse.Namespace) -> list[str]:
     params, fseq = _params_and_fseq(cfg)
-    regime = classify_regime(params.a0).regime
-    if regime == SUBCRITICAL:
-        report = subcritical_variance(fseq, params)
-    elif regime == CRITICAL:
-        report = critical_variance(fseq, params)
-    else:
+    regime = classify_regime(params.a0)
+    if regime == SUPERCRITICAL:
         raise ComputationRejected(
             "no finite limit variance in the supercritical regime; "
             "use the supercritical subcommand")
+    limit = subcritical_variance if regime == SUBCRITICAL else critical_variance
+    report = limit(fseq, params)
     print(f"regime = {report.regime}")
     print(f"value = {_g17(report.value)}")
     print(f"sigma1 = {_g17(report.sigma1)}")
@@ -329,18 +319,18 @@ def _slope_plot(alphas, summaries) -> str:
 
 def _run_slopes(cfg: dict, out_dir: str, threads: int,
                 args: argparse.Namespace) -> list[str]:
-    alphas = _parse_alphas(cfg["alphas"])
+    alphas = cfg["alphas"]
     results = slope_study(
         alphas,
-        _parse_f(cfg["f"]),
-        n_max=_as_int(cfg["n"], "--n"),
-        replicas=_as_int(cfg["replicas"], "--replicas"),
-        target=str(cfg["target"]),
-        n_min=_as_int(cfg["n_min"], "--n-min"),
-        outer_repeats=_as_int(cfg["outer_repeats"], "--outer-repeats"),
-        master_seed=_as_int(cfg["seed"], "--seed"),
-        sigma=_as_float(cfg["sigma"], "--sigma"),
-        nu=_parse_nu(cfg["nu"]),
+        cfg["f"],
+        n_max=cfg["n"],
+        replicas=cfg["replicas"],
+        target=cfg["target"],
+        n_min=cfg["n_min"],
+        outer_repeats=cfg["outer_repeats"],
+        master_seed=cfg["seed"],
+        sigma=cfg["sigma"],
+        nu=cfg["nu"],
         threads=threads,
     )
     path = os.path.join(out_dir, "slopes.csv")
@@ -387,12 +377,10 @@ def _run_supercritical(cfg: dict, out_dir: str, threads: int,
 
 def _run_martingale(cfg: dict, out_dir: str, threads: int,
                     args: argparse.Namespace) -> list[str]:
-    params = BarParams.symmetric_params(_as_float(cfg["a"], "--a"),
-                                        _as_float(cfg["sigma"], "--sigma"))
-    f = from_monomial(_parse_f(cfg["f"]), params.sigma_a())
-    n = _as_int(cfg["n"], "--n")
-    path_values = martingale_path(f, params, _parse_nu(cfg["nu"]), n,
-                                  _as_int(cfg["seed"], "--seed"))
+    params = BarParams.symmetric_params(cfg["a"], cfg["sigma"])
+    f = from_monomial(cfg["f"], params.sigma_a())
+    n = cfg["n"]
+    path_values = martingale_path(f, params, cfg["nu"], n, cfg["seed"])
     path = os.path.join(out_dir, "martingale.csv")
     _write_csv(path, ("level", "value"),
                ((str(g), _g17(v)) for g, v in enumerate(path_values)))
@@ -402,8 +390,7 @@ def _run_martingale(cfg: dict, out_dir: str, threads: int,
 
 def _run_check_assumptions(cfg: dict, out_dir: str, threads: int,
                            args: argparse.Namespace) -> list[str]:
-    report = check_assumptions(_as_float(cfg["a"], "--a"),
-                               sigma=_as_float(cfg["sigma"], "--sigma"))
+    report = check_assumptions(cfg["a"], sigma=cfg["sigma"])
     text = json.dumps(report.as_json_dict(), indent=2)
     print(text)
     if args.out is None:
@@ -473,23 +460,8 @@ def _add_common(sub: argparse.ArgumentParser, keys) -> None:
     sub.add_argument("--threads",
                      help="worker threads (default: BMC_LAB_THREADS or 1)")
     sub.add_argument("--out", help="output directory (default: current)")
-    flag_help = {
-        "a": "autoregression slope in (-1, 1)",
-        "sigma": "noise standard deviation (default 1)",
-        "n": "tree depth",
-        "replicas": "number of independent trees",
-        "f": "test function: x, x^p, 1, or coefficients c0,c1,...",
-        "shape": "functional shape: single or tree",
-        "nu": "root law: stationary, dirac:X, or gaussian:MEAN,VAR",
-        "seed": "master seed (default 0)",
-        "alphas": "slope grid: start:stop:step or comma list",
-        "n_min": "smallest regression depth (default 5)",
-        "target": "population for slopes: Gn or Tn",
-        "outer_repeats": "independent slope repetitions (default 20)",
-    }
     for key in keys:
-        sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                         help=flag_help[key])
+        sub.add_argument(_flag(key), dest=key, help=_OPTIONS[key][1])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,22 +485,27 @@ def _dispatch(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config, command) if args.config else {}
     flag_cfg = {key: value for key, value in vars(args).items()
                 if key in spec.defaults and value is not None}
-    cfg = {**spec.defaults, **file_cfg, **flag_cfg}
-    missing = sorted(key for key, value in cfg.items() if value is None)
+    raw = {**spec.defaults, **file_cfg, **flag_cfg}
+    missing = sorted(key for key, value in raw.items() if value is None)
     if missing:
-        flags = ", ".join("--" + key.replace("_", "-") for key in missing)
+        flags = ", ".join(_flag(key) for key in missing)
         raise ConfigError(f"missing required option(s): {flags}")
-    cfg = _normalize_cfg(cfg)
+    # Parsed values make the digest independent of the source (flags are
+    # strings, a config file may hold numbers); nu is kept as given.
+    cfg = {key: _OPTIONS[key][0](value, _flag(key)) for key, value in raw.items()}
+    record = {"command": command, **cfg}
+    if "nu" in raw:
+        record["nu"] = str(raw["nu"])
 
     threads = _resolve_threads(args.threads)
     out_dir = args.out if args.out is not None else "."
     if args.out is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    digest = _config_digest({"command": command, **cfg})
+    digest = _config_digest(record)
     if args.dump_config:
         with open(args.dump_config, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json({"command": command, **cfg}))
+            fh.write(_canonical_json(record))
             fh.write("\n")
         print(f"config written to {args.dump_config} (digest {digest})")
 

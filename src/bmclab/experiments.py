@@ -25,7 +25,8 @@ from .kernels import CRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .rng import RandomStream
 from .spectral import SpectralFn, center, from_monomial, project_linear
 from .stats import SampleMoments, fit_line, ks_normal_distance, ks_threshold, sample_moments
-from .treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
+from .treesim import (FunctionalSeq, InitialLaw, generation_sums, keys_for_replicas,
+                      replicate)
 from .variance import critical_variance, subcritical_variance
 
 DEFAULT_N_MIN = 5
@@ -55,7 +56,6 @@ class CltResult:
     """Outcome of one limit-law run at a fixed depth."""
 
     n: int
-    replicas: int
     regime: str
     empirical_variance: float
     series_variance: float
@@ -70,8 +70,6 @@ class CltResult:
 class SupercriticalResult:
     """Outcome of one supercritical run at a fixed depth."""
 
-    n: int
-    replicas: int
     ratio_median: float
     martingale_l1_diffs: np.ndarray
     flags: tuple[str, ...]
@@ -88,7 +86,6 @@ class SlopeResult:
     stderr: float
     replicas: int
     target: str
-    f_label: str
     outer_repeat: int
     h1: float
     h2: float
@@ -131,16 +128,14 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     and skipped with a flag when that limit is a point mass.
     """
     a = cfg.params.require_symmetric("the limit-law study")
-    regime = classify_regime(a).regime
+    regime = classify_regime(a)
     if regime == SUPERCRITICAL:
         raise RegimeError(
             "the fluctuation statistic does not stabilize above the critical "
             "slope; use supercritical_study")
     values = replicate(cfg, threads=threads)
-    if regime == CRITICAL:
-        series = critical_variance(cfg.fseq, cfg.params)
-    else:
-        series = subcritical_variance(cfg.fseq, cfg.params)
+    limit = critical_variance if regime == CRITICAL else subcritical_variance
+    series = limit(cfg.fseq, cfg.params)
     flags: list[str] = []
     if series.value > 0.0:
         ks = ks_normal_distance(values, 0.0, math.sqrt(series.value))
@@ -149,7 +144,6 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
         flags.append("ks-skipped:point-mass")
     return CltResult(
         n=cfg.n,
-        replicas=cfg.replicas,
         regime=regime,
         empirical_variance=float(values.var(ddof=1)),
         series_variance=series.value,
@@ -169,14 +163,14 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     martingale increment at each depth.
     """
     a = cfg.params.require_symmetric("the supercritical study")
-    if classify_regime(a).regime != SUPERCRITICAL:
+    if classify_regime(a) != SUPERCRITICAL:
         raise RegimeError(f"the supercritical study needs 2 a^2 > 1, got a={a}")
     if cfg.fseq.shape == "custom":
         raise ConfigError("the supercritical study takes a single test function")
     f = cfg.fseq.funcs[0]
 
-    master = RandomStream.from_seed(cfg.master_seed)
-    keys = master.split_keys(np.arange(cfg.replicas))
+    keys = keys_for_replicas(RandomStream.from_seed(cfg.master_seed), cfg.replicas,
+                             cfg.n, 2)
     sums = generation_sums(cfg.params, cfg.nu, [center(f), project_linear(f)],
                            cfg.n, keys, threads=threads)
 
@@ -195,8 +189,6 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     paths = sums[:, :, 1] * (2.0 * a) ** (-np.arange(cfg.n + 1))
     l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
     return SupercriticalResult(
-        n=cfg.n,
-        replicas=cfg.replicas,
         ratio_median=ratio_median,
         martingale_l1_diffs=l1_diffs,
         flags=tuple(flags),
@@ -216,22 +208,12 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     a = params.require_symmetric("the additive martingale")
     if a == 0.0:
         raise RegimeError("the additive martingale needs a nonzero slope")
-    keys = RandomStream.from_seed(master_seed).split_keys(np.arange(1))
+    keys = keys_for_replicas(RandomStream.from_seed(master_seed), 1, n, 1)
     sums = generation_sums(params, nu, [project_linear(f)], n, keys)
     # Python's scalar power, not numpy's vectorized one: the two can differ
     # in the last bit, and these values are written to martingale.csv.
     return np.array([(2.0 * a) ** (-g) * float(sum_g)
                      for g, sum_g in enumerate(sums[0, :, 0])])
-
-
-def _poly_label(coeffs) -> str:
-    """Compact name for a monomial coefficient vector, e.g. "x" or "x^2"."""
-    coeffs = list(coeffs)
-    active = [i for i, c in enumerate(coeffs) if c != 0.0]
-    if len(active) == 1 and coeffs[active[0]] == 1.0:
-        power = active[0]
-        return "1" if power == 0 else ("x" if power == 1 else f"x^{power}")
-    return "poly(" + ",".join(f"{c:g}" for c in coeffs) + ")"
 
 
 def _fit_loglog(sizes, variances) -> tuple[float, float]:
@@ -245,7 +227,8 @@ def _fit_loglog(sizes, variances) -> tuple[float, float]:
 def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
                 n_min: int = DEFAULT_N_MIN, outer_repeats: int = 1,
                 master_seed: int = 0, sigma: float = 1.0,
-                nu: InitialLaw | None = None, threads: int = 1) -> list[SlopeResult]:
+                nu: InitialLaw = InitialLaw.stationary(),
+                threads: int = 1) -> list[SlopeResult]:
     """Fit the variance decay exponent of the averaged statistic per slope.
 
     For each grid slope alpha (and each outer repetition), simulates
@@ -267,17 +250,14 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
         raise ConfigError(f"unknown target {target!r}")
     if outer_repeats < 1:
         raise ConfigError("outer_repeats must be positive")
-    if nu is None:
-        nu = InitialLaw.stationary()
 
-    label = _poly_label(f)
     master = RandomStream.from_seed(master_seed)
     results: list[SlopeResult] = []
     for i, alpha in enumerate(alphas):
         params = BarParams.symmetric_params(alpha, sigma)
         fn = from_monomial(f, params.sigma_a())
         for outer in range(outer_repeats):
-            keys = master.split(i, outer).split_keys(np.arange(replicas))
+            keys = keys_for_replicas(master.split(i, outer), replicas, n_max, 1)
             sums = generation_sums(params, nu, [fn], n_max, keys, threads=threads)
             totals = np.cumsum(sums[:, :, 0], axis=1)
             flags: list[str] = []
@@ -309,7 +289,6 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
                 stderr=stderr,
                 replicas=replicas,
                 target=target,
-                f_label=label,
                 outer_repeat=outer,
                 h1=h1(alpha),
                 h2=h2(alpha),

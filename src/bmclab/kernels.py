@@ -18,13 +18,13 @@ Gaussian envelope exponents, which quadrature then cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .quadrature import hermite_nodes
-from .rng import RandomStream
 
 EPS_REGIME = 1e-12
 
@@ -49,11 +49,15 @@ class BarParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and -1.0 < v < 1.0):
                 raise ConfigError(f"{name} must lie in (-1, 1), got {v}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        # sigma^2 must be a normal float: every variance and density below
+        # divides by it or by a multiple of it.
+        var = self.sigma * self.sigma
+        if not (self.sigma > 0.0 and sys.float_info.min <= var < math.inf):
+            raise ConfigError(
+                f"sigma must be positive with a finite normal square, got {self.sigma}")
         if not (np.isfinite(self.b0) and np.isfinite(self.b1)):
             raise ConfigError("offsets must be finite")
-        if not (np.isfinite(self.rho) and abs(self.rho) <= self.sigma**2):
+        if not (np.isfinite(self.rho) and abs(self.rho) <= var):
             raise ConfigError("noise covariance requires |rho| <= sigma^2")
 
     @classmethod
@@ -73,24 +77,16 @@ class BarParams:
         return self.sigma / math.sqrt(1.0 - a * a)
 
 
-@dataclass(frozen=True)
-class RegimeTag:
-    alpha: float
-    regime: str
-
-
-def classify_regime(a: float) -> RegimeTag:
+def classify_regime(a: float) -> str:
     """Ergodicity regime of the generation sizes versus the mixing rate."""
     if not (-1.0 < a < 1.0):
         raise ConfigError(f"slope must lie in (-1, 1), got {a}")
     two_a_sq = 2.0 * a * a
     if two_a_sq < 1.0 - EPS_REGIME:
-        regime = SUBCRITICAL
-    elif two_a_sq <= 1.0 + EPS_REGIME:
-        regime = CRITICAL
-    else:
-        regime = SUPERCRITICAL
-    return RegimeTag(alpha=abs(a), regime=regime)
+        return SUBCRITICAL
+    if two_a_sq <= 1.0 + EPS_REGIME:
+        return CRITICAL
+    return SUPERCRITICAL
 
 
 def _noise_cholesky(params: BarParams) -> tuple[float, float, float]:
@@ -98,39 +94,6 @@ def _noise_cholesky(params: BarParams) -> tuple[float, float, float]:
     l21 = params.rho / params.sigma
     l22 = math.sqrt(params.sigma**2 - l21**2)
     return l11, l21, l22
-
-
-def sample_children(x, params: BarParams, rng: RandomStream, count: int | None = None):
-    """Draw the child pair(s) below trait x.
-
-    With count=None, one (y, z) pair from the stream's first block; with an
-    integer count, two arrays of that length from blocks 0..count-1.
-    """
-    n = 1 if count is None else int(count)
-    z0, z1 = rng.normal_pairs(n)
-    l11, l21, l22 = _noise_cholesky(params)
-    y = params.a0 * np.asarray(x, dtype=np.float64) + params.b0 + l11 * z0
-    z = params.a1 * np.asarray(x, dtype=np.float64) + params.b1 + l21 * z0 + l22 * z1
-    if count is None:
-        return float(y[0]), float(z[0])
-    return y, z
-
-
-def sample_lineage(x: float, n: int, params: BarParams, rng: RandomStream, count: int | None = None):
-    """Draw the trait n generations down a uniformly random lineage.
-
-    Uses the closed form a^n x + sqrt(1-a^(2n)) sigma_a G of the n-step
-    chain, valid for the symmetric kernel.
-    """
-    a = params.require_symmetric("the n-step lineage law")
-    if n < 0:
-        raise ConfigError("generation count must be nonnegative")
-    if n == 0:
-        return float(x) if count is None else np.full(count, float(x))
-    spread = math.sqrt(1.0 - a ** (2 * n)) * params.sigma_a()
-    g = rng.normals(1 if count is None else int(count))
-    out = a**n * x + spread * g
-    return float(out[0]) if count is None else out
 
 
 def _gaussian_pdf(y, mean, var):
@@ -196,7 +159,6 @@ def density_row_norm(x, a: float, sigma: float = 1.0):
 @dataclass(frozen=True)
 class AssumptionReport:
     a: float
-    sigma: float
     h_in_L4: bool
     Qh_in_L4: bool
     hilsch2_holds: bool
@@ -204,14 +166,8 @@ class AssumptionReport:
     flags: tuple
 
     def as_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "h_in_L4": self.h_in_L4,
-            "Qh_in_L4": self.Qh_in_L4,
-            "hilsch2_holds": self.hilsch2_holds,
-            "norms": self.norms,
-            "flags": list(self.flags),
-        }
+        """The report's fields in declaration order, as JSON values."""
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def _push_envelope(c: float, g: float, a: float, var: float) -> tuple[float, float, float]:
@@ -222,19 +178,17 @@ def _push_envelope(c: float, g: float, a: float, var: float) -> tuple[float, flo
     return c / math.sqrt(margin), g * a * a / margin, margin
 
 _NEAR_THRESHOLD = 1e-3
+_CROSS_CHECK_ORDERS = (32, 64, 128)
 
 
-def check_assumptions(a: float, sigma: float = 1.0, orders=(32, 64, 128)) -> AssumptionReport:
+def check_assumptions(a: float, sigma: float = 1.0) -> AssumptionReport:
     """Decide the three integrability conditions for slope a.
 
     Returns exact sign-condition booleans; the finite norms; and flags for
     near-threshold margins or quadrature disagreement.  Booleans are never
     silently flipped by the numeric cross-check.
     """
-    if not (-1.0 < a < 1.0):
-        raise ConfigError(f"slope must lie in (-1, 1), got {a}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    BarParams.symmetric_params(a, sigma)
     var = sigma**2
     var_a = var / (1.0 - a * a)
     flags: list[str] = []
@@ -277,11 +231,11 @@ def check_assumptions(a: float, sigma: float = 1.0, orders=(32, 64, 128)) -> Ass
     if hs_finite:
         norms["hilsch2_L2"] = hs_norm
 
-    flags.extend(_quadrature_cross_check(a, sigma, orders, h_finite, qh_finite, hs_finite,
-                                         h_norm, qh_norm, hs_norm))
+    targets = (("h_L4", h_finite, h_norm, 4), ("Qh_L4", qh_finite, qh_norm, 4),
+               ("hilsch2", hs_finite, hs_norm, 2))
+    flags.extend(_quadrature_cross_check(a, sigma, targets))
     return AssumptionReport(
         a=a,
-        sigma=sigma,
         h_in_L4=h_finite,
         Qh_in_L4=qh_finite,
         hilsch2_holds=hs_finite,
@@ -290,10 +244,10 @@ def check_assumptions(a: float, sigma: float = 1.0, orders=(32, 64, 128)) -> Ass
     )
 
 
-def _quadrature_cross_check(a, sigma, orders, h_finite, qh_finite, hs_finite,
-                            h_norm, qh_norm, hs_norm) -> list[str]:
+def _quadrature_cross_check(a, sigma, targets) -> list[str]:
     """Evaluate the three norm integrals numerically at increasing orders.
 
+    targets holds (name, finite?, closed-form norm, power) per integral.
     Finite cases must approach the closed form; divergent cases must grow
     with the order.  Either failure is reported as a flag.
     """
@@ -320,12 +274,7 @@ def _quadrature_cross_check(a, sigma, orders, h_finite, qh_finite, hs_finite,
         return i1, i2, i3
 
     with np.errstate(over="ignore"):
-        seq = np.array([run(k) for k in orders])
-    targets = (
-        ("h_L4", h_finite, h_norm, 4),
-        ("Qh_L4", qh_finite, qh_norm, 4),
-        ("hilsch2", hs_finite, hs_norm, 2),
-    )
+        seq = np.array([run(k) for k in _CROSS_CHECK_ORDERS])
     for j, (name, finite, norm, power) in enumerate(targets):
         vals = seq[:, j]
         if finite:

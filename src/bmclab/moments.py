@@ -32,24 +32,18 @@ def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
 
 
 def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
-    """E_x of the squared sum of f over generation n.
-
-    Equals 2^n Q^n(f^2)(x) plus, for each k < n, the branching correction
-    2^(n+k) Q^(n-k-1) applied to the child-pair expectation of Q^k f with
-    itself.
-    """
-    a = params.require_symmetric("the generation-sum second moment")
-    terms = [2.0**n * apply_kernel(product(f, f), a, steps=n)(x)]
-    for k in range(n):
-        fk = apply_kernel(f, a, steps=k)
-        branch = pair_expect(fk, fk, a)
-        terms.append(2.0 ** (n + k) * apply_kernel(branch, a, steps=n - k - 1)(x))
-    return math.fsum(terms)
+    """E_x of the squared sum of f over generation n."""
+    return exact_cross_moment(f, f, params, n, n, x)
 
 
 def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                        n: int, m: int, x: float) -> float:
-    """E_x of the product of the generation-n sum of f and generation-m sum of g."""
+    """E_x of the product of the generation-n sum of f and generation-m sum of g.
+
+    With n >= m, g times Q^(n-m) f is pushed down m generations, and each
+    split generation k < m adds the branching correction 2^(n+k) Q^(m-k-1)
+    applied to the child-pair expectation of Q^k g and Q^(n-m+k) f.
+    """
     a = params.require_symmetric("the generation-sum cross moment")
     if n < m:
         f, g = g, f

@@ -21,7 +21,12 @@ _PI_QUARTER = np.pi ** -0.25
 
 
 @lru_cache(maxsize=None)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integrals against exp(-t^2) on the real line.
+
+    Nodes are in decreasing order on the positive half and mirrored; the
+    weights sum to sqrt(pi).
+    """
     if order < 1:
         raise ValueError("quadrature order must be at least 1")
     nodes = np.empty(order)
@@ -64,20 +69,11 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-t^2) on the real line.
-
-    Nodes are in decreasing order on the positive half and mirrored; the
-    weights sum to sqrt(pi).
-    """
-    return _hermite_rule(order)
-
-
 def gaussian_expect(fn, mean: float = 0.0, std: float = 1.0, order: int = 64) -> float:
     """E[fn(X)] for X ~ N(mean, std^2) by Gauss-Hermite quadrature.
 
     `fn` must accept a numpy array.
     """
-    t, w = _hermite_rule(order)
+    t, w = hermite_nodes(order)
     x = mean + std * np.sqrt(2.0) * t
     return float(np.dot(w, fn(x)) / np.sqrt(np.pi))

@@ -9,8 +9,9 @@ chunking, or thread count.
 
 Standard normals come from the inverse normal CDF applied to 53-bit uniforms,
 which keeps every draw bit-stable across platforms at double precision.
-Correlated child pairs are produced downstream via the Cholesky factor of the
-noise covariance.
+Each counter block yields one pair of normals; the tree simulation turns the
+pair into correlated children via the Cholesky factor of the noise
+covariance.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def splitmix64(x):
@@ -43,24 +45,6 @@ def splitmix64(x):
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
     return z
-
-
-def _splitmix64_int(x: int) -> int:
-    z = x & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def derive_key(key: int, index: int) -> int:
-    """Child key for one branch index (scalar path)."""
-    if index < 0:
-        raise ValueError("stream index must be nonnegative")
-    t = (key ^ (((index + 1) * _GOLDEN) & _MASK64)) & _MASK64
-    return _splitmix64_int(t)
 
 
 def derive_keys(key, indices) -> np.ndarray:
@@ -137,19 +121,14 @@ def philox4x32(counter, key, rounds: int = 10) -> tuple[int, int, int, int]:
     return x0, x1, x2, x3
 
 
-def philox_block(key: int, counter: int) -> tuple[int, int, int, int]:
-    """One stream block as four 32-bit words (scalar path used by the tests)."""
-    hi, lo = _philox_words(np.array([key & _MASK64], dtype=np.uint64), counter + 1)
-    h = int(hi[0, counter])
-    l = int(lo[0, counter])
-    return (h >> 32, h & 0xFFFFFFFF, l >> 32, l & 0xFFFFFFFF)
-
-
 def _to_uniform(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to doubles in the open interval (0, 1)."""
     u = (words >> _SH11).astype(np.float64)
     u += 0.5
     u *= 2.0 ** -53
+    # 2^53 - 1 + 0.5 rounds to 2^53, so the all-ones word would give 1.0
+    # (and ndtri inf); it gets the largest double below 1 instead.
+    np.minimum(u, _BELOW_ONE, out=u)
     return u
 
 
@@ -165,52 +144,27 @@ def batch_normal_pairs(keys, count: int) -> tuple[np.ndarray, np.ndarray]:
     return ndtri(u0), ndtri(u1)
 
 
-def batch_normals(keys, count: int) -> np.ndarray:
-    """(R, count) standard normals; consecutive values interleave block lanes."""
-    blocks = (count + 1) // 2
-    z0, z1 = batch_normal_pairs(keys, blocks)
-    out = np.empty((z0.shape[0], 2 * blocks))
-    out[:, 0::2] = z0
-    out[:, 1::2] = z1
-    return out[:, :count]
-
-
 @dataclass(frozen=True)
 class RandomStream:
     """Immutable handle on one counter-based stream.
 
-    Drawing is positional, not stateful: calling ``normals(n)`` twice returns
-    the same values.  Derive a fresh child with ``split`` for every
-    independent use.
+    A stream is its key: ``split`` derives the child key of each index and
+    ``split_keys`` the keys of a whole index array, which the batch samplers
+    above turn into draws addressed by position.
     """
 
     key: int
 
     @classmethod
     def from_seed(cls, seed: int) -> "RandomStream":
-        return cls(key=_splitmix64_int(seed & _MASK64))
+        return cls(key=int(splitmix64(seed & _MASK64)))
 
     def split(self, *indices: int) -> "RandomStream":
         key = self.key
         for index in indices:
-            key = derive_key(key, index)
+            key = int(derive_keys(key, index))
         return RandomStream(key=key)
 
     def split_keys(self, indices) -> np.ndarray:
         """Vectorised split: child keys for an index array (uint64)."""
         return derive_keys(self.key, indices)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        blocks = (count + 1) // 2
-        u0, u1 = batch_uniform_pairs(np.array([self.key], dtype=np.uint64), blocks)
-        out = np.empty(2 * blocks)
-        out[0::2] = u0[0]
-        out[1::2] = u1[0]
-        return out[:count]
-
-    def normals(self, count: int) -> np.ndarray:
-        return batch_normals(np.array([self.key], dtype=np.uint64), count)[0]
-
-    def normal_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        z0, z1 = batch_normal_pairs(np.array([self.key], dtype=np.uint64), count)
-        return z0[0], z1[0]

@@ -91,19 +91,6 @@ class SpectralFn:
     def __call__(self, x):
         return self.evaluate(x)
 
-    def stationary_norm_sq(self) -> float:
-        """Squared L2 norm under the invariant law: sum of n! c_n^2."""
-        c = self.coeffs
-        return float(np.dot(_FACTORIALS[: len(c)], c * c))
-
-    def min_active_index(self) -> int:
-        """Smallest n with c_n != 0, or -1 for the zero function."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[0]) if len(nz) else -1
-
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
 
 def _check_same_scale(f: SpectralFn, g: SpectralFn) -> None:
     if abs(f.sigma_a - g.sigma_a) > 1e-12 * max(f.sigma_a, g.sigma_a):
@@ -178,15 +165,6 @@ def project_linear(f: SpectralFn) -> SpectralFn:
     c = np.zeros(min(len(f.coeffs), 2))
     if len(f.coeffs) > 1:
         c[1] = f.coeffs[1]
-    return SpectralFn(sigma_a=f.sigma_a, coeffs=c)
-
-
-def high_modes(f: SpectralFn) -> SpectralFn:
-    """Remainder after removing the mean and the degree-1 component."""
-    c = f.coeffs.copy()
-    c[0] = 0.0
-    if len(c) > 1:
-        c[1] = 0.0
     return SpectralFn(sigma_a=f.sigma_a, coeffs=c)
 
 

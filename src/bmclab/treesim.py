@@ -29,7 +29,7 @@ from .kernels import (
     _noise_cholesky,
     classify_regime,
 )
-from .rng import RandomStream, batch_normal_pairs, batch_normals, derive_keys
+from .rng import RandomStream, batch_normal_pairs, derive_keys
 from .spectral import SpectralFn, center
 
 N_MAX = 22
@@ -37,6 +37,9 @@ N_MAX = 22
 # Replica chunks are sized so one generation buffer stays near this many
 # doubles; the chunk grid depends only on (replicas, n), never on threads.
 CHUNK_VALUES = 1 << 22
+
+# Bytes the replica keys and per-generation sums of one batch may take.
+SUMS_BYTES_MAX = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,6 @@ class InitialLaw:
             raise ConfigError("the initial law needs a finite point and mean")
         if not (math.isfinite(self.var) and self.var > 0.0):
             raise ConfigError("the initial law needs a finite var > 0")
-
-    def label(self) -> str:
-        if self.kind == "dirac":
-            return f"dirac({self.x0:g})"
-        if self.kind == "gaussian":
-            return f"gaussian({self.mean:g},{self.var:g})"
-        return "stationary"
 
 
 @dataclass(frozen=True)
@@ -116,26 +112,24 @@ class FunctionalSeq:
             return self.funcs[0]
         return self.funcs[offset] if offset < len(self.funcs) else None
 
-    def sigma_a(self) -> float:
-        return self.funcs[0].sigma_a
 
-
-def _check_depth(n: int, n_cap: int) -> None:
-    if n < 0:
-        raise ConfigError("tree depth must be nonnegative")
-    if n > n_cap:
-        per_gen = (1 << n) * 8
+def keys_for_replicas(master: RandomStream, replicas: int, n: int,
+                      n_funcs: int) -> np.ndarray:
+    """Keys of replicas 0..replicas-1 below `master`, after checking that
+    they and their n+1 sums per function fit under the cap."""
+    need = replicas * (n + 2) * n_funcs * 8
+    if need > SUMS_BYTES_MAX:
         raise ResourceCapError(
-            f"depth {n} exceeds the cap {n_cap}; one generation alone needs "
-            f"about {per_gen:,} bytes per replica"
-        )
+            f"{replicas} replicas at depth {n} need {need:,} bytes of keys and "
+            f"sums, over the cap of {SUMS_BYTES_MAX:,}")
+    return master.split_keys(np.arange(replicas))
 
 
 def _root_values(nu: InitialLaw, params: BarParams, keys: np.ndarray) -> np.ndarray:
     rows = len(keys)
     if nu.kind == "dirac":
         return np.full((rows, 1), nu.x0)
-    z = batch_normals(derive_keys(keys, 0), 1)
+    z = batch_normal_pairs(derive_keys(keys, 0), 1)[0]
     if nu.kind == "stationary":
         return params.sigma_a() * z
     return nu.mean + math.sqrt(nu.var) * z
@@ -151,15 +145,19 @@ def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray) -> np.
 
 
 def generation_sums(params: BarParams, nu: InitialLaw, funcs, n: int,
-                    replica_keys: np.ndarray, threads: int = 1,
-                    n_cap: int = N_MAX) -> np.ndarray:
+                    replica_keys: np.ndarray, threads: int = 1) -> np.ndarray:
     """Per-replica, per-generation sums of each function.
 
     Returns an array of shape (replicas, n+1, len(funcs)) whose [r, g, j]
     entry is the sum of funcs[j] over generation g of replica r.  Replicas
     are processed in fixed chunks; the thread count never changes results.
     """
-    _check_depth(n, n_cap)
+    if n < 0:
+        raise ConfigError("tree depth must be nonnegative")
+    if n > N_MAX:
+        raise ResourceCapError(
+            f"depth {n} exceeds the cap {N_MAX}; one generation alone needs "
+            f"about {(1 << n) * 8:,} bytes per replica")
     funcs = list(funcs)
     keys = np.asarray(replica_keys, dtype=np.uint64)
     rows = len(keys)
@@ -203,15 +201,15 @@ def replicate(config, threads: int = 1) -> np.ndarray:
         raise ConfigError("need at least one replica")
     a = params.require_symmetric("the fluctuation statistic")
     sigma_a = params.sigma_a()
-    if abs(fseq.sigma_a() - sigma_a) > 1e-12 * sigma_a:
+    if abs(fseq.funcs[0].sigma_a - sigma_a) > 1e-12 * sigma_a:
         raise ConfigError("functional scale does not match the kernel parameters")
 
     master = RandomStream.from_seed(int(config.master_seed))
-    keys = master.split_keys(np.arange(replicas))
+    keys = keys_for_replicas(master, replicas, n, len(fseq.funcs))
     centered = [center(f) for f in fseq.funcs]
     sums = generation_sums(params, config.nu, centered, n, keys, threads=threads)
 
-    regime = classify_regime(a).regime
+    regime = classify_regime(a)
     if regime in (SUBCRITICAL, CRITICAL):
         if regime == CRITICAL and n == 0:
             raise ConfigError("the critical normalization needs depth n >= 1")

@@ -17,6 +17,7 @@ experiments module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,20 @@ def _report(sigma1: float, sigma2: float, regime: str) -> VarianceReport:
     return VarianceReport(value=value, sigma1=sigma1, sigma2=sigma2, regime=regime)
 
 
+def _rejects_overflow(variance):
+    """Reject a variance whose terms overflow: a float power or math.fsum
+    then raises OverflowError, or ValueError for inf - inf."""
+    @functools.wraps(variance)
+    def checked(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return variance(fseq, params)
+        except (OverflowError, ValueError):
+            raise ComputationRejected("the limit variance is not finite") from None
+    return checked
+
+
+@_rejects_overflow
 def subcritical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     """Limit variance of the fluctuation statistic below the critical slope.
 
@@ -60,7 +75,7 @@ def subcritical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceRepo
     sigma2 = 2 sum_n w_n f_n^2 lambda_n / (1 - lambda_n).
     """
     a = params.require_symmetric("the limit variance")
-    if classify_regime(a).regime != SUBCRITICAL:
+    if classify_regime(a) != SUBCRITICAL:
         raise RegimeError(f"the subcritical series needs 2 a^2 < 1, got a={a}")
     length = max(len(f.coeffs) for f in fseq.funcs)
     coeffs = np.zeros((len(fseq.funcs), length - 1))
@@ -85,6 +100,7 @@ def subcritical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceRepo
     return _report(math.fsum(sigma1_terms), math.fsum(sigma2_terms), SUBCRITICAL)
 
 
+@_rejects_overflow
 def critical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     """Limit variance of the fluctuation statistic at the critical slope.
 
@@ -95,7 +111,7 @@ def critical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     sigma2 = sigma1 r / (1 - r) with r = 2^(-1/2).
     """
     a = params.require_symmetric("the limit variance")
-    if classify_regime(a).regime != CRITICAL:
+    if classify_regime(a) != CRITICAL:
         raise RegimeError(f"the critical series needs 2 a^2 = 1, got a={a}")
     coeffs = [float(f.coeffs[1]) if f.degree >= 1 else 0.0 for f in fseq.funcs]
     a2 = a * a

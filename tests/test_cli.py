@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmclab.treesim as treesim
 from bmclab.cli import _parse_alphas, _parse_f, _parse_nu, main
@@ -29,12 +34,14 @@ def test_parse_f_forms():
         _parse_f("x^0")
     with pytest.raises(ConfigError):
         _parse_f("y")
+    with pytest.raises(ConfigError):
+        _parse_f(["x2"])
 
 
 def test_parse_nu_forms():
-    assert _parse_nu("stationary").label() == "stationary"
-    assert _parse_nu("dirac:1.5").label() == "dirac(1.5)"
-    assert _parse_nu("gaussian:0,2").label() == "gaussian(0,2)"
+    assert _parse_nu("stationary") == treesim.InitialLaw.stationary()
+    assert _parse_nu(" dirac:1.5") == treesim.InitialLaw.dirac(1.5)
+    assert _parse_nu("gaussian:0,2") == treesim.InitialLaw.gaussian(0.0, 2.0)
     for bad in ("uniform", "gaussian:1", "dirac:nan", "dirac:inf",
                 "gaussian:inf,1", "gaussian:nan,1", "gaussian:0,inf",
                 "gaussian:0,nan", "gaussian:0,0"):
@@ -53,6 +60,8 @@ def test_parse_alpha_grids():
         _parse_alphas("0.9:0.1:0.05")
     with pytest.raises(ConfigError):
         _parse_alphas("0.1:0.9")
+    with pytest.raises(ConfigError):
+        _parse_alphas([0.2, "a"])
 
 
 def test_help_exits_zero(capsys):
@@ -216,10 +225,74 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+# 1e-200 squares to zero, 1e-160 to a subnormal and 1e200 to inf.
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "1e-200", "1e-160", "1e200"])
 def test_check_assumptions_rejects_bad_sigma(sigma, capsys):
     assert main(["check-assumptions", "--a", "0.5", "--sigma", sigma]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["1e160", "1e-200", "1e-160"])
+def test_simulate_rejects_bad_sigma(sigma, tmp_path, capsys):
+    assert main(["simulate", "--a", "0.5", "--sigma", sigma, "--n", "3",
+                 "--replicas", "3", "--f", "x^3", "--out", str(tmp_path)]) == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_replica_count_over_the_cap_exits_four(tmp_path, capsys):
+    # Counts of 2^60 and more: numpy refuses to allocate them, so the cap
+    # has to be checked before any replica key exists.
+    runs = (
+        ["simulate", "--a", "0.5", "--n", "3", "--replicas", str(2**62)],
+        ["clt", "--a", "0.5", "--n", "3", "--replicas", str(2**60)],
+        ["supercritical", "--a", "0.85", "--n", "3", "--replicas", str(2**61)],
+        ["slopes", "--alphas", "0.5", "--n", "8", "--replicas", str(2**60)],
+    )
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path)]) == 4
+        assert "cap" in capsys.readouterr().err
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+_ROOT_HALF = math.sqrt(0.5)
+
+
+def _number(value: float) -> str:
+    return repr(float(value))
+
+
+_slopes = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([-_ROOT_HALF, _ROOT_HALF, math.nextafter(_ROOT_HALF, 0.0),
+                     math.nextafter(_ROOT_HALF, 1.0)]),
+    st.builds(lambda sign, d: sign * (_ROOT_HALF + d), st.sampled_from([-1.0, 1.0]),
+              st.floats(-1e-6, 1e-6)),
+)
+_sigmas = st.one_of(
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(-320.0, 308.0).map(lambda e: -(10.0**e)),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+)
+_test_functions = st.one_of(
+    st.sampled_from(["x", "x^3", "x^8", "1"]),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6).map(
+        lambda cs: ",".join(_number(c) for c in cs)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(command=st.sampled_from(["variance", "check-assumptions"]), a=_slopes,
+       sigma=_sigmas, f=_test_functions, shape=st.sampled_from(["single", "tree"]))
+def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, f, shape):
+    argv = [command, "--a", _number(a), "--sigma", _number(sigma)]
+    if command == "variance":
+        argv += ["--f", f, "--shape", shape]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 
 
 def test_check_assumptions_key_order(tmp_path, capsys):

@@ -11,7 +11,6 @@ from bmclab.errors import ConfigError, RegimeError
 from bmclab.experiments import (
     ExperimentConfig,
     _fit_loglog,
-    _poly_label,
     clt_study,
     h1,
     h2,
@@ -70,14 +69,6 @@ def test_fit_loglog_recovers_exponent():
     slope, stderr = _fit_loglog(sizes, variances)
     assert slope == pytest.approx(-0.7, abs=1e-10)
     assert stderr == pytest.approx(0.0, abs=1e-10)
-
-
-def test_poly_label():
-    assert _poly_label([0.0, 1.0]) == "x"
-    assert _poly_label([0.0, 0.0, 1.0]) == "x^2"
-    assert _poly_label([1.0]) == "1"
-    assert _poly_label([0.0, 2.0]) == "poly(0,2)"
-    assert _poly_label([0.5, 1.0]) == "poly(0.5,1)"
 
 
 def test_clt_study_subcritical():
@@ -159,7 +150,6 @@ def test_slope_study_locates_exponents():
     assert abs(by_alpha[0.9].slope - h1(0.9)) < 0.15
     for res in results:
         assert res.flags == ()
-        assert res.f_label == "x"
         assert res.stderr >= 0.0
         assert res.h1 == h1(res.alpha)
         assert res.h2 == h2(res.alpha)

@@ -14,12 +14,11 @@ from bmclab.kernels import (
     classify_regime,
     density_row_norm,
     pair_density,
-    sample_children,
-    sample_lineage,
     transition_density,
 )
 from bmclab.quadrature import gaussian_expect
-from bmclab.rng import RandomStream
+from bmclab.rng import RandomStream, derive_keys
+from bmclab.treesim import _advance
 
 
 def sym(a, sigma=1.0):
@@ -29,8 +28,13 @@ def sym(a, sigma=1.0):
 def test_params_validation():
     with pytest.raises(ConfigError):
         BarParams(a0=1.0, a1=0.5)
-    with pytest.raises(ConfigError):
-        BarParams(a0=0.5, a1=0.5, sigma=0.0)
+    # sigma^2 must be a finite normal float: 1e-160 squares to a subnormal,
+    # 1e-200 to zero and 1e200 to inf.
+    for sigma in (0.0, -1.0, math.nan, math.inf, 1e-160, 1e-200, 1e200):
+        with pytest.raises(ConfigError):
+            BarParams(a0=0.5, a1=0.5, sigma=sigma)
+    for sigma in (1.5e-154, 1e-100, 1e100, 1.3e154):
+        assert BarParams(a0=0.5, a1=0.5, sigma=sigma).sigma == sigma
     with pytest.raises(ConfigError):
         BarParams(a0=0.5, a1=0.5, sigma=1.0, rho=1.5)
     p = BarParams(a0=0.5, a1=0.3, b0=0.1, b1=0.0, sigma=1.0, rho=0.2)
@@ -43,34 +47,49 @@ def test_params_validation():
 
 
 def test_regime_classification():
-    assert classify_regime(0.5).regime == SUBCRITICAL
-    assert classify_regime(-0.5).regime == SUBCRITICAL
-    assert classify_regime(1.0 / math.sqrt(2.0)).regime == CRITICAL
-    assert classify_regime(0.85).regime == SUPERCRITICAL
+    assert classify_regime(0.5) == SUBCRITICAL
+    assert classify_regime(-0.5) == SUBCRITICAL
+    assert classify_regime(1.0 / math.sqrt(2.0)) == CRITICAL
+    assert classify_regime(0.85) == SUPERCRITICAL
     eps = 1e-13
-    assert classify_regime(math.sqrt(0.5 * (1.0 + eps))).regime == CRITICAL
-    assert classify_regime(math.sqrt(0.5 * (1.0 + 1e-10))).regime == SUPERCRITICAL
-    assert classify_regime(math.sqrt(0.5 * (1.0 - 1e-10))).regime == SUBCRITICAL
+    assert classify_regime(math.sqrt(0.5 * (1.0 + eps))) == CRITICAL
+    assert classify_regime(math.sqrt(0.5 * (1.0 + 1e-10))) == SUPERCRITICAL
+    assert classify_regime(math.sqrt(0.5 * (1.0 - 1e-10))) == SUBCRITICAL
+    with pytest.raises(ConfigError):
+        classify_regime(1.0)
+
+
+def _children(x, params, seed, count):
+    """count child pairs below trait x: one step of the engine's _advance."""
+    keys = np.array([RandomStream.from_seed(seed).key], dtype=np.uint64)
+    out = _advance(np.full((1, count), float(x)), params, keys)[0]
+    return out[0::2], out[1::2]
+
+
+def _lineage(x, n, params, seed, count):
+    """count traits n generations down the first-child lineage, by _advance."""
+    keys = RandomStream.from_seed(seed).split_keys(np.arange(count))
+    vals = np.full((count, 1), float(x))
+    for g in range(n):
+        vals = _advance(vals, params, derive_keys(keys, g + 1))[:, :1]
+    return vals[:, 0]
 
 
 def test_children_deterministic_limit():
-    rng = RandomStream.from_seed(1)
-    y, z = sample_children(1.0, BarParams(a0=0.5, a1=0.5, sigma=1e-12), rng)
-    assert abs(y - 0.5) < 1e-9
-    assert abs(z - 0.5) < 1e-9
+    y, z = _children(1.0, BarParams(a0=0.5, a1=0.5, sigma=1e-12), 1, 1)
+    assert abs(y[0] - 0.5) < 1e-9
+    assert abs(z[0] - 0.5) < 1e-9
 
 
 def test_children_independent_when_uncorrelated():
-    rng = RandomStream.from_seed(2)
-    y, z = sample_children(0.0, sym(0.5), rng, count=100_000)
+    y, z = _children(0.0, sym(0.5), 2, 100_000)
     corr = np.corrcoef(y, z)[0, 1]
     assert abs(corr) < 0.01
 
 
 def test_children_noise_correlation():
-    rng = RandomStream.from_seed(3)
     params = BarParams(a0=0.5, a1=0.5, sigma=1.0, rho=0.5)
-    y, z = sample_children(0.0, params, rng, count=100_000)
+    y, z = _children(0.0, params, 3, 100_000)
     corr = np.corrcoef(y, z)[0, 1]
     assert abs(corr - 0.5) < 0.01
     assert abs(y.var() - 1.0) < 0.02
@@ -79,10 +98,9 @@ def test_children_noise_correlation():
 
 def test_children_match_one_step_chain():
     # Averaging over either child reproduces one lineage step (3 SE).
-    rng = RandomStream.from_seed(4)
     params = sym(0.5)
     x = 0.7
-    y, z = sample_children(x, params, rng, count=100_000)
+    y, z = _children(x, params, 4, 100_000)
     for side in (y, z):
         vals = side**2
         want = gaussian_expect(lambda v: v**2, mean=0.5 * x, std=1.0, order=64)
@@ -91,20 +109,24 @@ def test_children_match_one_step_chain():
 
 
 def test_lineage_endpoints():
-    rng = RandomStream.from_seed(5)
-    assert sample_lineage(3.25, 0, sym(0.5), rng) == 3.25
-    draws = sample_lineage(0.0, 50, sym(0.5), rng, count=10_000)
+    assert _lineage(3.25, 0, sym(0.5), 5, 3).tolist() == [3.25] * 3
+    # Fifty steps forget the start: the trait follows the invariant law.
+    draws = _lineage(0.0, 50, sym(0.5), 5, 10_000)
     sigma_a = sym(0.5).sigma_a()
     assert kstest(draws, "norm", args=(0.0, sigma_a)).statistic < 0.02
 
 
 def test_lineage_mean():
-    rng = RandomStream.from_seed(6)
-    draws = sample_lineage(4.0, 2, sym(0.5), rng, count=100_000)
+    # Two steps from x = 4 at a = 0.5: mean a^2 x = 1 and variance
+    # (1 - a^4) sigma_a^2, the closed-form n-step law.
+    params = sym(0.5)
+    draws = _lineage(4.0, 2, params, 6, 100_000)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 1.0) < 3.0 * se
+    var = (1.0 - 0.5**4) * params.sigma_a() ** 2
+    assert abs(draws.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / len(draws))
     with pytest.raises(ConfigError):
-        sample_lineage(0.0, 1, BarParams(a0=0.2, a1=0.3), rng)
+        BarParams(a0=0.2, a1=0.3).sigma_a()
 
 
 def test_transition_density_pinned():

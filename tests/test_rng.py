@@ -1,14 +1,14 @@
 import numpy as np
+from scipy.special import ndtri
 
 from bmclab.rng import (
     RandomStream,
+    _philox_words,
+    _to_uniform,
     batch_normal_pairs,
-    batch_normals,
     batch_uniform_pairs,
-    derive_key,
     derive_keys,
     philox4x32,
-    philox_block,
     splitmix64,
 )
 
@@ -38,26 +38,37 @@ def test_reference_cipher_known_answers():
 
 
 def test_vectorised_path_matches_reference():
+    # Each 64-bit output word of the vectorised rounds is two 32-bit words
+    # of the reference cipher on counter (position, 0, 0, 0).
     rng = np.random.default_rng(7)
-    for key in [0, 1, 0xDEADBEEFCAFEF00D, *map(int, rng.integers(0, 2**64, 5, dtype=np.uint64))]:
+    keys = [0, 1, 0xDEADBEEFCAFEF00D, *map(int, rng.integers(0, 2**64, 5, dtype=np.uint64))]
+    hi, lo = _philox_words(np.array(keys, dtype=np.uint64), 1001)
+    for row, key in enumerate(keys):
         for counter in [0, 1, 2, 17, 1000]:
-            got = philox_block(key, counter)
+            h = int(hi[row, counter])
+            l = int(lo[row, counter])
             want = philox4x32(
                 (counter & 0xFFFFFFFF, counter >> 32, 0, 0),
                 (key & 0xFFFFFFFF, key >> 32),
             )
-            assert got == want
+            assert (h >> 32, h & 0xFFFFFFFF, l >> 32, l & 0xFFFFFFFF) == want
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def _splitmix_ref(x: int) -> int:
-    m = (1 << 64) - 1
-    z = x & m
+    z = x & _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & m
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & m
+    z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _derive_key_ref(key: int, index: int) -> int:
+    return _splitmix_ref(key ^ (((index + 1) * 0x9E3779B97F4A7C15) & _MASK64))
 
 
 def test_splitmix_scalar_and_array_agree():
@@ -65,42 +76,57 @@ def test_splitmix_scalar_and_array_agree():
     out = splitmix64(xs)
     for x, y in zip(xs, out):
         assert int(y) == _splitmix_ref(int(x))
+        assert int(splitmix64(int(x))) == _splitmix_ref(int(x))
     # The finaliser fixes zero; key derivation mixes the index in first.
     assert int(splitmix64(np.uint64(0))) == 0
-    assert derive_key(0, 0) != 0
+    assert int(derive_keys(0, 0)) != 0
 
 
 def test_derive_keys_matches_scalar():
     base = RandomStream.from_seed(42)
     vec = derive_keys(base.key, np.arange(16))
     for i in range(16):
-        assert int(vec[i]) == base.split(i).key
+        assert int(vec[i]) == base.split(i).key == _derive_key_ref(base.key, i)
+    assert base.split(3, 1).key == _derive_key_ref(_derive_key_ref(base.key, 3), 1)
+    # Seeds are taken mod 2^64, so negative and oversized seeds are valid.
+    for seed in (0, 7, -1, -(2**70) + 3, 2**64 - 1, 2**64 + 5, 2**80):
+        assert RandomStream.from_seed(seed).key == _splitmix_ref(seed & _MASK64)
+
+
+def _row(stream: RandomStream) -> np.ndarray:
+    return np.array([stream.key], dtype=np.uint64)
 
 
 def test_streams_are_pure():
-    s = RandomStream.from_seed(11).split(3, 1)
-    a = s.normals(64)
-    b = s.normals(64)
+    keys = _row(RandomStream.from_seed(11).split(3, 1))
+    a = batch_normal_pairs(keys, 64)
+    b = batch_normal_pairs(keys, 64)
     assert np.array_equal(a, b)
-    assert np.array_equal(s.uniforms(31), s.uniforms(31))
+    assert np.array_equal(batch_uniform_pairs(keys, 31), batch_uniform_pairs(keys, 31))
 
 
 def test_split_changes_draws():
     s = RandomStream.from_seed(5)
-    a = s.split(0).normals(8)
-    b = s.split(1).normals(8)
+    a = batch_normal_pairs(_row(s.split(0)), 8)
+    b = batch_normal_pairs(_row(s.split(1)), 8)
     assert not np.array_equal(a, b)
     assert s.split(0, 1).key != s.split(1, 0).key
 
 
 def test_uniforms_open_interval():
-    u = RandomStream.from_seed(3).uniforms(10_000)
-    assert u.min() > 0.0
-    assert u.max() < 1.0
+    u0, u1 = batch_uniform_pairs(_row(RandomStream.from_seed(3)), 5_000)
+    for u in (u0, u1):
+        assert u.min() > 0.0
+        assert u.max() < 1.0
+    # The extreme 64-bit words map strictly inside (0, 1), so ndtri of
+    # every word is finite.
+    ends = _to_uniform(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert 0.0 < ends[0] and ends[1] < 1.0
+    assert np.all(np.isfinite(ndtri(ends)))
 
 
 def test_normal_moments():
-    z = RandomStream.from_seed(2).normals(400_000)
+    z = np.concatenate(batch_normal_pairs(_row(RandomStream.from_seed(2)), 200_000), axis=1)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -108,19 +134,18 @@ def test_normal_moments():
 
 
 def test_batch_helpers_consistent_with_stream():
-    keys = np.array([RandomStream.from_seed(9).split(i).key for i in range(4)], dtype=np.uint64)
+    # Normals are ndtri of the uniforms, and each row of a batch is the
+    # draw of its key alone, whatever else is in the batch.
+    keys = RandomStream.from_seed(9).split_keys(np.arange(4))
     u0, u1 = batch_uniform_pairs(keys, 5)
     z0, z1 = batch_normal_pairs(keys, 5)
-    zz = batch_normals(keys, 10)
+    assert np.array_equal(z0, ndtri(u0))
+    assert np.array_equal(z1, ndtri(u1))
     for i in range(4):
-        s = RandomStream(key=int(keys[i]))
-        su = s.uniforms(10)
-        assert np.array_equal(su[0::2], u0[i])
-        assert np.array_equal(su[1::2], u1[i])
-        sz = s.normals(10)
-        assert np.array_equal(sz[0::2], z0[i])
-        assert np.array_equal(sz[1::2], z1[i])
-        assert np.array_equal(zz[i], sz)
+        assert int(keys[i]) == RandomStream.from_seed(9).split(i).key
+        a0, a1 = batch_normal_pairs(keys[i:i + 1], 5)
+        assert np.array_equal(a0[0], z0[i])
+        assert np.array_equal(a1[0], z1[i])
 
 
 def test_lane_decorrelation():

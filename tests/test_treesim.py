@@ -68,9 +68,8 @@ def test_common_ancestor_depth():
 
 
 def test_initial_law():
-    assert InitialLaw.dirac(1.5).label() == "dirac(1.5)"
-    assert InitialLaw.stationary().label() == "stationary"
-    assert InitialLaw.gaussian(0.5, 2.0).label() == "gaussian(0.5,2)"
+    assert InitialLaw.dirac(1.5) == InitialLaw(kind="dirac", x0=1.5)
+    assert InitialLaw.gaussian(0.5, 2.0) == InitialLaw(kind="gaussian", mean=0.5, var=2.0)
     for bad in ((0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf),
                 (0.0, math.nan)):
         with pytest.raises(ConfigError):
@@ -157,16 +156,35 @@ def test_same_stream_same_tree():
     assert not np.array_equal(first[0, 7], other[0, 7])
 
 
-def test_depth_cap():
+def test_depth_cap(monkeypatch):
     params = BarParams.symmetric_params(0.5)
     nu = InitialLaw.dirac(0.0)
     f = [identity(params.sigma_a())]
     with pytest.raises(ResourceCapError, match="bytes"):
         generation_sums(params, nu, f, treesim.N_MAX + 1, _keys(0, 2))
-    with pytest.raises(ResourceCapError):
-        generation_sums(params, nu, f, 6, _keys(0), n_cap=5)
     with pytest.raises(ConfigError):
         generation_sums(params, nu, f, -1, _keys(0))
+    monkeypatch.setattr(treesim, "N_MAX", 5)
+    with pytest.raises(ResourceCapError):
+        generation_sums(params, nu, f, 6, _keys(0))
+
+
+def test_replica_cap():
+    # The cap is checked before any key or sum is allocated; 2^62 replicas
+    # would not even fit numpy's index range.
+    master = RandomStream.from_seed(0)
+    with pytest.raises(ResourceCapError, match="replicas"):
+        treesim.keys_for_replicas(master, 2**62, 3, 1)
+    limit = treesim.SUMS_BYTES_MAX // (8 * 8)
+    with pytest.raises(ResourceCapError):
+        treesim.keys_for_replicas(master, limit + 1, 6, 1)
+    keys = treesim.keys_for_replicas(master, 5, 6, 2)
+    assert np.array_equal(keys, master.split_keys(np.arange(5)))
+    params = BarParams.symmetric_params(0.5)
+    config = _config(params, InitialLaw.stationary(),
+                     FunctionalSeq.single(identity(params.sigma_a())), 3, 2**62, 0)
+    with pytest.raises(ResourceCapError):
+        replicate(config)
 
 
 def test_stationary_root_needs_symmetric_kernel():
@@ -176,22 +194,23 @@ def test_stationary_root_needs_symmetric_kernel():
 
 
 def test_child_pair_joint_moments():
-    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.25, sigma=1.2, rho=0.6)
     rows = 40_000
     keys = RandomStream.from_seed(7).split_keys(np.arange(rows))
     parents = np.full((rows, 1), 2.0)
-    children = treesim._advance(parents, params, keys)
-    y, z = children[:, 0], children[:, 1]
-    se_mean = 4 * params.sigma / math.sqrt(rows)
-    assert abs(y.mean() - (0.4 * 2.0 + 0.5)) < se_mean
-    assert abs(z.mean() - (0.7 * 2.0 - 0.25)) < se_mean
-    var = params.sigma**2
-    se_var = 4 * var * math.sqrt(2.0 / rows)
-    assert abs(y.var(ddof=1) - var) < se_var
-    assert abs(z.var(ddof=1) - var) < se_var
-    cov = np.cov(y, z)[0, 1]
-    se_cov = 4 * math.sqrt((var**2 + params.rho**2) / rows)
-    assert abs(cov - params.rho) < se_cov
+    for rho in (0.6, 0.0):
+        params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.25, sigma=1.2, rho=rho)
+        children = treesim._advance(parents, params, keys)
+        y, z = children[:, 0], children[:, 1]
+        se_mean = 4 * params.sigma / math.sqrt(rows)
+        assert abs(y.mean() - (0.4 * 2.0 + 0.5)) < se_mean
+        assert abs(z.mean() - (0.7 * 2.0 - 0.25)) < se_mean
+        var = params.sigma**2
+        se_var = 4 * var * math.sqrt(2.0 / rows)
+        assert abs(y.var(ddof=1) - var) < se_var
+        assert abs(z.var(ddof=1) - var) < se_var
+        cov = np.cov(y, z)[0, 1]
+        se_cov = 4 * math.sqrt((var**2 + params.rho**2) / rows)
+        assert abs(cov - params.rho) < se_cov
 
 
 def test_leaf_marginal_distribution():
