@@ -269,13 +269,15 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
              args: argparse.Namespace) -> list[str]:
     ecfg = _experiment_config(cfg)
     res = clt_study(ecfg, threads=threads)
+    # A point-mass limit has no KS distance (flagged): its cell stays empty.
+    ks = "" if math.isnan(res.ks_distance) else _g17(res.ks_distance)
     clt_path = os.path.join(out_dir, "clt.csv")
     _write_csv(
         clt_path,
         ("n", "empirical_variance", "series_variance", "ks_distance",
          "ks_threshold", "mean", "skewness", "kurtosis"),
         [(str(res.n), _g17(res.empirical_variance), _g17(res.series_variance),
-          _g17(res.ks_distance), _g17(res.ks_threshold), _g17(res.moments.mean),
+          ks, _g17(res.ks_threshold), _g17(res.moments.mean),
           _g17(res.moments.skewness), _g17(res.moments.kurtosis))],
     )
     stats_path = os.path.join(out_dir, "stats.csv")
@@ -284,7 +286,7 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
     print(f"regime = {res.regime}")
     print(f"empirical_variance = {_g17(res.empirical_variance)}")
     print(f"series_variance = {_g17(res.series_variance)}")
-    print(f"ks_distance = {_g17(res.ks_distance)} "
+    print(f"ks_distance = {ks or 'skipped'} "
           f"(5% threshold {_g17(res.ks_threshold)})")
     for flag in res.flags:
         print(f"flag: {flag}")

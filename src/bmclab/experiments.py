@@ -136,6 +136,7 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     values = replicate(cfg, threads=threads)
     limit = critical_variance if regime == CRITICAL else subcritical_variance
     series = limit(cfg.fseq, cfg.params)
+    moments = sample_moments(values)
     flags: list[str] = []
     if series.value > 0.0:
         ks = ks_normal_distance(values, 0.0, math.sqrt(series.value))
@@ -145,11 +146,11 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     return CltResult(
         n=cfg.n,
         regime=regime,
-        empirical_variance=float(values.var(ddof=1)),
+        empirical_variance=moments.variance,
         series_variance=series.value,
         ks_distance=ks,
         ks_threshold=ks_threshold(cfg.replicas),
-        moments=sample_moments(values),
+        moments=moments,
         flags=tuple(flags),
         values=values,
     )

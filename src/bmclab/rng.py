@@ -5,7 +5,8 @@ state.  Keys are derived from a master seed by a splitmix64 chain, one level
 per index (replica, generation, ...), and the block cipher behind each stream
 is Philox4x32-10 evaluated vectorised over counter blocks.  A node's noise
 therefore depends only on its (key, position) pair and not on scheduling,
-chunking, or thread count.
+chunking, or thread count, and a counter range split into tiles (a `start`
+offset per tile) yields exactly the draws of the whole range.
 
 Standard normals come from the inverse normal CDF applied to 53-bit uniforms,
 which keeps every draw bit-stable across platforms at double precision.
@@ -55,27 +56,29 @@ def derive_keys(key, indices) -> np.ndarray:
     return splitmix64(t)
 
 
-def _philox_words(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run Philox4x32-10 over counter blocks 0..count-1 for each 64-bit key.
+def _philox_words(keys: np.ndarray, count: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Run Philox4x32-10 over counter blocks start..start+count-1 for each key.
 
     Returns two (len(keys), count) uint64 arrays, the high and low output
-    words of each block assembled as 64-bit integers.
+    words of each block assembled as 64-bit integers.  Counters must stay
+    below 2^32 (N_MAX keeps them below 2^21): three counter words are then
+    zero and round 1 is one multiply.
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    r = keys.shape[0]
-    pos = np.arange(count, dtype=np.uint64)
-    c0 = np.broadcast_to(pos & _MASK32, (r, count)).copy()
-    c1 = np.broadcast_to(pos >> _SH32, (r, count)).copy()
-    c2 = np.zeros((r, count), dtype=np.uint64)
-    c3 = np.zeros((r, count), dtype=np.uint64)
-    k0 = (keys & _MASK32)[:, None].copy()
-    k1 = (keys >> _SH32)[:, None].copy()
-
-    p0 = np.empty((r, count), dtype=np.uint64)
-    p1 = np.empty((r, count), dtype=np.uint64)
-    t = np.empty((r, count), dtype=np.uint64)
+    shape = (keys.shape[0], count)
+    k0 = (keys & _MASK32)[:, None]
+    k1 = (keys >> _SH32)[:, None]
+    p0, p1, t = (np.empty(shape, dtype=np.uint64) for _ in range(3))
     with np.errstate(over="ignore"):
-        for _ in range(10):
+        # Round 1 on the counter (pos, 0, 0, 0): only pos * M0 is nonzero.
+        pos = np.arange(start, start + count, dtype=np.uint64) * _M0
+        c0 = np.broadcast_to(k0, shape).copy()
+        c1 = np.zeros(shape, dtype=np.uint64)
+        c2 = (pos >> _SH32) ^ k1
+        c3 = np.broadcast_to(pos & _MASK32, shape).copy()
+        for _ in range(9):
+            k0 = (k0 + _W0) & _MASK32
+            k1 = (k1 + _W1) & _MASK32
             np.multiply(c0, _M0, out=p0)
             np.multiply(c2, _M1, out=p1)
             np.right_shift(p1, _SH32, out=t)
@@ -88,10 +91,6 @@ def _philox_words(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]
             np.bitwise_xor(t, k1, out=t)
             np.bitwise_and(p0, _MASK32, out=c3)
             c2, t = t, c2
-            k0 += _W0
-            np.bitwise_and(k0, _MASK32, out=k0)
-            k1 += _W1
-            np.bitwise_and(k1, _MASK32, out=k1)
         np.left_shift(c0, _SH32, out=c0)
         np.bitwise_or(c0, c1, out=c0)
         np.left_shift(c2, _SH32, out=c2)
@@ -132,15 +131,16 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def batch_uniform_pairs(keys, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (R, count) uniform arrays, one pair per (key, counter block)."""
-    hi, lo = _philox_words(keys, count)
+def batch_uniform_pairs(keys, count: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Two (R, count) uniform arrays, one pair per key and counter block
+    start..start+count-1."""
+    hi, lo = _philox_words(keys, count, start)
     return _to_uniform(hi), _to_uniform(lo)
 
 
-def batch_normal_pairs(keys, count: int) -> tuple[np.ndarray, np.ndarray]:
+def batch_normal_pairs(keys, count: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Two (R, count) standard-normal arrays via the inverse CDF."""
-    u0, u1 = batch_uniform_pairs(keys, count)
+    u0, u1 = batch_uniform_pairs(keys, count, start)
     return ndtri(u0), ndtri(u1)
 
 

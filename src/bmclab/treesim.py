@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, ResourceCapError
+from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
 from .kernels import (
     CRITICAL,
     SUBCRITICAL,
@@ -37,6 +37,8 @@ N_MAX = 22
 # Replica chunks are sized so one generation buffer stays near this many
 # doubles; the chunk grid depends only on (replicas, n), never on threads.
 CHUNK_VALUES = 1 << 22
+
+TILE_VALUES = 1 << 15  # parents per tile of one generation step
 
 # Bytes the replica keys and per-generation sums of one batch may take.
 SUMS_BYTES_MAX = 1 << 30
@@ -135,12 +137,28 @@ def _root_values(nu: InitialLaw, params: BarParams, keys: np.ndarray) -> np.ndar
     return nu.mean + math.sqrt(nu.var) * z
 
 
-def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray) -> np.ndarray:
-    z0, z1 = batch_normal_pairs(gen_keys, values.shape[1])
+def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray,
+             funcs=(), sums=None) -> np.ndarray:
+    """Children of every parent: out[:, 2c] and out[:, 2c+1] come from
+    values[:, c] and counter c of the row's key.  Tiles of at most TILE_VALUES
+    parents (whole rows, or column slices of a wider row) keep the Philox
+    words in cache; draws are addressed by counter, so tiles change no bit.
+    sums[r, j] gets the sum of funcs[j] over child row r once it is done."""
+    rows, width = values.shape
     l11, l21, l22 = _noise_cholesky(params)
-    out = np.empty((values.shape[0], 2 * values.shape[1]))
-    out[:, 0::2] = params.a0 * values + params.b0 + l11 * z0
-    out[:, 1::2] = params.a1 * values + params.b1 + l21 * z0 + l22 * z1
+    out = np.empty((rows, 2 * width))
+    cols = min(width, TILE_VALUES)
+    step = max(1, TILE_VALUES // width)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        for c in range(0, width, cols):
+            d = min(c + cols, width)
+            z0, z1 = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
+            v = values[lo:hi, c:d]
+            out[lo:hi, 2 * c:2 * d:2] = params.a0 * v + params.b0 + l11 * z0
+            out[lo:hi, 2 * c + 1:2 * d:2] = params.a1 * v + params.b1 + l21 * z0 + l22 * z1
+        for j, f in enumerate(funcs):
+            sums[lo:hi, j] = np.sum(f.evaluate(out[lo:hi]), axis=1)
     return out
 
 
@@ -172,9 +190,8 @@ def generation_sums(params: BarParams, nu: InitialLaw, funcs, n: int,
         for j, f in enumerate(funcs):
             out[lo:hi, 0, j] = np.sum(f.evaluate(vals), axis=1)
         for g in range(n):
-            vals = _advance(vals, params, derive_keys(keys[lo:hi], g + 1))
-            for j, f in enumerate(funcs):
-                out[lo:hi, g + 1, j] = np.sum(f.evaluate(vals), axis=1)
+            vals = _advance(vals, params, derive_keys(keys[lo:hi], g + 1),
+                            funcs, out[lo:hi, g + 1])
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -191,7 +208,8 @@ def replicate(config, threads: int = 1) -> np.ndarray:
     `config` carries params, nu, fseq, n, replicas, and master_seed (see the
     experiments module).  Replica r always uses the stream derived from
     (master_seed, r), so the output is ordered by replica index and is a
-    pure function of the configuration.
+    pure function of the configuration.  A statistic that overflows double
+    precision raises ComputationRejected.
     """
     params: BarParams = config.params
     fseq: FunctionalSeq = config.fseq
@@ -217,17 +235,16 @@ def replicate(config, threads: int = 1) -> np.ndarray:
         raw = np.zeros(replicas)
         for offset in range(n + 1):
             f = fseq.func_at(offset)
-            if f is None:
-                continue
-            raw += sums[:, n - offset, index_of[id(f)]]
+            if f is not None:
+                raw += sums[:, n - offset, index_of[id(f)]]
         scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
-        return raw / scale
-    if fseq.shape == "single":
-        raw = sums[:, n, 0]
+    elif fseq.shape == "single":
+        raw, scale = sums[:, n, 0], (2.0 * a) ** n
     elif fseq.shape == "tree":
-        raw = sums[:, :, 0].sum(axis=1)
+        raw, scale = sums[:, :, 0].sum(axis=1), (2.0 * a) ** n
     else:
-        raise RegimeError(
-            "custom functional sequences have no supercritical normalization"
-        )
-    return raw / (2.0 * a) ** n
+        raise RegimeError("custom functional sequences have no supercritical normalization")
+    values = raw / scale
+    if not np.all(np.isfinite(values)):
+        raise ComputationRejected("the fluctuation statistic overflows double precision")
+    return values

@@ -329,6 +329,9 @@ def test_criterion_9_thread_determinism(tmp_path, capsys, monkeypatch):
     start = time.perf_counter()
     failures: list[str] = []
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
+    # Tiles of 24 parents: rows of up to 16 parents stay whole, wider rows
+    # split into column slices (24 + 8, 24 + 24 + 16, ...).
+    monkeypatch.setattr(treesim, "TILE_VALUES", 24)
     commands = {
         "simulate": ["simulate", "--a", "0.5", "--n", "7", "--replicas", "48",
                      "--seed", "9"],

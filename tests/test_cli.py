@@ -6,7 +6,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,37 @@ def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, 
     assert code in (0, 2, 3, 4), argv
     if code == 0:
         assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["clt", "simulate"]), a=_slopes, sigma=_sigmas,
+       f=_test_functions, n=st.integers(3, 4), replicas=st.integers(2, 6))
+def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
+        command, a, sigma, f, n, replicas):
+    argv = [command, "--a", _number(a), "--sigma", _number(sigma), "--f", f,
+            "--n", str(n), "--replicas", str(replicas)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code == 0:
+            written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
+                       if name.endswith(".csv")]
+            assert written, argv
+            for text in [out.getvalue()] + written:
+                assert not _NON_FINITE.search(text), (argv, text)
+
+
+def test_clt_moments_of_large_traits_are_finite(tmp_path, capsys):
+    # The fourth central moment of traits near 1e110 overflows unless the
+    # sample is rescaled first.
+    argv = ["clt", "--a", "0.5", "--sigma", "1e110", "--n", "3", "--replicas", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    header, row = _read(tmp_path / "clt.csv").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert all(math.isfinite(float(v)) for v in cells.values()), cells
+    assert not _NON_FINITE.search(capsys.readouterr().out)
 
 
 def test_check_assumptions_key_order(tmp_path, capsys):

@@ -11,6 +11,7 @@ from bmclab.rng import (
     philox4x32,
     splitmix64,
 )
+from bmclab.treesim import TILE_VALUES
 
 # Published 10-round test vectors for the 4x32 counter-based generator.
 PHILOX_KAT = [
@@ -52,6 +53,39 @@ def test_vectorised_path_matches_reference():
                 (key & 0xFFFFFFFF, key >> 32),
             )
             assert (h >> 32, h & 0xFFFFFFFF, l >> 32, l & 0xFFFFFFFF) == want
+
+
+def _reference_words(key: int, counter: int) -> tuple[int, int, int, int]:
+    return philox4x32((counter & 0xFFFFFFFF, counter >> 32, 0, 0),
+                      (key & 0xFFFFFFFF, key >> 32))
+
+
+def test_philox_offset_matches_reference_across_a_tile_edge():
+    # A tile of the generation step starts at a counter offset; the words
+    # on both sides of a tile edge and near the top of the counter range
+    # must be the reference cipher's.
+    keys = [3, 0xDEADBEEFCAFEF00D, 2**64 - 1]
+    edge = TILE_VALUES
+    for start, count in ((edge - 3, 6), (edge, 1), (2**21 - 2, 4), (2**32 - 2, 2)):
+        hi, lo = _philox_words(np.array(keys, dtype=np.uint64), count, start)
+        assert hi.shape == lo.shape == (len(keys), count)
+        for row, key in enumerate(keys):
+            for i in range(count):
+                h, l = int(hi[row, i]), int(lo[row, i])
+                assert (h >> 32, h & 0xFFFFFFFF, l >> 32, l & 0xFFFFFFFF) == \
+                    _reference_words(key, start + i)
+
+
+def test_batch_pairs_with_offset_are_column_slices():
+    keys = derive_keys(5, np.arange(4))
+    full_u = batch_uniform_pairs(keys, 100)
+    full_z = batch_normal_pairs(keys, 100)
+    for start, count in ((0, 100), (1, 7), (37, 63), (64, 36), (99, 1)):
+        cols = slice(start, start + count)
+        for part, full in ((batch_uniform_pairs(keys, count, start), full_u),
+                           (batch_normal_pairs(keys, count, start), full_z)):
+            assert np.array_equal(part[0], full[0][:, cols])
+            assert np.array_equal(part[1], full[1][:, cols])
 
 
 _MASK64 = (1 << 64) - 1

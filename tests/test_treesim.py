@@ -139,9 +139,27 @@ def test_rows_are_independent_of_the_batch(monkeypatch):
     batch = generation_sums(params, nu, funcs, 6, keys)
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
     assert np.array_equal(generation_sums(params, nu, funcs, 6, keys), batch)
+    monkeypatch.setattr(treesim, "TILE_VALUES", 7)
+    assert np.array_equal(generation_sums(params, nu, funcs, 6, keys), batch)
     for r in range(len(keys)):
         alone = generation_sums(params, nu, funcs, 6, keys[r:r + 1])
         assert np.array_equal(batch[r], alone[0])
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+def test_tile_grid_does_not_change_results(monkeypatch, tile):
+    # Depth 9 has rows of 1..256 parents: generations narrower than a tile
+    # run as blocks of whole rows, wider ones as column slices of a row.
+    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1.1, rho=0.3)
+    nu = InitialLaw.gaussian(0.3, 0.8)
+    funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
+    keys = _keys(11, 5)
+    parents = np.random.default_rng(3).standard_normal((3, 100))
+    baseline = generation_sums(params, nu, funcs, 9, keys)
+    children = treesim._advance(parents, params, keys[:3])
+    monkeypatch.setattr(treesim, "TILE_VALUES", tile)
+    assert np.array_equal(generation_sums(params, nu, funcs, 9, keys), baseline)
+    assert np.array_equal(treesim._advance(parents, params, keys[:3]), children)
 
 
 def test_same_stream_same_tree():
@@ -331,6 +349,7 @@ def test_chunking_and_threads_do_not_change_results(monkeypatch):
     config = _config(params, InitialLaw.stationary(), FunctionalSeq.tree(f), 6, 64, 5)
     baseline = replicate(config)
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
+    monkeypatch.setattr(treesim, "TILE_VALUES", 7)
     chunked = replicate(config)
     threaded = replicate(config, threads=8)
     assert np.array_equal(baseline, chunked)
