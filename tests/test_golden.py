@@ -2,7 +2,8 @@
 
 Each case runs one file-writing command and compares blake2b digests of its
 CSV/SVG/JSON outputs with the values stored below.  manifest.json is left
-out because it records wall time.  A refactor that should not change any
+out because it records wall time.  ``variance`` writes no file, so its
+stdout lines are digested instead, under the name "stdout".  A refactor that should not change any
 output must leave this table unchanged; a deliberate output change updates
 the table and is recorded in CHANGES.md.  The bytes depend on the floating
 point results of numpy and scipy, so a dependency upgrade can move them too.
@@ -12,7 +13,9 @@ Print the current table with ``PYTHONPATH=src python tests/test_golden.py``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -37,6 +40,18 @@ CASES = {
                       "--replicas", "50", "--seed", "5"],
     "martingale": ["martingale", "--a", "0.85", "--n", "6", "--seed", "4"],
     "check-assumptions": ["check-assumptions", "--a", "0.75"],
+}
+
+VARIANCE_F = ["--f", "0.3,1,0.5,0.2"]
+
+STDOUT_CASES = {
+    "variance-critical-single": ["variance", "--a", CRITICAL_A, *VARIANCE_F],
+    "variance-critical-tree": ["variance", "--a", CRITICAL_A, "--sigma", "0.7",
+                               "--shape", "tree", *VARIANCE_F],
+    "variance-subcritical-single": ["variance", "--a", "0.5", "--sigma", "1.3",
+                                    *VARIANCE_F],
+    "variance-subcritical-tree": ["variance", "--a", "-0.6", "--shape", "tree",
+                                  *VARIANCE_F],
 }
 
 GOLDEN = {
@@ -64,7 +79,23 @@ GOLDEN = {
     "supercritical": {
         "supercritical.csv": "2b788f206627409b66305c302e040722",
     },
+    "variance-critical-single": {
+        "stdout": "e873e5c6c2483f79da89cb85ec6f8748",
+    },
+    "variance-critical-tree": {
+        "stdout": "509d294964aee425c2992db33b194ba0",
+    },
+    "variance-subcritical-single": {
+        "stdout": "7e7c10f7e916925239ea22210103c515",
+    },
+    "variance-subcritical-tree": {
+        "stdout": "822bd9e029efcfcf9703a53876937fa1",
+    },
 }
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def output_digests(argv, out_dir) -> dict[str, str]:
@@ -75,8 +106,16 @@ def output_digests(argv, out_dir) -> dict[str, str]:
         if name == "manifest.json":
             continue
         with open(os.path.join(out_dir, name), "rb") as fh:
-            digests[name] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+            digests[name] = _digest(fh.read())
     return digests
+
+
+def stdout_digests(argv) -> dict[str, str]:
+    """Run one command that writes no file; digest what it prints."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return {"stdout": _digest(buf.getvalue().encode("utf-8"))}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -86,13 +125,20 @@ def test_output_digests(case, tmp_path, capsys):
     assert got == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(STDOUT_CASES))
+def test_stdout_digests(case):
+    assert stdout_digests(STDOUT_CASES[case]) == GOLDEN[case]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         table = {}
         for case in sorted(CASES):
             table[case] = output_digests(CASES[case], os.path.join(root, case))
+    for case in STDOUT_CASES:
+        table[case] = stdout_digests(STDOUT_CASES[case])
     sys.stdout.flush()
-    for case, digests in table.items():
+    for case, digests in sorted(table.items()):
         print(f"    {case!r}: {{")
         for name, digest in digests.items():
             print(f"        {name!r}: {digest!r},")
