@@ -55,6 +55,11 @@ def _g17(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _cell(value) -> str:
+    """A CSV cell: an undefined (NaN) value stays empty."""
+    return "" if math.isnan(value) else _g17(value)
+
+
 def _as_float(value, name: str) -> float:
     try:
         return float(value)
@@ -251,7 +256,7 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int,
 def _run_variance(cfg: dict, out_dir: str, threads: int,
                   args: argparse.Namespace) -> list[str]:
     params, fseq = _params_and_fseq(cfg)
-    regime = classify_regime(params.a0)
+    regime = classify_regime(params.a)
     if regime == SUPERCRITICAL:
         raise ComputationRejected(
             "no finite limit variance in the supercritical regime; "
@@ -270,7 +275,7 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
     ecfg = _experiment_config(cfg)
     res = clt_study(ecfg, threads=threads)
     # A point-mass limit has no KS distance (flagged): its cell stays empty.
-    ks = "" if math.isnan(res.ks_distance) else _g17(res.ks_distance)
+    ks = _cell(res.ks_distance)
     clt_path = os.path.join(out_dir, "clt.csv")
     _write_csv(
         clt_path,
@@ -340,15 +345,17 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
         path,
         ("alpha", "target", "n_min", "n_max", "slope", "stderr", "h1", "h2",
          "replicas", "outer_repeat"),
-        ((_g17(r.alpha), r.target, str(r.n_min), str(r.n_max), _g17(r.slope),
-          _g17(r.stderr), _g17(r.h1), _g17(r.h2), str(r.replicas),
+        ((_g17(r.alpha), r.target, str(r.n_min), str(r.n_max), _cell(r.slope),
+          _cell(r.stderr), _g17(r.h1), _g17(r.h2), str(r.replicas),
           str(r.outer_repeat)) for r in results),
     )
     outputs = [path]
     summaries = slope_summary(results)
     for s in summaries:
-        print(f"alpha={s.alpha:g} target={s.target} "
-              f"mean_slope={s.mean_slope:.6f} sd={s.sd_slope:.6f} "
+        # A grid point whose every repeat lacks a slope has no summary.
+        mean, sd = ((f"{s.mean_slope:.6f}", f"{s.sd_slope:.6f}")
+                    if not math.isnan(s.mean_slope) else ("skipped", "skipped"))
+        print(f"alpha={s.alpha:g} target={s.target} mean_slope={mean} sd={sd} "
               f"h1={s.h1:.6f} h2={s.h2:.6f}")
     flagged = [r for r in results if r.flags]
     if flagged:
@@ -369,7 +376,7 @@ def _run_supercritical(cfg: dict, out_dir: str, threads: int,
     path = os.path.join(out_dir, "supercritical.csv")
     _write_csv(path, ("level", "martingale_l1_diff"),
                ((str(g), _g17(v)) for g, v in enumerate(res.martingale_l1_diffs)))
-    a = ecfg.params.a0
+    a = ecfg.params.a
     print(f"ratio_median = {_g17(res.ratio_median)}")
     print(f"ratio_limit = {_g17(2.0 * a / (2.0 * a - 1.0))}")
     for flag in res.flags:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
+from .errors import ComputationRejected, ConfigError, RegimeError
 from .kernels import CRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .rng import RandomStream
 from .spectral import SpectralFn, center, from_monomial, project_linear
@@ -127,7 +127,7 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     Kolmogorov-Smirnov distance is measured against N(0, series_variance)
     and skipped with a flag when that limit is a point mass.
     """
-    a = cfg.params.require_symmetric("the limit-law study")
+    a = cfg.params.a
     regime = classify_regime(a)
     if regime == SUPERCRITICAL:
         raise RegimeError(
@@ -161,9 +161,11 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
 
     Reports the median over replicas of the whole-tree to deepest-generation
     ratio of the (2a)^(-n)-rescaled centered sums, and the mean absolute
-    martingale increment at each depth.
+    martingale increment at each depth.  Replicas whose deepest-generation
+    statistic is zero are left out of the median and flagged; when none is
+    left, the ratio is undefined and ComputationRejected is raised.
     """
-    a = cfg.params.require_symmetric("the supercritical study")
+    a = cfg.params.a
     if classify_regime(a) != SUPERCRITICAL:
         raise RegimeError(f"the supercritical study needs 2 a^2 > 1, got a={a}")
     if cfg.fseq.shape == "custom":
@@ -182,10 +184,11 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     usable = gen_stat != 0.0
     if not np.all(usable):
         flags.append(f"ratio-excluded:{int(np.sum(~usable))}")
-    if np.any(usable):
-        ratio_median = float(np.median(tree_stat[usable] / gen_stat[usable]))
-    else:
-        ratio_median = math.nan
+    if not np.any(usable):
+        raise ComputationRejected(
+            "every replica's deepest-generation statistic is zero, so the "
+            "ratio is undefined")
+    ratio_median = float(np.median(tree_stat[usable] / gen_stat[usable]))
 
     paths = sums[:, :, 1] * (2.0 * a) ** (-np.arange(cfg.n + 1))
     l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
@@ -206,15 +209,21 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     the critical slope it converges and its limit drives the supercritical
     fluctuations.
     """
-    a = params.require_symmetric("the additive martingale")
+    a = params.a
     if a == 0.0:
         raise RegimeError("the additive martingale needs a nonzero slope")
     keys = keys_for_replicas(RandomStream.from_seed(master_seed), 1, n, 1)
     sums = generation_sums(params, nu, [project_linear(f)], n, keys)
     # Python's scalar power, not numpy's vectorized one: the two can differ
     # in the last bit, and these values are written to martingale.csv.
-    return np.array([(2.0 * a) ** (-g) * float(sum_g)
-                     for g, sum_g in enumerate(sums[0, :, 0])])
+    try:
+        path = np.array([(2.0 * a) ** (-g) * float(sum_g)
+                         for g, sum_g in enumerate(sums[0, :, 0])])
+    except OverflowError:
+        path = np.array([math.inf])
+    if not np.all(np.isfinite(path)):
+        raise ComputationRejected("the martingale path overflows double precision")
+    return path
 
 
 def _fit_loglog(sizes, variances) -> tuple[float, float]:
@@ -243,6 +252,8 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"grid slopes must lie in (0, 1), got {alpha}")
+    if n_min < 0:
+        raise ConfigError(f"n_min must be nonnegative, got {n_min}")
     if n_max < n_min + 3:
         raise ConfigError(f"need n_max >= n_min + 3, got [{n_min}, {n_max}]")
     if replicas < 2:

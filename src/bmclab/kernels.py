@@ -1,13 +1,11 @@
-"""Transition kernels of the Gaussian autoregressive branching model.
+"""Transition kernel of the symmetric Gaussian autoregressive branching model.
 
 Each node with trait x has two children with traits
 
-    (a0*x + b0 + e0,  a1*x + b1 + e1),
+    (a*x + sigma*e0,  a*x + sigma*e1),
 
-where (e0, e1) is centered bivariate normal with common variance sigma^2 and
-covariance rho.  The chain observed along a uniformly random lineage (the
-one-step average of the two child kernels) is, in the symmetric case
-(a0 = a1 = a, b0 = b1 = 0, rho = 0), the AR(1) chain with invariant law
+with e0, e1 independent standard normals.  The chain observed along a
+uniformly random lineage is the AR(1) chain with invariant law
 N(0, sigma_a^2), sigma_a = sigma/sqrt(1-a^2).
 
 The module also houses the numeric checker for the integrability conditions
@@ -35,46 +33,27 @@ SUPERCRITICAL = "supercritical"
 
 @dataclass(frozen=True)
 class BarParams:
-    """Kernel parameters; symmetric() gates the exact spectral machinery."""
+    """Kernel parameters: the slope a and the noise scale sigma."""
 
-    a0: float
-    a1: float
-    b0: float = 0.0
-    b1: float = 0.0
+    a: float
     sigma: float = 1.0
-    rho: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a0", "a1"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and -1.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (-1, 1), got {v}")
+        if not (np.isfinite(self.a) and -1.0 < self.a < 1.0):
+            raise ConfigError(f"a must lie in (-1, 1), got {self.a}")
         # sigma^2 must be a normal float: every variance and density below
         # divides by it or by a multiple of it.
         var = self.sigma * self.sigma
         if not (self.sigma > 0.0 and sys.float_info.min <= var < math.inf):
             raise ConfigError(
                 f"sigma must be positive with a finite normal square, got {self.sigma}")
-        if not (np.isfinite(self.b0) and np.isfinite(self.b1)):
-            raise ConfigError("offsets must be finite")
-        if not (np.isfinite(self.rho) and abs(self.rho) <= var):
-            raise ConfigError("noise covariance requires |rho| <= sigma^2")
 
     @classmethod
     def symmetric_params(cls, a: float, sigma: float = 1.0) -> "BarParams":
-        return cls(a0=a, a1=a, b0=0.0, b1=0.0, sigma=sigma, rho=0.0)
-
-    def symmetric(self) -> bool:
-        return self.a0 == self.a1 and self.b0 == 0.0 and self.b1 == 0.0 and self.rho == 0.0
-
-    def require_symmetric(self, what: str) -> float:
-        if not self.symmetric():
-            raise ConfigError(f"{what} is defined for the symmetric kernel only")
-        return self.a0
+        return cls(a, sigma)
 
     def sigma_a(self) -> float:
-        a = self.require_symmetric("the stationary scale")
-        return self.sigma / math.sqrt(1.0 - a * a)
+        return self.sigma / math.sqrt(1.0 - self.a * self.a)
 
 
 def classify_regime(a: float) -> str:
@@ -89,50 +68,19 @@ def classify_regime(a: float) -> str:
     return SUPERCRITICAL
 
 
-def _noise_cholesky(params: BarParams) -> tuple[float, float, float]:
-    l11 = params.sigma
-    l21 = params.rho / params.sigma
-    l22 = math.sqrt(params.sigma**2 - l21**2)
-    return l11, l21, l22
-
-
-def _gaussian_pdf(y, mean, var):
-    return np.exp(-((y - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-
-
-def transition_density(x, y, params: BarParams, wrt: str = "stationary"):
-    """One-step density of the lineage chain.
-
-    wrt="stationary" (symmetric kernel only) is relative to the invariant
-    law; wrt="lebesgue" is the plain mixture density of the two children.
-    """
+def transition_density(x, y, params: BarParams):
+    """One-step density of the lineage chain relative to its invariant law."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if wrt == "lebesgue":
-        half0 = _gaussian_pdf(y, params.a0 * x + params.b0, params.sigma**2)
-        half1 = _gaussian_pdf(y, params.a1 * x + params.b1, params.sigma**2)
-        return 0.5 * (half0 + half1)
-    if wrt != "stationary":
-        raise ConfigError(f"unknown density reference {wrt!r}")
-    a = params.require_symmetric("the stationary-relative density")
+    a = params.a
     s2 = 2.0 * params.sigma**2
     return np.exp((2.0 * a * x * y - a * a * (x * x + y * y)) / s2) / math.sqrt(1.0 - a * a)
 
 
-def pair_density(x, y, z, params: BarParams, wrt: str = "stationary"):
-    """Joint density of the child pair given the parent trait."""
-    if wrt == "stationary":
-        params.require_symmetric("the stationary-relative density")
-        return transition_density(x, y, params) * transition_density(x, z, params)
-    if wrt != "lebesgue":
-        raise ConfigError(f"unknown density reference {wrt!r}")
-    x = np.asarray(x, dtype=np.float64)
-    dy = np.asarray(y, dtype=np.float64) - (params.a0 * x + params.b0)
-    dz = np.asarray(z, dtype=np.float64) - (params.a1 * x + params.b1)
-    s2 = params.sigma**2
-    det = s2 * s2 - params.rho**2
-    quad = (s2 * dy * dy - 2.0 * params.rho * dy * dz + s2 * dz * dz) / det
-    return np.exp(-0.5 * quad) / (2.0 * np.pi * math.sqrt(det))
+def pair_density(x, y, z, params: BarParams):
+    """Joint density of the child pair given the parent trait, relative to
+    the product of invariant laws."""
+    return transition_density(x, y, params) * transition_density(x, z, params)
 
 
 def density_row_norm(x, a: float, sigma: float = 1.0):

@@ -27,8 +27,7 @@ ENUM_DEPTH_MAX = 4
 
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """E_x of the sum of f over generation n: 2^n Q^n f(x)."""
-    a = params.require_symmetric("the generation-sum mean")
-    return 2.0**n * apply_kernel(f, a, steps=n)(x)
+    return 2.0**n * apply_kernel(f, params.a, steps=n)(x)
 
 
 def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -44,7 +43,7 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     split generation k < m adds the branching correction 2^(n+k) Q^(m-k-1)
     applied to the child-pair expectation of Q^k g and Q^(n-m+k) f.
     """
-    a = params.require_symmetric("the generation-sum cross moment")
+    a = params.a
     if n < m:
         f, g = g, f
         n, m = m, n
@@ -127,7 +126,7 @@ def _gaussian_pair_expect(cf: np.ndarray, cg: np.ndarray,
 
 def enumerated_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """Brute-force mean of the generation-n sum of f (small n only)."""
-    a = params.require_symmetric("enumerated moments")
+    a = params.a
     _check_enum_depth(n)
     cf = as_monomial(f)
     mean, var = _node_mean_var(a, params.sigma, n, x)
@@ -145,7 +144,7 @@ def enumerated_second_moment(f: SpectralFn, params: BarParams, n: int,
 def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                             n: int, m: int, x: float) -> float:
     """Brute-force E_x of the product of two generation sums (small n, m only)."""
-    a = params.require_symmetric("enumerated moments")
+    a = params.a
     _check_enum_depth(max(n, m))
     cf = as_monomial(f)
     cg = as_monomial(g)

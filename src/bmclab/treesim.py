@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
-from .kernels import (
-    CRITICAL,
-    SUBCRITICAL,
-    BarParams,
-    _noise_cholesky,
-    classify_regime,
-)
+from .kernels import CRITICAL, SUBCRITICAL, BarParams, classify_regime
 from .rng import RandomStream, batch_normal_pairs, derive_keys
 from .spectral import SpectralFn, center
 
@@ -145,7 +139,6 @@ def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray,
     words in cache; draws are addressed by counter, so tiles change no bit.
     sums[r, j] gets the sum of funcs[j] over child row r once it is done."""
     rows, width = values.shape
-    l11, l21, l22 = _noise_cholesky(params)
     out = np.empty((rows, 2 * width))
     cols = min(width, TILE_VALUES)
     step = max(1, TILE_VALUES // width)
@@ -154,9 +147,9 @@ def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray,
         for c in range(0, width, cols):
             d = min(c + cols, width)
             z0, z1 = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
-            v = values[lo:hi, c:d]
-            out[lo:hi, 2 * c:2 * d:2] = params.a0 * v + params.b0 + l11 * z0
-            out[lo:hi, 2 * c + 1:2 * d:2] = params.a1 * v + params.b1 + l21 * z0 + l22 * z1
+            av = params.a * values[lo:hi, c:d]
+            out[lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
+            out[lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
         for j, f in enumerate(funcs):
             sums[lo:hi, j] = np.sum(f.evaluate(out[lo:hi]), axis=1)
     return out
@@ -217,7 +210,7 @@ def replicate(config, threads: int = 1) -> np.ndarray:
     replicas = int(config.replicas)
     if replicas < 1:
         raise ConfigError("need at least one replica")
-    a = params.require_symmetric("the fluctuation statistic")
+    a = params.a
     sigma_a = params.sigma_a()
     if abs(fseq.funcs[0].sigma_a - sigma_a) > 1e-12 * sigma_a:
         raise ConfigError("functional scale does not match the kernel parameters")

@@ -74,7 +74,7 @@ def subcritical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceRepo
     every offset, so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
     sigma2 = 2 sum_n w_n f_n^2 lambda_n / (1 - lambda_n).
     """
-    a = params.require_symmetric("the limit variance")
+    a = params.a
     if classify_regime(a) != SUBCRITICAL:
         raise RegimeError(f"the subcritical series needs 2 a^2 < 1, got a={a}")
     length = max(len(f.coeffs) for f in fseq.funcs)
@@ -110,7 +110,7 @@ def critical_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     For the tree shape these are geometric: sigma1 = 2 a^2 c^2 and
     sigma2 = sigma1 r / (1 - r) with r = 2^(-1/2).
     """
-    a = params.require_symmetric("the limit variance")
+    a = params.a
     if classify_regime(a) != CRITICAL:
         raise RegimeError(f"the critical series needs 2 a^2 = 1, got a={a}")
     coeffs = [float(f.coeffs[1]) if f.degree >= 1 else 0.0 for f in fseq.funcs]

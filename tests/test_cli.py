@@ -11,7 +11,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bmclab.treesim as treesim
@@ -317,6 +317,40 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
                 assert not _NON_FINITE.search(text), (argv, text)
 
 
+# The explicit examples pin faults the derandomized draws miss: a constant f
+# centers to zero, which leaves every replica's ratio and every regression
+# depth undefined, and a tiny slope makes (2a)^-g overflow.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example(command="supercritical", a=0.85, sigma=1.0, f="1", n=4, replicas=5, n_min=0)
+@example(command="slopes", a=0.5, sigma=1.0, f="1", n=6, replicas=5, n_min=3)
+@example(command="martingale", a=1e-290, sigma=1.0, f="x", n=3, replicas=2, n_min=0)
+@given(command=st.sampled_from(["supercritical", "slopes", "martingale"]), a=_slopes,
+       sigma=_sigmas, f=_test_functions, n=st.integers(3, 6), replicas=st.integers(2, 6),
+       n_min=st.integers(-3, 3))
+def test_tree_commands_exit_cleanly_and_write_finite_numbers(
+        command, a, sigma, f, n, replicas, n_min):
+    # The --flag=value form keeps argparse from reading "-1e-05" as a flag.
+    argv = [command, f"--sigma={_number(sigma)}", f"--f={f}", f"--n={n}"]
+    if command == "slopes":
+        argv += [f"--alphas={_number(a)}", f"--n-min={n_min}",
+                 f"--replicas={replicas}", "--outer-repeats=2", "--plot"]
+    else:
+        argv += [f"--a={_number(a)}"]
+    if command == "supercritical":
+        argv += [f"--replicas={replicas}"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code == 0:
+            written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
+                       if name.endswith((".csv", ".svg"))]
+            assert written, argv
+            for text in [out.getvalue()] + written:
+                assert not _NON_FINITE.search(text), (argv, text)
+
+
 def test_clt_moments_of_large_traits_are_finite(tmp_path, capsys):
     # The fourth central moment of traits near 1e110 overflows unless the
     # sample is rescaled first.
@@ -368,6 +402,35 @@ def test_slopes_csv_and_plot(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "alpha=0.3" in printed
     assert "mean_slope=" in printed
+
+
+def test_undefined_results_exit_three_or_leave_empty_cells(tmp_path, capsys):
+    # A constant f centers to zero: supercritical's single headline ratio is
+    # undefined (exit 3); each undefined slope is an empty slopes.csv cell.
+    assert main(["supercritical", "--a", "0.85", "--f", "1", "--n", "4",
+                 "--replicas", "5", "--out", str(tmp_path / "sup")]) == 3
+    assert "ratio" in capsys.readouterr().err
+    out = tmp_path / "slopes"
+    assert main(["slopes", "--alphas", "0.5", "--f", "1", "--n", "8",
+                 "--replicas", "10", "--outer-repeats", "2",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "mean_slope=skipped sd=skipped" in printed
+    assert not _NON_FINITE.search(printed)
+    header, *rows = _read(out / "slopes.csv").splitlines()
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["slope"] == "" and cells["stderr"] == ""
+        assert cells["h1"] == "-1"
+
+
+@pytest.mark.parametrize("n_min", ["-3", "-40"])
+def test_slopes_rejects_negative_n_min(n_min, tmp_path, capsys):
+    assert main(["slopes", "--alphas", "0.5", "--f", "x", "--n", "5",
+                 "--n-min", n_min, "--replicas", "10", "--outer-repeats", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert "n_min" in capsys.readouterr().err
 
 
 def test_supercritical_and_martingale_outputs(tmp_path, capsys):

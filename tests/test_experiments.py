@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bmclab.errors import ConfigError, RegimeError
+from bmclab.errors import ComputationRejected, ConfigError, RegimeError
 from bmclab.experiments import (
     ExperimentConfig,
     _fit_loglog,
@@ -141,6 +141,11 @@ def test_supercritical_study():
     with pytest.raises(ConfigError):
         supercritical_study(custom)
 
+    # A constant f centers to zero, so no replica has a defined ratio.
+    flat = _single_config(a, [1.0], n=4, replicas=5, seed=0)
+    with pytest.raises(ComputationRejected):
+        supercritical_study(flat)
+
 
 def test_slope_study_locates_exponents():
     results = slope_study([0.3, 0.9], [0.0, 1.0], n_max=10, replicas=300,
@@ -198,6 +203,10 @@ def test_slope_study_validation():
         slope_study([0.5], [0.0, 1.0], n_max=10, replicas=50, target="An")
     with pytest.raises(ConfigError):
         slope_study([0.5], [0.0, 1.0], n_max=10, replicas=50, outer_repeats=0)
+    # A negative depth would index the deepest generations from the end.
+    for n_min in (-1, -3, -40):
+        with pytest.raises(ConfigError, match="n_min"):
+            slope_study([0.5], [0.0, 1.0], n_max=5, n_min=n_min, replicas=10)
 
 
 def test_thread_count_does_not_change_results():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from bmclab.errors import ConfigError, ResourceCapError
+from bmclab.errors import ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import (
     _gaussian_pair_expect,
@@ -198,8 +198,3 @@ def test_guards():
         enumerated_mean(f, params, 5, 0.0)
     with pytest.raises(ResourceCapError):
         enumerated_cross_moment(f, f, params, 5, 2, 0.0)
-    asym = BarParams(a0=0.4, a1=0.6)
-    with pytest.raises(ConfigError):
-        exact_mean(f, asym, 2, 0.0)
-    with pytest.raises(ConfigError):
-        enumerated_mean(f, asym, 2, 0.0)

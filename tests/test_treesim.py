@@ -12,7 +12,7 @@ from scipy import stats
 from bmclab.errors import ConfigError, RegimeError, ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import common_ancestor_depth
-from bmclab.rng import RandomStream
+from bmclab.rng import RandomStream, batch_normal_pairs
 from bmclab.spectral import apply_kernel, center, constant, from_monomial, identity
 from bmclab import treesim
 from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
@@ -26,16 +26,18 @@ def _config(params, nu, fseq, n, replicas, master_seed):
 
 
 def test_tree_index_navigation():
-    # Node (g, p) has its children at (g + 1, 2p) and (g + 1, 2p + 1): with
-    # near-zero noise, each child of _advance is its parent's affine image.
-    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1e-12)
+    # Node (g, p) has its children at (g + 1, 2p) and (g + 1, 2p + 1): each is
+    # a*x_p plus sigma times one normal of the row's pair at counter p, with
+    # exactly this rounding.
+    a, sigma = -0.7, 1.1
     parents = np.array([[0.0, 1.0, -2.0, 3.5], [10.0, -1.0, 0.25, 7.0]])
-    children = treesim._advance(parents, params, _keys(4, 2))
+    keys = _keys(4, 2)
+    children = treesim._advance(parents, BarParams(a, sigma), keys)
+    z0, z1 = batch_normal_pairs(keys, 4)
     assert children.shape == (2, 8)
     for p in range(4):
-        assert children[:, 2 * p] == pytest.approx(0.4 * parents[:, p] + 0.5, abs=1e-9)
-        assert children[:, 2 * p + 1] == pytest.approx(0.7 * parents[:, p] - 0.2,
-                                                       abs=1e-9)
+        assert np.array_equal(children[:, 2 * p], a * parents[:, p] + sigma * z0[:, p])
+        assert np.array_equal(children[:, 2 * p + 1], a * parents[:, p] + sigma * z1[:, p])
     for gen, pos in ((0, 0), (2, 3), (4, 11)):
         for child in (2 * pos, 2 * pos + 1):
             assert common_ancestor_depth(gen + 1, child, gen, pos) == gen
@@ -132,7 +134,7 @@ def test_near_deterministic_limit():
 
 
 def test_rows_are_independent_of_the_batch(monkeypatch):
-    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1.1, rho=0.3)
+    params = BarParams(a=0.7, sigma=1.1)
     nu = InitialLaw.gaussian(0.3, 0.8)
     funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
     keys = _keys(11, 5)
@@ -150,7 +152,7 @@ def test_rows_are_independent_of_the_batch(monkeypatch):
 def test_tile_grid_does_not_change_results(monkeypatch, tile):
     # Depth 9 has rows of 1..256 parents: generations narrower than a tile
     # run as blocks of whole rows, wider ones as column slices of a row.
-    params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.2, sigma=1.1, rho=0.3)
+    params = BarParams(a=0.7, sigma=1.1)
     nu = InitialLaw.gaussian(0.3, 0.8)
     funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
     keys = _keys(11, 5)
@@ -205,30 +207,21 @@ def test_replica_cap():
         replicate(config)
 
 
-def test_stationary_root_needs_symmetric_kernel():
-    params = BarParams(a0=0.4, a1=0.7)
-    with pytest.raises(ConfigError):
-        generation_sums(params, InitialLaw.stationary(), [identity(1.0)], 2, _keys(0))
-
-
 def test_child_pair_joint_moments():
     rows = 40_000
     keys = RandomStream.from_seed(7).split_keys(np.arange(rows))
     parents = np.full((rows, 1), 2.0)
-    for rho in (0.6, 0.0):
-        params = BarParams(a0=0.4, a1=0.7, b0=0.5, b1=-0.25, sigma=1.2, rho=rho)
-        children = treesim._advance(parents, params, keys)
-        y, z = children[:, 0], children[:, 1]
-        se_mean = 4 * params.sigma / math.sqrt(rows)
-        assert abs(y.mean() - (0.4 * 2.0 + 0.5)) < se_mean
-        assert abs(z.mean() - (0.7 * 2.0 - 0.25)) < se_mean
-        var = params.sigma**2
-        se_var = 4 * var * math.sqrt(2.0 / rows)
-        assert abs(y.var(ddof=1) - var) < se_var
-        assert abs(z.var(ddof=1) - var) < se_var
-        cov = np.cov(y, z)[0, 1]
-        se_cov = 4 * math.sqrt((var**2 + params.rho**2) / rows)
-        assert abs(cov - params.rho) < se_cov
+    params = BarParams(a=0.4, sigma=1.2)
+    children = treesim._advance(parents, params, keys)
+    y, z = children[:, 0], children[:, 1]
+    se_mean = 4 * params.sigma / math.sqrt(rows)
+    assert abs(y.mean() - 0.4 * 2.0) < se_mean
+    assert abs(z.mean() - 0.4 * 2.0) < se_mean
+    var = params.sigma**2
+    se_var = 4 * var * math.sqrt(2.0 / rows)
+    assert abs(y.var(ddof=1) - var) < se_var
+    assert abs(z.var(ddof=1) - var) < se_var
+    assert abs(np.cov(y, z)[0, 1]) < 4 * var / math.sqrt(rows)
 
 
 def test_leaf_marginal_distribution():
@@ -335,9 +328,6 @@ def test_replicate_validation():
     nu = InitialLaw.stationary()
     with pytest.raises(ConfigError):
         replicate(_config(params, nu, FunctionalSeq.single(f), 4, 0, 1))
-    asym = BarParams(a0=0.4, a1=0.6)
-    with pytest.raises(ConfigError):
-        replicate(_config(asym, nu, FunctionalSeq.single(f), 4, 2, 1))
     wrong_scale = identity(2.0 * params.sigma_a())
     with pytest.raises(ConfigError):
         replicate(_config(params, nu, FunctionalSeq.single(wrong_scale), 4, 2, 1))

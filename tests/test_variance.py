@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmclab.errors import ConfigError, RegimeError
+from bmclab.errors import RegimeError
 from bmclab.experiments import ExperimentConfig, martingale_path, supercritical_study
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
 from bmclab.rng import RandomStream
@@ -278,9 +278,6 @@ def test_regime_guards():
     with pytest.raises(RegimeError):
         martingale_path(identity(zero_slope.sigma_a()), zero_slope,
                         InitialLaw.dirac(0.0), 3, 0)
-    asym = BarParams(a0=0.3, a1=0.4)
-    with pytest.raises(ConfigError):
-        subcritical_variance(FunctionalSeq.single(f), asym)
 
 
 def test_subcritical_variance_matches_simulation():
