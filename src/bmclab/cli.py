@@ -163,16 +163,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _resolve_threads(flag) -> int:
-    value = flag if flag is not None else os.environ.get("BMC_LAB_THREADS")
-    if value is None:
-        return 1
-    threads = _as_int(value, "--threads")
-    if threads < 1:
-        raise ConfigError("--threads must be positive")
-    return threads
-
-
 def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -371,7 +361,8 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
 
 def _run_supercritical(cfg: dict, out_dir: str, threads: int,
                        args: argparse.Namespace) -> list[str]:
-    ecfg = _experiment_config(cfg)
+    # The study reads one test function, never a shape.
+    ecfg = _experiment_config({**cfg, "shape": "single"})
     res = supercritical_study(ecfg, threads=threads)
     path = os.path.join(out_dir, "supercritical.csv")
     _write_csv(path, ("level", "martingale_l1_diff"),
@@ -399,7 +390,7 @@ def _run_martingale(cfg: dict, out_dir: str, threads: int,
 
 def _run_check_assumptions(cfg: dict, out_dir: str, threads: int,
                            args: argparse.Namespace) -> list[str]:
-    report = check_assumptions(cfg["a"], sigma=cfg["sigma"])
+    report = check_assumptions(cfg["a"])
     text = json.dumps(report.as_json_dict(), indent=2)
     print(text)
     if args.out is None:
@@ -450,7 +441,9 @@ _COMMANDS: dict[str, _Command] = {
         _run_slopes, switches=(("--plot", "also write slopes.svg"),)),
     "supercritical": _Command(
         "rescaled-statistic ratio and martingale increments",
-        _SIMULATION_DEFAULTS, _run_supercritical),
+        {"a": None, "sigma": 1.0, "n": None, "replicas": None, "f": "x",
+         "nu": "stationary", "seed": 0},
+        _run_supercritical),
     "martingale": _Command(
         "one martingale path along a simulated tree",
         {"a": None, "sigma": 1.0, "n": None, "f": "x", "nu": "stationary",
@@ -458,7 +451,7 @@ _COMMANDS: dict[str, _Command] = {
         _run_martingale),
     "check-assumptions": _Command(
         "integrability thresholds for the density row",
-        {"a": None, "sigma": 1.0}, _run_check_assumptions),
+        {"a": None}, _run_check_assumptions),
 }
 
 
@@ -466,8 +459,7 @@ def _add_common(sub: argparse.ArgumentParser, keys) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--dump-config",
                      help="write the merged canonical config JSON to this path")
-    sub.add_argument("--threads",
-                     help="worker threads (default: BMC_LAB_THREADS or 1)")
+    sub.add_argument("--threads", default="1", help="worker threads (default 1)")
     sub.add_argument("--out", help="output directory (default: current)")
     for key in keys:
         sub.add_argument(_flag(key), dest=key, help=_OPTIONS[key][1])
@@ -506,7 +498,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if "nu" in raw:
         record["nu"] = str(raw["nu"])
 
-    threads = _resolve_threads(args.threads)
+    threads = _as_int(args.threads, "--threads")
+    if threads < 1:
+        raise ConfigError("--threads must be positive")
     out_dir = args.out if args.out is not None else "."
     if args.out is not None:
         os.makedirs(out_dir, exist_ok=True)

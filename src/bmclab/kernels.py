@@ -83,15 +83,15 @@ def pair_density(x, y, z, params: BarParams):
     return transition_density(x, y, params) * transition_density(x, z, params)
 
 
-def density_row_norm(x, a: float, sigma: float = 1.0):
+def density_row_norm(x, a: float):
     """L2 size of one density row: (integral of q(x,.)^2 d(invariant))^(1/2).
 
-    Closed form (1-a^4)^(-1/4) * exp(a^2(1-a^2)/(1+a^2) * x^2/(2 sigma^2)).
+    Closed form (1-a^4)^(-1/4) * exp(a^2(1-a^2)/(1+a^2) * x^2/2) at sigma = 1.
     """
     if not (-1.0 < a < 1.0):
         raise ConfigError(f"slope must lie in (-1, 1), got {a}")
     x = np.asarray(x, dtype=np.float64)
-    gamma = a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0 * sigma**2)
+    gamma = a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0)
     return (1.0 - a**4) ** -0.25 * np.exp(gamma * x * x)
 
 
@@ -102,6 +102,7 @@ def density_row_norm(x, a: float, sigma: float = 1.0):
 # divergent result otherwise, and the invariant integral of c*exp(g*x^2) is
 # c*(1-2g sa^2)^(-1/2) when 2g sa^2 < 1.  Finiteness of each norm is thus a
 # sign condition, decided exactly; quadrature serves as the cross-check.
+# Rescaling x by sigma changes no c or margin, so the checker works at sigma = 1.
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,9 @@ class AssumptionReport:
         return {**asdict(self), "flags": list(self.flags)}
 
 
-def _push_envelope(c: float, g: float, a: float, var: float) -> tuple[float, float, float]:
+def _push_envelope(c: float, g: float, a: float) -> tuple[float, float, float]:
     """Kernel action on c*exp(g x^2); returns (c', g', validity margin)."""
-    margin = 1.0 - 2.0 * g * var
+    margin = 1.0 - 2.0 * g
     if margin <= 0.0:
         return math.inf, math.inf, margin
     return c / math.sqrt(margin), g * a * a / margin, margin
@@ -129,21 +130,20 @@ _NEAR_THRESHOLD = 1e-3
 _CROSS_CHECK_ORDERS = (32, 64, 128)
 
 
-def check_assumptions(a: float, sigma: float = 1.0) -> AssumptionReport:
+def check_assumptions(a: float) -> AssumptionReport:
     """Decide the three integrability conditions for slope a.
 
     Returns exact sign-condition booleans; the finite norms; and flags for
     near-threshold margins or quadrature disagreement.  Booleans are never
     silently flipped by the numeric cross-check.
     """
-    BarParams.symmetric_params(a, sigma)
-    var = sigma**2
-    var_a = var / (1.0 - a * a)
+    BarParams.symmetric_params(a)
+    var_a = 1.0 / (1.0 - a * a)
     flags: list[str] = []
     norms: dict[str, float] = {}
 
     c_h = (1.0 - a**4) ** -0.25
-    g_h = a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0 * var)
+    g_h = a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0)
 
     def l_norm(c: float, g: float, power: int) -> tuple[bool, float, float]:
         """(finite?, norm value, margin) of the L^power invariant norm.
@@ -157,11 +157,11 @@ def check_assumptions(a: float, sigma: float = 1.0) -> AssumptionReport:
         return True, (c**power / math.sqrt(margin)) ** (1.0 / power), margin
 
     h_finite, h_norm, h_margin = l_norm(c_h, g_h, 4)
-    c_qh, g_qh, _ = _push_envelope(c_h, g_h, a, var)
+    c_qh, g_qh, _ = _push_envelope(c_h, g_h, a)
     qh_finite, qh_norm, qh_margin = l_norm(c_qh, g_qh, 4)
 
     # Composite: (one kernel step of (Qh)^2) times Qh, measured in L2.
-    c_sq, g_sq, push_margin = _push_envelope(c_qh**2, 2.0 * g_qh, a, var)
+    c_sq, g_sq, push_margin = _push_envelope(c_qh**2, 2.0 * g_qh, a)
     if push_margin > 0.0:
         c_mix, g_mix = c_sq * c_qh, g_sq + g_qh
         hs_finite, hs_norm, hs_margin = l_norm(c_mix, g_mix, 2)
@@ -181,7 +181,7 @@ def check_assumptions(a: float, sigma: float = 1.0) -> AssumptionReport:
 
     targets = (("h_L4", h_finite, h_norm, 4), ("Qh_L4", qh_finite, qh_norm, 4),
                ("hilsch2", hs_finite, hs_norm, 2))
-    flags.extend(_quadrature_cross_check(a, sigma, targets))
+    flags.extend(_quadrature_cross_check(a, targets))
     return AssumptionReport(
         a=a,
         h_in_L4=h_finite,
@@ -192,14 +192,14 @@ def check_assumptions(a: float, sigma: float = 1.0) -> AssumptionReport:
     )
 
 
-def _quadrature_cross_check(a, sigma, targets) -> list[str]:
+def _quadrature_cross_check(a, targets) -> list[str]:
     """Evaluate the three norm integrals numerically at increasing orders.
 
     targets holds (name, finite?, closed-form norm, power) per integral.
     Finite cases must approach the closed form; divergent cases must grow
     with the order.  Either failure is reported as a flag.
     """
-    var_a = sigma**2 / (1.0 - a * a)
+    var_a = 1.0 / (1.0 - a * a)
     sa = math.sqrt(var_a)
     rt2 = math.sqrt(2.0)
     flags: list[str] = []
@@ -208,15 +208,15 @@ def _quadrature_cross_check(a, sigma, targets) -> list[str]:
         t, w = hermite_nodes(order)
         wn = w / math.sqrt(math.pi)
         xs = sa * rt2 * t
-        h_xs = density_row_norm(xs, a, sigma)
+        h_xs = density_row_norm(xs, a)
         i1 = float(np.dot(wn, h_xs**4))
         # Values of one kernel step of h on the outer grid, then on the
         # two-level grid needed by the composite integrand.
-        mids = a * xs[:, None] + sigma * rt2 * t[None, :]
-        qh_xs = np.dot(density_row_norm(mids, a, sigma), wn)
+        mids = a * xs[:, None] + rt2 * t[None, :]
+        qh_xs = np.dot(density_row_norm(mids, a), wn)
         i2 = float(np.dot(wn, qh_xs**4))
-        deep = a * mids[:, :, None] + sigma * rt2 * t[None, None, :]
-        qh_mids = np.dot(density_row_norm(deep, a, sigma), wn)
+        deep = a * mids[:, :, None] + rt2 * t[None, None, :]
+        qh_mids = np.dot(density_row_norm(deep, a), wn)
         q_qh_sq = np.dot(qh_mids**2, wn)
         i3 = float(np.dot(wn, (q_qh_sq * qh_xs) ** 2))
         return i1, i2, i3

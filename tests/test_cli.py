@@ -200,11 +200,6 @@ def test_thread_count_leaves_outputs_bitwise_identical(tmp_path, capsys,
         assert code == 0
         outputs.append((_read(out / "clt.csv"), _read(out / "stats.csv")))
     assert outputs[0] == outputs[1]
-    monkeypatch.setenv("BMC_LAB_THREADS", "3")
-    out = tmp_path / "env"
-    assert main(["clt", "--a", "0.5", "--n", "7", "--replicas", "64",
-                 "--seed", "2", "--out", str(out)]) == 0
-    assert (_read(out / "clt.csv"), _read(out / "stats.csv")) == outputs[0]
     capsys.readouterr()
 
 
@@ -229,9 +224,27 @@ def test_exit_codes(tmp_path, capsys):
 
 # 1e-200 squares to zero, 1e-160 to a subnormal and 1e200 to inf.
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "1e-200", "1e-160", "1e200"])
-def test_check_assumptions_rejects_bad_sigma(sigma, capsys):
-    assert main(["check-assumptions", "--a", "0.5", "--sigma", sigma]) == 2
+def test_variance_rejects_bad_sigma(sigma, capsys):
+    assert main(["variance", "--a", "0.5", "--sigma", sigma]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+def test_settings_that_changed_nothing_are_gone(tmp_path, capsys, monkeypatch):
+    # The assumption report depends on the slope alone and the supercritical
+    # study reads one test function, never its shape.
+    assert main(["check-assumptions", "--a", "0.5", "--sigma", "1"]) == 2
+    assert main(["supercritical", "--a", "0.85", "--n", "4", "--replicas", "5",
+                 "--shape", "single", "--out", str(tmp_path)]) == 2
+    for command, extra in (("check-assumptions", {"sigma": 1.0}),
+                           ("supercritical", {"n": 4, "replicas": 5,
+                                              "shape": "single"})):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps({"a": 0.85, **extra}), encoding="utf-8")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    # --threads is the one way to set the thread count.
+    monkeypatch.setenv("BMC_LAB_THREADS", "0")
+    assert main(["variance", "--a", "0.5"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("sigma", ["1e160", "1e-200", "1e-160"])
@@ -286,9 +299,9 @@ _test_functions = st.one_of(
 @given(command=st.sampled_from(["variance", "check-assumptions"]), a=_slopes,
        sigma=_sigmas, f=_test_functions, shape=st.sampled_from(["single", "tree"]))
 def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, f, shape):
-    argv = [command, "--a", _number(a), "--sigma", _number(sigma)]
+    argv = [command, "--a", _number(a)]
     if command == "variance":
-        argv += ["--f", f, "--shape", shape]
+        argv += ["--sigma", _number(sigma), "--f", f, "--shape", shape]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
