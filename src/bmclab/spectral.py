@@ -73,20 +73,10 @@ class SpectralFn:
         return len(self.coeffs) - 1
 
     def evaluate(self, x):
-        """Pointwise values via the three-term Hermite recurrence."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        u = np.atleast_1d(np.asarray(x, dtype=np.float64)) / self.sigma_a
-        c = self.coeffs
-        total = np.full_like(u, c[0])
-        if len(c) > 1:
-            prev = np.ones_like(u)
-            cur = u.copy()
-            total += c[1] * cur
-            for n in range(1, len(c) - 1):
-                prev, cur = cur, u * cur - n * prev
-                if c[n + 1] != 0.0:
-                    total += c[n + 1] * cur
-        return float(total[0]) if scalar else total
+        """Pointwise values, summed by numpy's Clenshaw recurrence."""
+        values = hermite_e.hermeval(np.asarray(x, dtype=np.float64) / self.sigma_a,
+                                    self.coeffs)
+        return float(values) if np.ndim(values) == 0 else values
 
     def __call__(self, x):
         return self.evaluate(x)

@@ -63,14 +63,14 @@ GOLDEN = {
         "stats.csv": "1210bfed7359d2da028654d518e59311",
     },
     "clt-subcritical": {
-        "clt.csv": "cfbf8a94e502a5280e07c1fe284e0b13",
-        "stats.csv": "7ae330426e35fc765b48bcb992e12095",
+        "clt.csv": "3999d13519d7e900a32f55bf1feec6d3",
+        "stats.csv": "122b1a194c33fd8df0ba878e462a27e6",
     },
     "martingale": {
         "martingale.csv": "88f27e566d3de0a312d1d9388f91c2f0",
     },
     "simulate": {
-        "stats.csv": "90dd038cac2e69890d7dc5d67896fa2e",
+        "stats.csv": "de39f0f5d2b9763fb7107b3031b1b3b7",
     },
     "slopes": {
         "slopes.csv": "0b8ce7ae7107d1d9dab5c9fcdf501717",

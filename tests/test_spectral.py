@@ -31,6 +31,53 @@ def random_fn(rng, degree, sigma_a):
     return SpectralFn(sigma_a=sigma_a, coeffs=rng.normal(size=degree + 1))
 
 
+def recurrence_values(coeffs, u):
+    """Reference sum of c_n He_n(u) by the forward three-term recurrence
+    He_{n+1}(u) = u He_n(u) - n He_{n-1}(u)."""
+    total = np.full_like(u, coeffs[0])
+    prev, cur = np.ones_like(u), u.copy()
+    for n in range(1, len(coeffs)):
+        total += coeffs[n] * cur
+        prev, cur = cur, u * cur - n * prev
+    return total
+
+
+def absolute_series(coeffs, u):
+    """sum |c_n| He+_n(|u|), with He+_{n+1}(t) = t He+_n(t) + n He+_{n-1}(t):
+    it bounds every partial sum either summation order forms."""
+    t = np.abs(u)
+    total = np.full_like(u, abs(coeffs[0]))
+    prev, cur = np.ones_like(u), t.copy()
+    for n in range(1, len(coeffs)):
+        total += abs(coeffs[n]) * cur
+        prev, cur = cur, t * cur + n * prev
+    return total
+
+
+def test_evaluate_matches_recurrence():
+    # Clenshaw summation rounds differently from the forward recurrence;
+    # both stay within 4 (degree + 1)^2 ulps of the absolute series.
+    # Degree <= 1 is the same arithmetic (c0 + c1 u), so it must be exact.
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(9)
+    for degree in list(range(13)) + [20, 40, DEGREE_CAP]:
+        for _ in range(4):
+            sigma_a = float(rng.uniform(0.3, 3.0))
+            f = random_fn(rng, degree, sigma_a)
+            xs = sigma_a * rng.uniform(-8.0, 8.0, size=257)
+            got = f.evaluate(xs)
+            want = recurrence_values(f.coeffs, xs / sigma_a)
+            if degree <= 1:
+                assert np.array_equal(got, want)
+                continue
+            tol = 4.0 * (degree + 1) ** 2 * eps * absolute_series(f.coeffs, xs / sigma_a)
+            assert np.all(np.abs(got - want) <= tol), degree
+    f = from_monomial([0.3, 1.0, 0.5, 0.2], 1.2)
+    assert type(f.evaluate(0.7)) is float
+    assert f.evaluate(np.float64(0.7)) == f.evaluate(np.array([0.7]))[0]
+    assert f.evaluate(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_from_monomial_pinned_cases():
     f = from_monomial([0.0, 1.0], sigma_a=2.0)
     assert np.allclose(f.coeffs, [0.0, 2.0])
