@@ -27,6 +27,7 @@ from .errors import ComputationRejected, ConfigError, ResourceCapError
 from .experiments import (
     DEFAULT_N_MIN,
     DEFAULT_OUTER_REPEATS,
+    SLOPE_RUNS_MAX,
     ExperimentConfig,
     clt_study,
     h1,
@@ -131,10 +132,13 @@ def _parse_alphas(value, name: str = "--alphas") -> list[float]:
         start = _as_float(parts[0], f"{name} start")
         stop = _as_float(parts[1], f"{name} stop")
         step = _as_float(parts[2], f"{name} step")
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"{name} grid needs step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 10) for i in range(count)]
+        if not (math.isfinite(start) and start <= stop < math.inf
+                and 0.0 < step < math.inf):
+            raise ConfigError(f"{name} grid needs finite bounds, step > 0, stop >= start")
+        last = (stop - start) / step + 1e-9
+        if last >= SLOPE_RUNS_MAX:
+            raise ResourceCapError(f"{name} grid exceeds the cap of {SLOPE_RUNS_MAX:,} points")
+        return [round(start + i * step, 10) for i in range(math.floor(last) + 1)]
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
@@ -524,6 +528,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    # argparse takes a token such as -5e-07 for a flag, so a value flag and a
+    # negative number after it become one token, "--a=-5e-07".
+    argv = list(sys.argv[1:] if argv is None else argv)
+    value_flags = {"--config", "--dump-config", "--threads", "--out", *map(_flag, _OPTIONS)}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in value_flags and re.match(r"-(\.?\d|inf|nan)", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationRejected, ConfigError, RegimeError
+from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
 from .kernels import CRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .rng import RandomStream
 from .spectral import SpectralFn, center, from_monomial, project_linear
@@ -31,6 +31,7 @@ from .variance import critical_variance, subcritical_variance
 
 DEFAULT_N_MIN = 5
 DEFAULT_OUTER_REPEATS = 20
+SLOPE_RUNS_MAX = 1 << 16  # grid slopes x outer repeats, one batch of trees each
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,9 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
         raise ConfigError(f"unknown target {target!r}")
     if outer_repeats < 1:
         raise ConfigError("outer_repeats must be positive")
+    if len(alphas) * outer_repeats > SLOPE_RUNS_MAX:
+        raise ResourceCapError(f"{len(alphas)} x {outer_repeats} slope runs exceed "
+                               f"the cap of {SLOPE_RUNS_MAX:,}")
 
     master = RandomStream.from_seed(master_seed)
     results: list[SlopeResult] = []

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bmclab.experiments as experiments
 import bmclab.treesim as treesim
 from bmclab.cli import _parse_alphas, _parse_f, _parse_nu, main
-from bmclab.errors import ConfigError
+from bmclab.errors import ConfigError, ResourceCapError
 
 
 def _read(path):
@@ -64,6 +65,15 @@ def test_parse_alpha_grids():
         _parse_alphas("0.1:0.9")
     with pytest.raises(ConfigError):
         _parse_alphas([0.2, "a"])
+    for bad in ("0.1:0.9:nan", "0.1:nan:0.1", "-inf:0.5:0.1", "0.1:inf:0.1",
+                "0.1:0.9:inf"):
+        with pytest.raises(ConfigError):
+            _parse_alphas(bad)
+    # 800,001 points: the count is checked before the list is built.
+    with pytest.raises(ResourceCapError):
+        _parse_alphas("0.1:0.9:1e-6")
+    with pytest.raises(ResourceCapError):
+        _parse_alphas("-1e300:1e300:1e-300")
 
 
 def test_help_exits_zero(capsys):
@@ -158,23 +168,53 @@ def test_clt_csv_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Per command: flags that enter the config, and switches that do not.
+_ROUND_TRIPS = {
+    "simulate": (["--a", "0.5", "--n", "6", "--replicas", "20", "--f", "x^2",
+                  "--seed", "11"], []),
+    "variance": (["--a", "-0.6", "--sigma", "1.3", "--f", "0.3,1,0.5,0.2",
+                  "--shape", "tree"], []),
+    "clt": (["--a", "0.5", "--n", "5", "--replicas", "20", "--shape", "tree",
+             "--nu", "gaussian:0.1,2", "--seed", "3"], []),
+    "slopes": (["--alphas", "0.3,0.6", "--n", "7", "--n-min", "2", "--target", "Tn",
+                "--replicas", "10", "--outer-repeats", "2", "--seed", "5"], ["--plot"]),
+    "supercritical": (["--a", "0.85", "--n", "5", "--replicas", "10",
+                       "--nu", "dirac:-0.0", "--seed", "2"], []),
+    "martingale": (["--a", "0.85", "--n", "5", "--f", "x^3", "--seed", "4"], []),
+    "check-assumptions": (["--a", "0.75"], []),
+}
+
+
+def _run_round_trip_side(argv, out, dumped, capsys):
+    """Run once; return the outputs but the manifest, the stdout lines that
+    name no path, and the digest of the config dumped to `dumped`."""
+    assert main(argv + ["--dump-config", str(dumped), "--out", str(out)]) == 0, argv
+    lines = capsys.readouterr().out.splitlines()
+    digest = re.search(r"\(digest (\w+)\)", lines[0]).group(1)
+    printed = [line for line in lines[1:]
+               if not line.startswith(("wrote ", "manifest: "))]
+    files = {name: _read(out / name) for name in sorted(os.listdir(out))
+             if name != "manifest.json"}
+    if os.path.exists(out / "manifest.json"):
+        assert json.loads(_read(out / "manifest.json"))["config_digest"] == digest
+    return files, printed, digest
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
-    first = tmp_path / "first"
-    second = tmp_path / "second"
-    cfg_path = tmp_path / "run.json"
-    flags = ["simulate", "--a", "0.5", "--n", "6", "--replicas", "20",
-             "--f", "x^2", "--seed", "11"]
-    assert main(flags + ["--dump-config", str(cfg_path), "--out", str(first)]) == 0
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(second)]) == 0
-    assert _read(first / "stats.csv") == _read(second / "stats.csv")
-    m1 = json.loads(_read(first / "manifest.json"))
-    m2 = json.loads(_read(second / "manifest.json"))
-    assert m1["config_digest"] == m2["config_digest"]
-    dumped = json.loads(_read(cfg_path))
+    for command, (flags, switches) in _ROUND_TRIPS.items():
+        first_cfg = tmp_path / f"{command}-1.json"
+        first = _run_round_trip_side([command, *flags, *switches],
+                                     tmp_path / f"{command}-1", first_cfg, capsys)
+        second_cfg = tmp_path / f"{command}-2.json"
+        second = _run_round_trip_side([command, "--config", str(first_cfg), *switches],
+                                      tmp_path / f"{command}-2", second_cfg, capsys)
+        assert first == second, command
+        assert _read(first_cfg) == _read(second_cfg), command
+        assert command == "variance" or first[0], command
+    dumped = json.loads(_read(tmp_path / "simulate-1.json"))
     assert dumped["command"] == "simulate"
     assert dumped["f"] == [0.0, 0.0, 1.0]
     assert dumped["seed"] == 11
-    capsys.readouterr()
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -268,6 +308,36 @@ def test_replica_count_over_the_cap_exits_four(tmp_path, capsys):
         assert "cap" in capsys.readouterr().err
 
 
+def test_slope_grid_is_checked_before_simulating(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
+    base = ["slopes", "--n", "8", "--replicas", "4", "--out", str(tmp_path)]
+    for grid in ("0.1:0.9:nan", "0.1:nan:0.1", "-inf:0.5:0.1"):
+        assert main(base + [f"--alphas={grid}"]) == 2
+        assert "--alphas" in capsys.readouterr().err
+    for grid, repeats in (("0.1:0.9:1e-6", "2"), ("0.5", str(10**6)),
+                          ("-1e300:1e300:1e-300", "1")):
+        assert main(base + [f"--alphas={grid}", "--outer-repeats", repeats]) == 4
+        assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head,flag,value,code", [
+    (["variance", "--f", "x"], "--a", "-5e-07", 0),
+    (["variance", "--a", "0.5"], "--sigma", "-1e-05", 2),
+    (["variance", "--a", "0.5"], "--f", "-1.5e3,2", 0),
+], ids=["a", "sigma", "f"])
+def test_spaced_negative_values_read_as_values(head, flag, value, code, capsys):
+    assert main(head + [flag, value]) == code
+    spaced = capsys.readouterr()
+    assert main(head + [f"{flag}={value}"]) == code
+    assert capsys.readouterr() == spaced
+    if code == 2:
+        # Rejected by the sigma check, not by argparse.
+        assert "sigma must be positive" in spaced.err
+
+
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 _ROOT_HALF = math.sqrt(0.5)
 
@@ -342,7 +412,6 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
        n_min=st.integers(-3, 3))
 def test_tree_commands_exit_cleanly_and_write_finite_numbers(
         command, a, sigma, f, n, replicas, n_min):
-    # The --flag=value form keeps argparse from reading "-1e-05" as a flag.
     argv = [command, f"--sigma={_number(sigma)}", f"--f={f}", f"--n={n}"]
     if command == "slopes":
         argv += [f"--alphas={_number(a)}", f"--n-min={n_min}",

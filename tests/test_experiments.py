@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from bmclab.errors import ComputationRejected, ConfigError, RegimeError
+import bmclab.experiments as experiments
+from bmclab.errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
 from bmclab.experiments import (
+    SLOPE_RUNS_MAX,
     ExperimentConfig,
     _fit_loglog,
     clt_study,
@@ -207,6 +209,18 @@ def test_slope_study_validation():
     for n_min in (-1, -3, -40):
         with pytest.raises(ConfigError, match="n_min"):
             slope_study([0.5], [0.0, 1.0], n_max=5, n_min=n_min, replicas=10)
+
+
+def test_slope_study_caps_runs_before_simulating(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the run cap was checked")
+
+    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
+    with pytest.raises(ResourceCapError, match="cap"):
+        slope_study([0.5], [0.0, 1.0], n_max=8, replicas=4, outer_repeats=10**6)
+    with pytest.raises(ResourceCapError, match="cap"):
+        slope_study([0.5, 0.6], [0.0, 1.0], n_max=8, replicas=4,
+                    outer_repeats=SLOPE_RUNS_MAX // 2 + 1)
 
 
 def test_thread_count_does_not_change_results():
