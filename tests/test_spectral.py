@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.quadrature import gaussian_expect
+from bmclab.quadrature import gaussian_expect, hermite_nodes
 from bmclab.spectral import (
     DEGREE_CAP,
+    TRIM_EPS,
     SpectralFn,
     apply_kernel,
     as_monomial,
@@ -54,11 +58,28 @@ def absolute_series(coeffs, u):
     return total
 
 
+# Derandomized draws for the algebra identities: a stationary scale and
+# coefficient vectors up to degree 6.  Each bound below is in ulps of an
+# absolute series, plus TRIM_EPS absolutely: the module drops coefficients
+# below TRIM_EPS, and subnormal results carry no relative precision.
+_property = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+_scales = st.floats(0.25, 4.0)
+_coeffs = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7)
+_EPS = np.finfo(np.float64).eps
+
+
+def product_scale(f, g, u):
+    """Absolute series of f, g and their product at u = x / sigma_a: it bounds
+    every sum that hermemul and either evaluation form."""
+    abs_fg = hermite_e.hermemul(np.abs(f.coeffs), np.abs(g.coeffs))
+    return (absolute_series(abs_fg, u)
+            + absolute_series(f.coeffs, u) * absolute_series(g.coeffs, u))
+
+
 def test_evaluate_matches_recurrence():
     # Clenshaw summation rounds differently from the forward recurrence;
     # both stay within 4 (degree + 1)^2 ulps of the absolute series.
     # Degree <= 1 is the same arithmetic (c0 + c1 u), so it must be exact.
-    eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(9)
     for degree in list(range(13)) + [20, 40, DEGREE_CAP]:
         for _ in range(4):
@@ -70,7 +91,7 @@ def test_evaluate_matches_recurrence():
             if degree <= 1:
                 assert np.array_equal(got, want)
                 continue
-            tol = 4.0 * (degree + 1) ** 2 * eps * absolute_series(f.coeffs, xs / sigma_a)
+            tol = 4.0 * (degree + 1) ** 2 * _EPS * absolute_series(f.coeffs, xs / sigma_a)
             assert np.all(np.abs(got - want) <= tol), degree
     f = from_monomial([0.3, 1.0, 0.5, 0.2], 1.2)
     assert type(f.evaluate(0.7)) is float
@@ -113,15 +134,16 @@ def test_orthogonality_weights():
             assert abs(got - want) < 1e-12 * max(1.0, want)
 
 
-def test_inner_matches_quadrature():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        sigma_a = float(rng.uniform(0.4, 2.5))
-        f = random_fn(rng, int(rng.integers(0, 7)), sigma_a)
-        g = random_fn(rng, int(rng.integers(0, 7)), sigma_a)
-        want = gaussian_expect(lambda x: f.evaluate(x) * g.evaluate(x), std=sigma_a, order=64)
-        got = stationary_inner(f, g)
-        assert abs(got - want) < 1e-10 * (1.0 + abs(want))
+@_property
+@given(sigma_a=_scales, cf=_coeffs, cg=_coeffs)
+def test_inner_matches_quadrature(sigma_a, cf, cg):
+    # 64 nodes integrate degree <= 127 exactly, so only rounding separates
+    # the two: 1e3 ulps of the quadrature of the absolute product series.
+    f = SpectralFn(sigma_a=sigma_a, coeffs=np.array(cf))
+    g = SpectralFn(sigma_a=sigma_a, coeffs=np.array(cg))
+    want = gaussian_expect(lambda x: f.evaluate(x) * g.evaluate(x), std=sigma_a)
+    scale = gaussian_expect(lambda x: product_scale(f, g, x / sigma_a), std=sigma_a)
+    assert abs(stationary_inner(f, g) - want) <= 1e3 * _EPS * scale + TRIM_EPS
 
 
 def test_inner_examples():
@@ -173,32 +195,34 @@ def test_multi_step_composes():
     assert apply_kernel(f, 0.7, 0) is f
 
 
-def test_product_pinned_and_oracle():
-    sigma_a = 1.1
+@_property
+@given(sigma_a=_scales, cf=_coeffs, cg=_coeffs)
+def test_product_pinned_and_oracle(sigma_a, cf, cg):
+    # Tolerances: 4 (degree + 1)^2 ulps of the absolute series for pointwise
+    # values, 1e3 ulps of its quadrature for the projections.
     g1 = basis(1, sigma_a)
-    sq = product(g1, g1)
-    assert np.allclose(sq.coeffs, [1.0, 0.0, 1.0])
-    rng = np.random.default_rng(5)
-    xs = np.linspace(-6.0 * sigma_a, 6.0 * sigma_a, 31)
-    for _ in range(20):
-        f = random_fn(rng, 4, sigma_a)
-        g = random_fn(rng, 4, sigma_a)
-        fg = product(f, g)
-        assert np.allclose(product(f, constant(1.0, sigma_a)).coeffs, f.coeffs)
-        want = f.evaluate(xs) * g.evaluate(xs)
-        got = fg.evaluate(xs)
-        scale = np.max(np.abs(want)) + 1.0
-        assert np.max(np.abs(got - want)) < 1e-10 * scale
-        # Projection of the pointwise product onto each basis element.
-        for k in range(min(5, fg.degree + 1)):
-            bk = basis(k, sigma_a)
-            want_k = gaussian_expect(
-                lambda x: f.evaluate(x) * g.evaluate(x) * bk.evaluate(x),
-                std=sigma_a,
-                order=64,
-            ) / float(math.factorial(k))
-            got_k = fg.coeffs[k] if k < len(fg.coeffs) else 0.0
-            assert abs(got_k - want_k) < 1e-9 * (1.0 + abs(want_k))
+    assert np.allclose(product(g1, g1).coeffs, [1.0, 0.0, 1.0])
+    f = SpectralFn(sigma_a=sigma_a, coeffs=np.array(cf))
+    g = SpectralFn(sigma_a=sigma_a, coeffs=np.array(cg))
+    fg = product(f, g)
+    assert np.allclose(product(f, constant(1.0, sigma_a)).coeffs, f.coeffs)
+    xs = sigma_a * math.sqrt(2.0) * hermite_nodes(64)[0]  # nodes of N(0, sigma_a^2)
+    gap = np.abs(fg.evaluate(xs) - f.evaluate(xs) * g.evaluate(xs))
+    degree = f.degree + g.degree
+    tol = (4.0 * (degree + 1) ** 2 * _EPS * product_scale(f, g, xs / sigma_a)
+           + TRIM_EPS * absolute_series(np.ones(degree + 1), xs / sigma_a))
+    assert np.all(gap <= tol)
+    # Projection of the pointwise product onto each basis element.
+    for k in range(fg.degree + 1):
+        bk = basis(k, sigma_a)
+        want_k = gaussian_expect(
+            lambda x: f.evaluate(x) * g.evaluate(x) * bk.evaluate(x), std=sigma_a
+        ) / float(math.factorial(k))
+        scale_k = gaussian_expect(
+            lambda x: product_scale(f, g, x / sigma_a)
+            * absolute_series(bk.coeffs, x / sigma_a), std=sigma_a
+        ) / float(math.factorial(k))
+        assert abs(fg.coeffs[k] - want_k) <= 1e3 * _EPS * scale_k + TRIM_EPS
 
 
 def test_product_inner_consistency():
@@ -209,7 +233,36 @@ def test_product_inner_consistency():
         assert abs(stationary_inner(f, g) - product(f, g).coeffs[0]) < 1e-10
 
 
-def test_projectors():
+@_property
+@given(sigma_a=_scales, cf=_coeffs)
+def test_projectors(sigma_a, cf):
+    f = SpectralFn(sigma_a=sigma_a, coeffs=np.array(cf))
+    one = constant(1.0, sigma_a)
+    x = identity(sigma_a)
+    # center(f) changes c0 alone, to zero: its stationary mean.
+    centered = center(f)
+    assert centered.coeffs[0] == 0.0
+    assert np.array_equal(centered.coeffs[1:], f.coeffs[1:])
+    assert stationary_inner(one, centered) == 0.0
+    mean_scale = gaussian_expect(lambda v: absolute_series(f.coeffs, v / sigma_a),
+                                 std=sigma_a)
+    mean = gaussian_expect(centered.evaluate, std=sigma_a)
+    assert abs(mean) <= 1e3 * _EPS * mean_scale + TRIM_EPS
+    # project_linear is idempotent and leaves a residual orthogonal to x.
+    p = project_linear(f)
+    assert np.array_equal(project_linear(p).coeffs, p.coeffs)
+    residual = SpectralFn(sigma_a=sigma_a,
+                          coeffs=f.coeffs - np.pad(p.coeffs, (0, len(f.coeffs) - len(p.coeffs))))
+    # A c1 under the trim threshold is dropped from P f and stays in the
+    # residual, so the residual keeps at most TRIM_EPS of x.
+    assert abs(stationary_inner(residual, x)) <= TRIM_EPS * sigma_a
+    cross = gaussian_expect(lambda v: residual.evaluate(v) * v, std=sigma_a)
+    cross_scale = gaussian_expect(
+        lambda v: absolute_series(f.coeffs, v / sigma_a) * np.abs(v), std=sigma_a)
+    assert abs(cross) <= 1e3 * _EPS * cross_scale + TRIM_EPS
+
+
+def test_projectors_pinned():
     sigma_a = 2.0
     x = identity(sigma_a)
     assert np.allclose(project_linear(x).coeffs, x.coeffs)
