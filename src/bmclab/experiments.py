@@ -9,8 +9,11 @@ the averaged statistic against log of the population size over a grid of
 slopes, reproducing the phase transition in the decay exponent.
 
 All drivers derive their randomness from a master seed through per-replica
-(and per-grid-point) stream splits, so results are reproducible and
-independent of chunking or thread count.
+(and, for slope_study, per-outer-repeat) stream splits, so results are
+reproducible and independent of chunking or thread count.  slope_study
+simulates every grid slope on the same trees' normals (common random
+numbers): each slope's estimate keeps its law, and estimates at different
+slopes are correlated.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .variance import critical_variance, subcritical_variance
 
 DEFAULT_N_MIN = 5
 DEFAULT_OUTER_REPEATS = 20
-SLOPE_RUNS_MAX = 1 << 16  # grid slopes x outer repeats, one batch of trees each
+SLOPE_RUNS_MAX = 1 << 16  # grid slopes x outer repeats, one lane of a batch each
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,8 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
 
     keys = keys_for_replicas(RandomStream.from_seed(cfg.master_seed), cfg.replicas,
                              cfg.n, 2)
-    sums = generation_sums(cfg.params, cfg.nu, [center(f), project_linear(f)],
-                           cfg.n, keys, threads=threads)
+    sums = generation_sums([(cfg.params, [center(f), project_linear(f)])], cfg.nu,
+                           cfg.n, keys, threads=threads)[0]
 
     flags: list[str] = []
     scale = (2.0 * a) ** (-cfg.n)
@@ -214,7 +217,7 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     if a == 0.0:
         raise RegimeError("the additive martingale needs a nonzero slope")
     keys = keys_for_replicas(RandomStream.from_seed(master_seed), 1, n, 1)
-    sums = generation_sums(params, nu, [project_linear(f)], n, keys)
+    sums = generation_sums([(params, [project_linear(f)])], nu, n, keys)[0]
     # Python's scalar power, not numpy's vectorized one: the two can differ
     # in the last bit, and these values are written to martingale.csv.
     try:
@@ -242,12 +245,14 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
                 threads: int = 1) -> list[SlopeResult]:
     """Fit the variance decay exponent of the averaged statistic per slope.
 
-    For each grid slope alpha (and each outer repetition), simulates
-    `replicas` trees to depth n_max, computes across replicas the variance
-    of the size-averaged sum of f over the target population at every depth
-    in [n_min, n_max], and regresses log-variance on log-size.  f is a
-    monomial coefficient vector rescaled per alpha.  Depths with zero
-    variance are flagged and omitted from the regression.
+    Each outer repetition k simulates `replicas` trees to depth n_max from
+    the keys below master.split(k), with every grid slope alpha as one lane
+    over the same normals.  Per slope it computes across replicas the
+    variance of the size-averaged sum of f over the target population at
+    every depth in [n_min, n_max], and regresses log-variance on log-size.
+    f is a monomial coefficient vector rescaled per alpha.  Depths with zero
+    variance are flagged and omitted from the regression.  Results are
+    ordered by alpha, then by outer repetition.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -268,49 +273,58 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
                                f"the cap of {SLOPE_RUNS_MAX:,}")
 
     master = RandomStream.from_seed(master_seed)
-    results: list[SlopeResult] = []
-    for i, alpha in enumerate(alphas):
-        params = BarParams.symmetric_params(alpha, sigma)
-        fn = from_monomial(f, params.sigma_a())
-        for outer in range(outer_repeats):
-            keys = keys_for_replicas(master.split(i, outer), replicas, n_max, 1)
-            sums = generation_sums(params, nu, [fn], n_max, keys, threads=threads)
-            totals = np.cumsum(sums[:, :, 0], axis=1)
-            flags: list[str] = []
-            sizes: list[float] = []
-            variances: list[float] = []
-            for n in range(n_min, n_max + 1):
-                if target == "Gn":
-                    size = 2.0**n
-                    raw = sums[:, n, 0]
-                else:
-                    size = 2.0 ** (n + 1) - 1.0
-                    raw = totals[:, n]
-                var = float((raw / size).var(ddof=1))
-                if var <= 0.0:
-                    flags.append(f"degenerate-variance:n={n}")
-                    continue
-                sizes.append(size)
-                variances.append(var)
-            if len(sizes) < 2:
-                flags.append("insufficient-points")
-                slope, stderr = math.nan, math.nan
-            else:
-                slope, stderr = _fit_loglog(sizes, variances)
-            results.append(SlopeResult(
-                alpha=alpha,
-                n_min=n_min,
-                n_max=n_max,
-                slope=slope,
-                stderr=stderr,
-                replicas=replicas,
-                target=target,
-                outer_repeat=outer,
-                h1=h1(alpha),
-                h2=h2(alpha),
-                flags=tuple(flags),
-            ))
-    return results
+    lanes = []
+    for alpha in alphas:
+        params = BarParams(alpha, sigma)
+        lanes.append((params, [from_monomial(f, params.sigma_a())]))
+    runs: list[list[SlopeResult]] = [[] for _ in alphas]
+    for outer in range(outer_repeats):
+        keys = keys_for_replicas(master.split(outer), replicas, n_max, len(lanes))
+        sums = generation_sums(lanes, nu, n_max, keys, threads=threads)
+        for i, alpha in enumerate(alphas):
+            runs[i].append(_fit_slope(alpha, sums[i, :, :, 0], n_min, n_max, target,
+                                      outer))
+    return [res for per_alpha in runs for res in per_alpha]
+
+
+def _fit_slope(alpha: float, sums: np.ndarray, n_min: int, n_max: int,
+               target: str, outer: int) -> SlopeResult:
+    """One regression from the (replicas, n_max+1) generation sums of f."""
+    totals = np.cumsum(sums, axis=1)
+    flags: list[str] = []
+    sizes: list[float] = []
+    variances: list[float] = []
+    for n in range(n_min, n_max + 1):
+        if target == "Gn":
+            size = 2.0**n
+            raw = sums[:, n]
+        else:
+            size = 2.0 ** (n + 1) - 1.0
+            raw = totals[:, n]
+        var = float((raw / size).var(ddof=1))
+        if var <= 0.0:
+            flags.append(f"degenerate-variance:n={n}")
+            continue
+        sizes.append(size)
+        variances.append(var)
+    if len(sizes) < 2:
+        flags.append("insufficient-points")
+        slope, stderr = math.nan, math.nan
+    else:
+        slope, stderr = _fit_loglog(sizes, variances)
+    return SlopeResult(
+        alpha=alpha,
+        n_min=n_min,
+        n_max=n_max,
+        slope=slope,
+        stderr=stderr,
+        replicas=len(sums),
+        target=target,
+        outer_repeat=outer,
+        h1=h1(alpha),
+        h2=h2(alpha),
+        flags=tuple(flags),
+    )
 
 
 def slope_summary(results) -> list[SlopeSummary]:

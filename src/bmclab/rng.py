@@ -10,9 +10,8 @@ offset per tile) yields exactly the draws of the whole range.
 
 Standard normals come from the inverse normal CDF applied to 53-bit uniforms,
 which keeps every draw bit-stable across platforms at double precision.
-Each counter block yields one pair of normals; the tree simulation turns the
-pair into correlated children via the Cholesky factor of the noise
-covariance.
+Each counter block yields one pair of normals; the tree simulation uses the
+pair as the independent noises of a parent's two children.
 """
 
 from __future__ import annotations

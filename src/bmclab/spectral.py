@@ -104,7 +104,11 @@ def from_monomial(poly, sigma_a: float) -> SpectralFn:
         raise DegreeCapError(f"degree {len(p) - 1} exceeds the cap {DEGREE_CAP}")
     if not (np.isfinite(sigma_a) and sigma_a > 0.0):
         raise ConfigError("sigma_a must be finite and positive")
-    scaled = p * np.power(sigma_a, np.arange(len(p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = p * np.power(sigma_a, np.arange(len(p)))
+    if not np.all(np.isfinite(scaled)):
+        raise ConfigError(
+            f"the coefficients overflow once rescaled by sigma_a = {sigma_a:g}")
     return SpectralFn(sigma_a=sigma_a, coeffs=hermite_e.poly2herme(scaled))
 
 

@@ -9,8 +9,11 @@ function of (config, seed) regardless of chunking or thread count.
 
 generation_sums is the one simulation engine: it advances a batch of
 replicas and keeps only per-generation sums of the test functions, never a
-whole tree.  A single replica is a batch of one key.  replicate turns those
-sums into the normalized fluctuation statistics.
+whole tree.  A single replica is a batch of one key.  It runs several lanes
+over one key set: a lane is one BarParams with its test functions, and every
+lane applies its own affine step to the same normals (common random
+numbers), so each lane's bits are those of a call with that lane alone.
+replicate turns those sums into the normalized fluctuation statistics.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from .spectral import SpectralFn, center
 
 N_MAX = 22
 
-# Replica chunks are sized so one generation buffer stays near this many
-# doubles; the chunk grid depends only on (replicas, n), never on threads.
-CHUNK_VALUES = 1 << 22
+# Chunks of lanes x replicas are sized so one generation buffer stays near
+# this many doubles; the chunk grid depends only on (replicas, n, lanes),
+# never on threads.
+CHUNK_VALUES = 1 << 21
 
 TILE_VALUES = 1 << 15  # parents per tile of one generation step
 
@@ -110,10 +114,10 @@ class FunctionalSeq:
 
 
 def keys_for_replicas(master: RandomStream, replicas: int, n: int,
-                      n_funcs: int) -> np.ndarray:
+                      columns: int) -> np.ndarray:
     """Keys of replicas 0..replicas-1 below `master`, after checking that
-    they and their n+1 sums per function fit under the cap."""
-    need = replicas * (n + 2) * n_funcs * 8
+    they and their n+1 sums per column (lanes x functions) fit under the cap."""
+    need = replicas * (n + 2) * columns * 8
     if need > SUMS_BYTES_MAX:
         raise ResourceCapError(
             f"{replicas} replicas at depth {n} need {need:,} bytes of keys and "
@@ -121,25 +125,27 @@ def keys_for_replicas(master: RandomStream, replicas: int, n: int,
     return master.split_keys(np.arange(replicas))
 
 
-def _root_values(nu: InitialLaw, params: BarParams, keys: np.ndarray) -> np.ndarray:
-    rows = len(keys)
+def _root_values(nu: InitialLaw, lanes, keys: np.ndarray) -> np.ndarray:
+    """Roots of every lane, shape (lanes, rows, 1), from one shared draw."""
     if nu.kind == "dirac":
-        return np.full((rows, 1), nu.x0)
+        return np.full((len(lanes), len(keys), 1), nu.x0)
     z = batch_normal_pairs(derive_keys(keys, 0), 1)[0]
     if nu.kind == "stationary":
-        return params.sigma_a() * z
-    return nu.mean + math.sqrt(nu.var) * z
+        return np.stack([params.sigma_a() * z for params, _ in lanes])
+    return np.stack([nu.mean + math.sqrt(nu.var) * z] * len(lanes))
 
 
-def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray,
-             funcs=(), sums=None) -> np.ndarray:
-    """Children of every parent: out[:, 2c] and out[:, 2c+1] come from
-    values[:, c] and counter c of the row's key.  Tiles of at most TILE_VALUES
-    parents (whole rows, or column slices of a wider row) keep the Philox
-    words in cache; draws are addressed by counter, so tiles change no bit.
-    sums[r, j] gets the sum of funcs[j] over child row r once it is done."""
-    rows, width = values.shape
-    out = np.empty((rows, 2 * width))
+def _advance(values: np.ndarray, lanes, gen_keys: np.ndarray,
+             sums=None) -> np.ndarray:
+    """Children of every parent in every lane: out[l, :, 2c] and
+    out[l, :, 2c+1] come from values[l, :, c] and counter c of the row's key,
+    with the slope and noise scale of lanes[l] = (params, funcs).  Tiles of
+    at most TILE_VALUES parents (whole rows, or column slices of a wider row)
+    keep the Philox words in cache and draw each normal once for all lanes;
+    draws are addressed by counter, so tiles change no bit.  sums[l, r, j]
+    gets the sum of lane l's funcs[j] over child row r once it is done."""
+    _, rows, width = values.shape
+    out = np.empty((len(lanes), rows, 2 * width))
     cols = min(width, TILE_VALUES)
     step = max(1, TILE_VALUES // width)
     for lo in range(0, rows, step):
@@ -147,21 +153,33 @@ def _advance(values: np.ndarray, params: BarParams, gen_keys: np.ndarray,
         for c in range(0, width, cols):
             d = min(c + cols, width)
             z0, z1 = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
-            av = params.a * values[lo:hi, c:d]
-            out[lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
-            out[lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
-        for j, f in enumerate(funcs):
-            sums[lo:hi, j] = np.sum(f.evaluate(out[lo:hi]), axis=1)
+            for l, (params, _) in enumerate(lanes):
+                av = params.a * values[l, lo:hi, c:d]
+                out[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
+                out[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
+        if sums is not None:
+            _sum_funcs(out[:, lo:hi], lanes, sums[:, lo:hi])
     return out
 
 
-def generation_sums(params: BarParams, nu: InitialLaw, funcs, n: int,
-                    replica_keys: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Per-replica, per-generation sums of each function.
+def _sum_funcs(values: np.ndarray, lanes, sums: np.ndarray) -> None:
+    """sums[l, r, j] = sum of lane l's funcs[j] over row r of values[l]."""
+    for l, (_, funcs) in enumerate(lanes):
+        for j, f in enumerate(funcs):
+            sums[l, :, j] = np.sum(f.evaluate(values[l]), axis=1)
 
-    Returns an array of shape (replicas, n+1, len(funcs)) whose [r, g, j]
-    entry is the sum of funcs[j] over generation g of replica r.  Replicas
-    are processed in fixed chunks; the thread count never changes results.
+
+def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
+                    threads: int = 1) -> np.ndarray:
+    """Per-lane, per-replica, per-generation sums of each lane's functions.
+
+    `lanes` is a sequence of (BarParams, funcs) pairs with the same number of
+    functions each.  Returns an array of shape (lanes, replicas, n+1, funcs)
+    whose [l, r, g, j] entry is the sum of lane l's funcs[j] over generation
+    g of replica r.  Every lane simulates replica r from the same normals,
+    so lane l is bit for bit the output of a call with lanes[l] alone.  Work
+    runs in fixed (lane group, replica chunk) pieces; the thread count never
+    changes results.
     """
     if n < 0:
         raise ConfigError("tree depth must be nonnegative")
@@ -169,22 +187,30 @@ def generation_sums(params: BarParams, nu: InitialLaw, funcs, n: int,
         raise ResourceCapError(
             f"depth {n} exceeds the cap {N_MAX}; one generation alone needs "
             f"about {(1 << n) * 8:,} bytes per replica")
-    funcs = list(funcs)
+    lanes = [(params, list(funcs)) for params, funcs in lanes]
+    widths = {len(funcs) for _, funcs in lanes}
+    if len(widths) != 1:
+        raise ConfigError("need one or more lanes with equal function counts")
     keys = np.asarray(replica_keys, dtype=np.uint64)
     rows = len(keys)
-    out = np.empty((rows, n + 1, len(funcs)))
+    out = np.empty((len(lanes), rows, n + 1, widths.pop()))
 
-    chunk_rows = max(1, CHUNK_VALUES >> n)
-    spans = [(lo, min(lo + chunk_rows, rows)) for lo in range(0, rows, chunk_rows)]
+    # Lane rows per chunk; a grid too wide for one row per lane runs in groups.
+    budget = max(1, CHUNK_VALUES >> n)
+    group = min(len(lanes), budget)
+    chunk_rows = budget // group
+    spans = [(l0, min(l0 + group, len(lanes)), lo, min(lo + chunk_rows, rows))
+             for l0 in range(0, len(lanes), group)
+             for lo in range(0, rows, chunk_rows)]
 
     def work(span):
-        lo, hi = span
-        vals = _root_values(nu, params, keys[lo:hi])
-        for j, f in enumerate(funcs):
-            out[lo:hi, 0, j] = np.sum(f.evaluate(vals), axis=1)
+        l0, l1, lo, hi = span
+        part, sums = lanes[l0:l1], out[l0:l1, lo:hi]
+        vals = _root_values(nu, part, keys[lo:hi])
+        _sum_funcs(vals, part, sums[:, :, 0])
         for g in range(n):
-            vals = _advance(vals, params, derive_keys(keys[lo:hi], g + 1),
-                            funcs, out[lo:hi, g + 1])
+            vals = _advance(vals, part, derive_keys(keys[lo:hi], g + 1),
+                            sums[:, :, g + 1])
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -218,7 +244,7 @@ def replicate(config, threads: int = 1) -> np.ndarray:
     master = RandomStream.from_seed(int(config.master_seed))
     keys = keys_for_replicas(master, replicas, n, len(fseq.funcs))
     centered = [center(f) for f in fseq.funcs]
-    sums = generation_sums(params, config.nu, centered, n, keys, threads=threads)
+    sums = generation_sums([(params, centered)], config.nu, n, keys, threads=threads)[0]
 
     regime = classify_regime(a)
     if regime in (SUBCRITICAL, CRITICAL):

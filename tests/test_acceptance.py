@@ -132,8 +132,8 @@ def test_criterion_2_many_to_one_monte_carlo():
             keys = RandomStream.from_seed(seed).split(5).split_keys(
                 np.arange(replicas))
             seed += 1
-            sums = generation_sums(params, InitialLaw.dirac(x0), funcs,
-                                   depth, keys)
+            sums = generation_sums([(params, funcs)], InitialLaw.dirac(x0),
+                                   depth, keys)[0]
             for n in (5, 8):
                 for j, f in enumerate(funcs):
                     sample = sums[:, n, j]

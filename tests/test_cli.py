@@ -231,15 +231,24 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 def test_thread_count_leaves_outputs_bitwise_identical(tmp_path, capsys,
                                                        monkeypatch):
-    monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
-    outputs = []
-    for label, extra in (("t1", ["--threads", "1"]), ("t5", ["--threads", "5"])):
-        out = tmp_path / label
-        code = main(["clt", "--a", "0.5", "--n", "7", "--replicas", "64",
-                     "--seed", "2", "--out", str(out)] + extra)
-        assert code == 0
-        outputs.append((_read(out / "clt.csv"), _read(out / "stats.csv")))
-    assert outputs[0] == outputs[1]
+    # slopes runs its three alphas as lanes: by default in one chunk of all
+    # lanes, and with 64-value chunks in groups of one lane per row.
+    runs = (
+        (["clt", "--a", "0.5", "--n", "7", "--replicas", "64", "--seed", "2"],
+         ("clt.csv", "stats.csv")),
+        (["slopes", "--alphas", "0.3,0.6,0.8", "--n", "8", "--replicas", "24",
+          "--outer-repeats", "2", "--seed", "4", "--plot"],
+         ("slopes.csv", "slopes.svg")),
+    )
+    for argv, names in runs:
+        outputs = []
+        for label, chunk, threads in (("default", treesim.CHUNK_VALUES, "1"),
+                                      ("t1", 64, "1"), ("t5", 64, "5")):
+            monkeypatch.setattr(treesim, "CHUNK_VALUES", chunk)
+            out = tmp_path / f"{argv[0]}-{label}"
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.append(tuple((out / name).read_bytes() for name in names))
+        assert outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
 
 
@@ -321,6 +330,31 @@ def test_slope_grid_is_checked_before_simulating(tmp_path, capsys, monkeypatch):
                           ("-1e300:1e300:1e-300", "1")):
         assert main(base + [f"--alphas={grid}", "--outer-repeats", repeats]) == 4
         assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_rescaled_coefficients_that_overflow_exit_2(capsys):
+    # Both coefficients are finite; x * sigma_a is not, and numpy's overflow
+    # warning would fail this test.
+    assert main(["variance", "--a", "0.5", "--sigma", "1e150",
+                 "--f", "1e300,1e300"]) == 2
+    assert "overflow once rescaled by sigma_a" in capsys.readouterr().err
+
+
+def test_slope_sums_cap_counts_lanes(tmp_path, capsys, monkeypatch):
+    # 4 replicas at depth 8 need 4 * 10 * 8 = 320 bytes of keys and sums per
+    # lane: one alpha fits under 1000 bytes, four do not.
+    monkeypatch.setattr(treesim, "SUMS_BYTES_MAX", 1000)
+    base = ["slopes", "--n", "8", "--replicas", "4", "--out", str(tmp_path)]
+    assert main(base + ["--alphas", "0.5"]) == 0
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the sums cap was checked")
+
+    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
+    capsys.readouterr()
+    assert main(base + ["--alphas", "0.2,0.4,0.6,0.8"]) == 4
+    assert "cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("head,flag,value,code", [

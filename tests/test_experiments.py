@@ -186,6 +186,19 @@ def test_slope_study_outer_repeats_and_summary():
     assert summary.h1 == h1(0.5)
 
 
+def test_slope_grid_shares_trees_across_alphas():
+    # Outer repeat k draws its normals from master.split(k) whatever the
+    # grid, so each alpha's rows are the rows of that alpha run alone; rows
+    # stay alpha-major.
+    alphas = [0.3, 0.6, 0.8]
+    shared = dict(n_max=9, replicas=40, outer_repeats=2, master_seed=12, target="Tn")
+    grid = slope_study(alphas, [0.0, 1.0, 0.5], **shared)
+    assert [(res.alpha, res.outer_repeat) for res in grid] == [
+        (alpha, k) for alpha in alphas for k in range(2)]
+    for i, alpha in enumerate(alphas):
+        assert grid[2 * i:2 * i + 2] == slope_study([alpha], [0.0, 1.0, 0.5], **shared)
+
+
 def test_slope_study_degenerate_points():
     results = slope_study([0.5], [5.0], n_max=9, replicas=50, master_seed=0)
     res = results[0]

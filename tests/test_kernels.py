@@ -56,17 +56,17 @@ def test_regime_classification():
 def _children(x, params, seed, count):
     """count child pairs below trait x: one step of the engine's _advance."""
     keys = np.array([RandomStream.from_seed(seed).key], dtype=np.uint64)
-    out = _advance(np.full((1, count), float(x)), params, keys)[0]
+    out = _advance(np.full((1, 1, count), float(x)), [(params, [])], keys)[0, 0]
     return out[0::2], out[1::2]
 
 
 def _lineage(x, n, params, seed, count):
     """count traits n generations down the first-child lineage, by _advance."""
     keys = RandomStream.from_seed(seed).split_keys(np.arange(count))
-    vals = np.full((count, 1), float(x))
+    vals = np.full((1, count, 1), float(x))
     for g in range(n):
-        vals = _advance(vals, params, derive_keys(keys, g + 1))[:, :1]
-    return vals[:, 0]
+        vals = _advance(vals, [(params, [])], derive_keys(keys, g + 1))[:, :, :1]
+    return vals[0, :, 0]
 
 
 def test_children_deterministic_limit():

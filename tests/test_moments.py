@@ -172,7 +172,7 @@ def test_monte_carlo_agreement():
     g = identity(sig)
     n, rows = 6, 4000
     keys = RandomStream.from_seed(77).split_keys(np.arange(rows))
-    sums = generation_sums(params, InitialLaw.dirac(1.0), [f, g], n, keys)
+    sums = generation_sums([(params, [f, g])], InitialLaw.dirac(1.0), n, keys)[0]
     mf = sums[:, n, 0]
     mg4 = sums[:, 4, 1]
 

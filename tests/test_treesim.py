@@ -25,6 +25,11 @@ def _config(params, nu, fseq, n, replicas, master_seed):
     )
 
 
+def _advance1(parents, params, keys):
+    """One generation step of a single lane."""
+    return treesim._advance(parents[None], [(params, [])], keys)[0]
+
+
 def test_tree_index_navigation():
     # Node (g, p) has its children at (g + 1, 2p) and (g + 1, 2p + 1): each is
     # a*x_p plus sigma times one normal of the row's pair at counter p, with
@@ -32,7 +37,7 @@ def test_tree_index_navigation():
     a, sigma = -0.7, 1.1
     parents = np.array([[0.0, 1.0, -2.0, 3.5], [10.0, -1.0, 0.25, 7.0]])
     keys = _keys(4, 2)
-    children = treesim._advance(parents, BarParams(a, sigma), keys)
+    children = _advance1(parents, BarParams(a, sigma), keys)
     z0, z1 = batch_normal_pairs(keys, 4)
     assert children.shape == (2, 8)
     for p in range(4):
@@ -115,7 +120,7 @@ def _keys(seed, rows=1):
 def test_buffer_lengths_and_generations():
     params = BarParams.symmetric_params(0.5)
     one = constant(1.0, params.sigma_a())
-    sums = generation_sums(params, InitialLaw.stationary(), [one], 5, _keys(3, 2))
+    sums = generation_sums([(params, [one])], InitialLaw.stationary(), 5, _keys(3, 2))[0]
     assert sums.shape == (2, 6, 1)
     assert np.array_equal(sums[:, :, 0], np.tile(2.0 ** np.arange(6), (2, 1)))
 
@@ -124,7 +129,7 @@ def test_near_deterministic_limit():
     params = BarParams.symmetric_params(0.5, sigma=1e-12)
     sigma_a = params.sigma_a()
     funcs = [identity(sigma_a), from_monomial([0.0, 0.0, 1.0], sigma_a)]
-    sums = generation_sums(params, InitialLaw.dirac(1.0), funcs, 2, _keys(0))
+    sums = generation_sums([(params, funcs)], InitialLaw.dirac(1.0), 2, _keys(0))[0]
     # With the sum of x at 2^g a^g and of x^2 at 2^g a^(2g), every one of
     # the 2^g traits equals a^g.
     for g in (1, 2):
@@ -138,13 +143,13 @@ def test_rows_are_independent_of_the_batch(monkeypatch):
     nu = InitialLaw.gaussian(0.3, 0.8)
     funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
     keys = _keys(11, 5)
-    batch = generation_sums(params, nu, funcs, 6, keys)
+    batch = generation_sums([(params, funcs)], nu, 6, keys)[0]
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
-    assert np.array_equal(generation_sums(params, nu, funcs, 6, keys), batch)
+    assert np.array_equal(generation_sums([(params, funcs)], nu, 6, keys)[0], batch)
     monkeypatch.setattr(treesim, "TILE_VALUES", 7)
-    assert np.array_equal(generation_sums(params, nu, funcs, 6, keys), batch)
+    assert np.array_equal(generation_sums([(params, funcs)], nu, 6, keys)[0], batch)
     for r in range(len(keys)):
-        alone = generation_sums(params, nu, funcs, 6, keys[r:r + 1])
+        alone = generation_sums([(params, funcs)], nu, 6, keys[r:r + 1])[0]
         assert np.array_equal(batch[r], alone[0])
 
 
@@ -157,11 +162,11 @@ def test_tile_grid_does_not_change_results(monkeypatch, tile):
     funcs = [identity(1.0), from_monomial([0.0, 1.0, 0.5], 1.0)]
     keys = _keys(11, 5)
     parents = np.random.default_rng(3).standard_normal((3, 100))
-    baseline = generation_sums(params, nu, funcs, 9, keys)
-    children = treesim._advance(parents, params, keys[:3])
+    baseline = generation_sums([(params, funcs)], nu, 9, keys)[0]
+    children = _advance1(parents, params, keys[:3])
     monkeypatch.setattr(treesim, "TILE_VALUES", tile)
-    assert np.array_equal(generation_sums(params, nu, funcs, 9, keys), baseline)
-    assert np.array_equal(treesim._advance(parents, params, keys[:3]), children)
+    assert np.array_equal(generation_sums([(params, funcs)], nu, 9, keys)[0], baseline)
+    assert np.array_equal(_advance1(parents, params, keys[:3]), children)
 
 
 def test_same_stream_same_tree():
@@ -169,10 +174,10 @@ def test_same_stream_same_tree():
     nu = InitialLaw.stationary()
     funcs = [identity(params.sigma_a()),
              from_monomial([0.0, 0.0, 1.0], params.sigma_a())]
-    first = generation_sums(params, nu, funcs, 7, _keys(42))
-    second = generation_sums(params, nu, funcs, 7, _keys(42))
+    first = generation_sums([(params, funcs)], nu, 7, _keys(42))[0]
+    second = generation_sums([(params, funcs)], nu, 7, _keys(42))[0]
     assert np.array_equal(first, second)
-    other = generation_sums(params, nu, funcs, 7, _keys(43))
+    other = generation_sums([(params, funcs)], nu, 7, _keys(43))[0]
     assert not np.array_equal(first[0, 7], other[0, 7])
 
 
@@ -181,12 +186,12 @@ def test_depth_cap(monkeypatch):
     nu = InitialLaw.dirac(0.0)
     f = [identity(params.sigma_a())]
     with pytest.raises(ResourceCapError, match="bytes"):
-        generation_sums(params, nu, f, treesim.N_MAX + 1, _keys(0, 2))
+        generation_sums([(params, f)], nu, treesim.N_MAX + 1, _keys(0, 2))
     with pytest.raises(ConfigError):
-        generation_sums(params, nu, f, -1, _keys(0))
+        generation_sums([(params, f)], nu, -1, _keys(0))
     monkeypatch.setattr(treesim, "N_MAX", 5)
     with pytest.raises(ResourceCapError):
-        generation_sums(params, nu, f, 6, _keys(0))
+        generation_sums([(params, f)], nu, 6, _keys(0))
 
 
 def test_replica_cap():
@@ -212,7 +217,7 @@ def test_child_pair_joint_moments():
     keys = RandomStream.from_seed(7).split_keys(np.arange(rows))
     parents = np.full((rows, 1), 2.0)
     params = BarParams(a=0.4, sigma=1.2)
-    children = treesim._advance(parents, params, keys)
+    children = _advance1(parents, params, keys)
     y, z = children[:, 0], children[:, 1]
     se_mean = 4 * params.sigma / math.sqrt(rows)
     assert abs(y.mean() - 0.4 * 2.0) < se_mean
@@ -229,9 +234,9 @@ def test_leaf_marginal_distribution():
     params = BarParams.symmetric_params(a)
     nu = InitialLaw.dirac(x0)
     keys = _keys(19, 1500)
-    vals = treesim._root_values(nu, params, keys)
+    vals = treesim._root_values(nu, [(params, [])], keys)[0]
     for g in range(n):
-        vals = treesim._advance(vals, params, treesim.derive_keys(keys, g + 1))
+        vals = _advance1(vals, params, treesim.derive_keys(keys, g + 1))
     leaves = vals[:, 0]
     mean = a**n * x0
     std = math.sqrt((1.0 - a ** (2 * n)) * params.sigma_a() ** 2)
@@ -247,7 +252,7 @@ def test_generation_mean_matches_iterated_kernel():
         params = BarParams.symmetric_params(a)
         f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
         keys = RandomStream.from_seed(101).split_keys(np.arange(rows))
-        sums = generation_sums(params, InitialLaw.dirac(x0), [f], n, keys)
+        sums = generation_sums([(params, [f])], InitialLaw.dirac(x0), n, keys)[0]
         sample = sums[:, n, 0]
         exact = 2.0**n * apply_kernel(f, a, steps=n)(x0)
         se = sample.std(ddof=1) / math.sqrt(rows)
@@ -261,7 +266,7 @@ def test_fluctuation_statistic_shapes():
     nu = InitialLaw.stationary()
     f = from_monomial([0.2, 1.0, 0.3], sigma_a)
     g = from_monomial([0.0, 0.0, 1.0], sigma_a)
-    sums = generation_sums(params, nu, [center(f), center(g)], n, _keys(seed, 3))
+    sums = generation_sums([(params, [center(f), center(g)])], nu, n, _keys(seed, 3))[0]
     scale = math.sqrt(2.0**n)
 
     single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
@@ -289,7 +294,7 @@ def test_replicate_matches_simulate_per_replica():
     single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
     tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 3, seed))
     for r in range(3):
-        alone = generation_sums(params, nu, [center(f)], n, keys[r:r + 1])[0, :, 0]
+        alone = generation_sums([(params, [center(f)])], nu, n, keys[r:r + 1])[0, 0, :, 0]
         assert single[r] == pytest.approx(alone[n] / scale, rel=1e-12, abs=1e-12)
         assert tree[r] == pytest.approx(alone.sum() / scale, rel=1e-12, abs=1e-12)
 
@@ -302,14 +307,14 @@ def test_replicate_critical_and_supercritical_scaling():
     params = BarParams.symmetric_params(a_crit)
     f = identity(params.sigma_a())
     values = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
-    sums = generation_sums(params, nu, [center(f)], n, _keys(seed, 2))
+    sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     assert values == pytest.approx(sums[:, n, 0] / math.sqrt(n * 2.0**n), rel=1e-12)
 
     params = BarParams.symmetric_params(0.85)
     f = from_monomial([0.3, 1.0, 0.2], params.sigma_a())
     single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
     tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 2, seed))
-    sums = generation_sums(params, nu, [center(f)], n, _keys(seed, 2))
+    sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     scale = (2.0 * 0.85) ** n
     assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12)
     assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale, rel=1e-12)
@@ -344,3 +349,52 @@ def test_chunking_and_threads_do_not_change_results(monkeypatch):
     threaded = replicate(config, threads=8)
     assert np.array_equal(baseline, chunked)
     assert np.array_equal(baseline, threaded)
+
+
+def _lanes():
+    # Two functions per lane; the slopes include a negative one and the
+    # noise scales differ, so every lane has its own affine step.
+    lanes = []
+    for a, sigma in ((0.3, 1.0), (-0.6, 0.7), (0.85, 1.3)):
+        params = BarParams(a, sigma)
+        lanes.append((params, [identity(params.sigma_a()),
+                               from_monomial([0.2, -1.0, 0.5], params.sigma_a())]))
+    return lanes
+
+
+_ROOTS = [InitialLaw.dirac(0.4), InitialLaw.stationary(),
+          InitialLaw.gaussian(-0.3, 1.7)]
+
+
+@pytest.mark.parametrize("nu", _ROOTS, ids=["dirac", "stationary", "gaussian"])
+def test_each_lane_is_its_single_lane_call(nu):
+    lanes, keys = _lanes(), _keys(23, 6)
+    sums = generation_sums(lanes, nu, 9, keys)
+    assert sums.shape == (3, 6, 10, 2)
+    for l, lane in enumerate(lanes):
+        assert np.array_equal(sums[l], generation_sums([lane], nu, 9, keys)[0])
+
+
+@pytest.mark.parametrize("nu", _ROOTS, ids=["dirac", "stationary", "gaussian"])
+def test_lane_bits_ignore_chunks_tiles_and_threads(monkeypatch, nu):
+    lanes, keys = _lanes(), _keys(29, 7)
+    baseline = generation_sums(lanes, nu, 8, keys)
+    assert np.array_equal(generation_sums(lanes, nu, 8, keys, threads=5), baseline)
+    monkeypatch.setattr(treesim, "TILE_VALUES", 7)
+    # Rows hold 2^8 values: 1536 gives chunks of 2 rows of all 3 lanes; 512
+    # and 64 are below one row per lane, so lanes run in groups of 2 and 1.
+    for chunk in (1536, 512, 64):
+        monkeypatch.setattr(treesim, "CHUNK_VALUES", chunk)
+        assert np.array_equal(generation_sums(lanes, nu, 8, keys), baseline)
+        assert np.array_equal(generation_sums(lanes, nu, 8, keys, threads=5),
+                              baseline)
+
+
+def test_lanes_need_matching_function_counts():
+    params = BarParams(0.5)
+    f = identity(params.sigma_a())
+    with pytest.raises(ConfigError, match="lane"):
+        generation_sums([(params, [f]), (params, [f, f])], InitialLaw.stationary(),
+                        3, _keys(0))
+    with pytest.raises(ConfigError, match="lane"):
+        generation_sums([], InitialLaw.stationary(), 3, _keys(0))

@@ -301,7 +301,7 @@ def test_martingale_path_properties():
     lin = project_linear(f)
     master = RandomStream.from_seed(55)
     keys = master.split_keys(np.arange(rows))
-    sums = generation_sums(params, InitialLaw.dirac(1.0), [lin], n, keys)
+    sums = generation_sums([(params, [lin])], InitialLaw.dirac(1.0), n, keys)[0]
     scales = (2.0 * a) ** (-np.arange(n + 1))
     paths = sums[:, :, 0] * scales
 
