@@ -268,7 +268,8 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
              args: argparse.Namespace) -> list[str]:
     ecfg = _experiment_config(cfg)
     res = clt_study(ecfg, threads=threads)
-    # A point-mass limit has no KS distance (flagged): its cell stays empty.
+    # Undefined values (a point-mass limit's KS distance, the skewness and
+    # kurtosis of a sample that cancels against its mean) are empty cells.
     ks = _cell(res.ks_distance)
     clt_path = os.path.join(out_dir, "clt.csv")
     _write_csv(
@@ -277,7 +278,7 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
          "ks_threshold", "mean", "skewness", "kurtosis"),
         [(str(res.n), _g17(res.empirical_variance), _g17(res.series_variance),
           ks, _g17(res.ks_threshold), _g17(res.moments.mean),
-          _g17(res.moments.skewness), _g17(res.moments.kurtosis))],
+          _cell(res.moments.skewness), _cell(res.moments.kurtosis))],
     )
     stats_path = os.path.join(out_dir, "stats.csv")
     _write_csv(stats_path, ("replica", "statistic"),

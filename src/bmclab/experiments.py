@@ -129,7 +129,9 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     The statistic is normalized over the deepest generation; the limit
     variance comes from the variance series for the configured regime.  The
     Kolmogorov-Smirnov distance is measured against N(0, series_variance)
-    and skipped with a flag when that limit is a point mass.
+    and skipped with a flag when that limit is a point mass; skewness and
+    kurtosis are NaN, and flagged, when the sample's spread cancels against
+    its mean.
     """
     a = cfg.params.a
     regime = classify_regime(a)
@@ -147,6 +149,8 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     else:
         ks = math.nan
         flags.append("ks-skipped:point-mass")
+    if math.isnan(moments.skewness):
+        flags.append("moments-skipped:cancellation")
     return CltResult(
         n=cfg.n,
         regime=regime,

@@ -68,21 +68,6 @@ def classify_regime(a: float) -> str:
     return SUPERCRITICAL
 
 
-def transition_density(x, y, params: BarParams):
-    """One-step density of the lineage chain relative to its invariant law."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    a = params.a
-    s2 = 2.0 * params.sigma**2
-    return np.exp((2.0 * a * x * y - a * a * (x * x + y * y)) / s2) / math.sqrt(1.0 - a * a)
-
-
-def pair_density(x, y, z, params: BarParams):
-    """Joint density of the child pair given the parent trait, relative to
-    the product of invariant laws."""
-    return transition_density(x, y, params) * transition_density(x, z, params)
-
-
 def density_row_norm(x, a: float):
     """L2 size of one density row: (integral of q(x,.)^2 d(invariant))^(1/2).
 
@@ -128,6 +113,7 @@ def _push_envelope(c: float, g: float, a: float) -> tuple[float, float, float]:
 
 _NEAR_THRESHOLD = 1e-3
 _CROSS_CHECK_ORDERS = (32, 64, 128)
+_SLAB_ROWS = 2
 
 
 def check_assumptions(a: float) -> AssumptionReport:
@@ -215,8 +201,11 @@ def _quadrature_cross_check(a, targets) -> list[str]:
         mids = a * xs[:, None] + rt2 * t[None, :]
         qh_xs = np.dot(density_row_norm(mids, a), wn)
         i2 = float(np.dot(wn, qh_xs**4))
-        deep = a * mids[:, :, None] + rt2 * t[None, None, :]
-        qh_mids = np.dot(density_row_norm(deep, a), wn)
+        # The order^3 inner grid in cache-sized slabs: the whole grid's bits.
+        qh_mids = np.empty_like(mids)
+        for i in range(0, order, _SLAB_ROWS):
+            deep = a * mids[i:i + _SLAB_ROWS, :, None] + rt2 * t[None, None, :]
+            qh_mids[i:i + _SLAB_ROWS] = np.dot(density_row_norm(deep, a), wn)
         q_qh_sq = np.dot(qh_mids**2, wn)
         i3 = float(np.dot(wn, (q_qh_sq * qh_xs) ** 2))
         return i1, i2, i3

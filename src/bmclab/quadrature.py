@@ -1,11 +1,7 @@
-"""Gauss-Hermite quadrature for expectations under Gaussian laws.
+"""Gauss-Hermite nodes and weights for integrals against exp(-t^2).
 
-Nodes and weights for the weight exp(-t^2) are numpy's Gauss-Hermite rule;
-expectations against N(mean, std^2) use the change of variables
-x = mean + std*sqrt(2)*t.
-
-This module is deliberately independent of the spectral-coefficient code so
-it can serve as an oracle for it.
+The rule is numpy's; the assumption checker integrates against Gaussian
+laws on these nodes, and the tests use them as an independent oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +26,3 @@ def hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     weights.flags.writeable = False
     return nodes, weights
 
-
-def gaussian_expect(fn, mean: float = 0.0, std: float = 1.0, order: int = 64) -> float:
-    """E[fn(X)] for X ~ N(mean, std^2) by Gauss-Hermite quadrature.
-
-    `fn` must accept a numpy array.
-    """
-    t, w = hermite_nodes(order)
-    x = mean + std * np.sqrt(2.0) * t
-    return float(np.dot(w, fn(x)) / np.sqrt(np.pi))

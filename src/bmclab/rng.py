@@ -97,28 +97,6 @@ def _philox_words(keys: np.ndarray, count: int, start: int = 0) -> tuple[np.ndar
     return c0, c2
 
 
-def philox4x32(counter, key, rounds: int = 10) -> tuple[int, int, int, int]:
-    """Philox4x32 on one full 4-word counter and 2-word key (scalar reference).
-
-    Pure-Python ground truth for the vectorised path; matches the published
-    Random123 known-answer test vectors.
-    """
-    x0, x1, x2, x3 = (int(c) & 0xFFFFFFFF for c in counter)
-    k0, k1 = (int(k) & 0xFFFFFFFF for k in key)
-    for _ in range(rounds):
-        p0 = int(_M0) * x0
-        p1 = int(_M1) * x2
-        x0, x1, x2, x3 = (
-            (p1 >> 32) ^ x1 ^ k0,
-            p1 & 0xFFFFFFFF,
-            (p0 >> 32) ^ x3 ^ k1,
-            p0 & 0xFFFFFFFF,
-        )
-        k0 = (k0 + int(_W0)) & 0xFFFFFFFF
-        k1 = (k1 + int(_W1)) & 0xFFFFFFFF
-    return x0, x1, x2, x3
-
-
 def _to_uniform(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to doubles in the open interval (0, 1)."""
     u = (words >> _SH11).astype(np.float64)

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from conftest import record_criterion
+from oracles import gaussian_expect
 
 import bmclab.treesim as treesim
 from bmclab.cli import main as cli_main
@@ -37,7 +38,7 @@ from bmclab.moments import (
     exact_mean,
     exact_second_moment,
 )
-from bmclab.quadrature import gaussian_expect, hermite_nodes
+from bmclab.quadrature import hermite_nodes
 from bmclab.rng import RandomStream
 from bmclab.spectral import apply_kernel, from_monomial, product, stationary_inner
 from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -414,13 +415,17 @@ def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, 
         assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 
 
+# The explicit example pins a root far from zero: the sample's spread cancels
+# against its mean, so clt leaves skewness and kurtosis empty and exits 0.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example(command="clt", a=0.3, sigma=1.0, f="x", n=3, replicas=50, nu="dirac:1e17")
 @given(command=st.sampled_from(["clt", "simulate"]), a=_slopes, sigma=_sigmas,
-       f=_test_functions, n=st.integers(3, 4), replicas=st.integers(2, 6))
+       f=_test_functions, n=st.integers(3, 4), replicas=st.integers(2, 6),
+       nu=st.sampled_from(["stationary", "dirac:1e17"]))
 def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
-        command, a, sigma, f, n, replicas):
+        command, a, sigma, f, n, replicas, nu):
     argv = [command, "--a", _number(a), "--sigma", _number(sigma), "--f", f,
-            "--n", str(n), "--replicas", str(replicas)]
+            "--n", str(n), "--replicas", str(replicas), "--nu", nu]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -476,6 +481,24 @@ def test_clt_moments_of_large_traits_are_finite(tmp_path, capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert all(math.isfinite(float(v)) for v in cells.values()), cells
     assert not _NON_FINITE.search(capsys.readouterr().out)
+
+
+def test_clt_leaves_moments_that_cancel_empty(tmp_path, capsys):
+    # Traits near 1e17 with unit noise: the variance and the KS distance are
+    # defined, but the centered values cancel against the mean, so skewness
+    # and kurtosis are not.  No warning reaches stderr.
+    argv = ["clt", "--a", "0.3", "--nu", "dirac:1e17", "--n", "3", "--replicas", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "flag: moments-skipped:cancellation" in out.splitlines()
+    assert not _NON_FINITE.search(out)
+    header, row = _read(tmp_path / "clt.csv").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells.pop("skewness") == "" and cells.pop("kurtosis") == ""
+    assert all(math.isfinite(float(v)) for v in cells.values()), cells
 
 
 def test_check_assumptions_key_order(tmp_path, capsys):

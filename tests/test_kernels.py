@@ -13,12 +13,10 @@ from bmclab.kernels import (
     check_assumptions,
     classify_regime,
     density_row_norm,
-    pair_density,
-    transition_density,
 )
-from bmclab.quadrature import gaussian_expect
 from bmclab.rng import RandomStream, derive_keys
 from bmclab.treesim import _advance
+from oracles import gaussian_expect, pair_density, transition_density
 
 
 def sym(a, sigma=1.0):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.quadrature import gaussian_expect, hermite_nodes
+from bmclab.quadrature import hermite_nodes
 from bmclab.spectral import (
     DEGREE_CAP,
     TRIM_EPS,
@@ -23,6 +23,7 @@ from bmclab.spectral import (
     project_linear,
     stationary_inner,
 )
+from oracles import gaussian_expect
 
 
 def basis(n, sigma_a):
