@@ -255,8 +255,8 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     variance of the size-averaged sum of f over the target population at
     every depth in [n_min, n_max], and regresses log-variance on log-size.
     f is a monomial coefficient vector rescaled per alpha.  Depths with zero
-    variance are flagged and omitted from the regression.  Results are
-    ordered by alpha, then by outer repetition.
+    or overflowing variance are flagged and omitted from the regression.
+    Results are ordered by alpha, then by outer repetition.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -291,6 +291,7 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     return [res for per_alpha in runs for res in per_alpha]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_slope(alpha: float, sums: np.ndarray, n_min: int, n_max: int,
                target: str, outer: int) -> SlopeResult:
     """One regression from the (replicas, n_max+1) generation sums of f."""
@@ -306,7 +307,7 @@ def _fit_slope(alpha: float, sums: np.ndarray, n_min: int, n_max: int,
             size = 2.0 ** (n + 1) - 1.0
             raw = totals[:, n]
         var = float((raw / size).var(ddof=1))
-        if var <= 0.0:
+        if not 0.0 < var < math.inf:
             flags.append(f"degenerate-variance:n={n}")
             continue
         sizes.append(size)

@@ -49,9 +49,9 @@ def _shape_moments(sample: np.ndarray) -> tuple[float, float]:
     return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_moments(sample) -> SampleMoments:
-    """Moments of a sample; ComputationRejected when the mean or variance
-    overflows.
+    """Moments of a sample; ComputationRejected if the mean or variance overflows.
 
     Skewness and kurtosis are scale-free, so a sample whose largest
     magnitude lies outside 2^-100..2^100 is scaled by an exact power of two

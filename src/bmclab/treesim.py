@@ -8,8 +8,9 @@ with the parent position as the counter, which makes every simulation a pure
 function of (config, seed) regardless of chunking or thread count.
 
 generation_sums is the one simulation engine: it advances a batch of
-replicas and keeps only per-generation sums of the test functions, never a
-whole tree.  A single replica is a batch of one key.  It runs several lanes
+replicas in one buffer per piece of work, as wide as the deepest generation
+and refilled in place, and keeps only per-generation sums of the test
+functions.  A single replica is a batch of one key.  It runs several lanes
 over one key set: a lane is one BarParams with its test functions, and every
 lane applies its own affine step to the same normals (common random
 numbers), so each lane's bits are those of a call with that lane alone.
@@ -31,9 +32,9 @@ from .spectral import SpectralFn, center
 
 N_MAX = 22
 
-# Chunks of lanes x replicas are sized so one generation buffer stays near
-# this many doubles; the chunk grid depends only on (replicas, n, lanes),
-# never on threads.
+# Chunks of lanes x replicas are sized so one chunk's tree buffer holds at
+# most this many doubles (one row at depth 22); the chunk grid depends only
+# on (replicas, n, lanes), never on threads.
 CHUNK_VALUES = 1 << 21
 
 TILE_VALUES = 1 << 15  # parents per tile of one generation step
@@ -135,38 +136,45 @@ def _root_values(nu: InitialLaw, lanes, keys: np.ndarray) -> np.ndarray:
     return np.stack([nu.mean + math.sqrt(nu.var) * z] * len(lanes))
 
 
-def _advance(values: np.ndarray, lanes, gen_keys: np.ndarray,
-             sums=None) -> np.ndarray:
-    """Children of every parent in every lane: out[l, :, 2c] and
-    out[l, :, 2c+1] come from values[l, :, c] and counter c of the row's key,
-    with the slope and noise scale of lanes[l] = (params, funcs).  Tiles of
+def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
+             sums=None) -> None:
+    """Expand the parents tree[l, :, :width] into their children
+    tree[l, :, :2*width] in place: children 2c and 2c+1 come from parent c and
+    counter c of the row's key, with lane l's slope and noise scale.  Tiles of
     at most TILE_VALUES parents (whole rows, or column slices of a wider row)
-    keep the Philox words in cache and draw each normal once for all lanes;
-    draws are addressed by counter, so tiles change no bit.  sums[l, r, j]
-    gets the sum of lane l's funcs[j] over child row r once it is done."""
-    _, rows, width = values.shape
-    out = np.empty((len(lanes), rows, 2 * width))
-    cols = min(width, TILE_VALUES)
-    step = max(1, TILE_VALUES // width)
+    keep the Philox words in cache and draw each normal once for all lanes, by
+    counter, so tiles change no bit.  Column tiles run right to left and read
+    their parents before writing children over them.  sums[l, r, j] gets the
+    sum of lane l's funcs[j] over child row r."""
+    rows = tree.shape[1]
+    cols, step = min(width, TILE_VALUES), max(1, TILE_VALUES // width)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        for c in range(0, width, cols):
+        for c in reversed(range(0, width, cols)):
             d = min(c + cols, width)
             z0, z1 = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
             for l, (params, _) in enumerate(lanes):
-                av = params.a * values[l, lo:hi, c:d]
-                out[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
-                out[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
+                av = params.a * tree[l, lo:hi, c:d]
+                tree[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
+                tree[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
         if sums is not None:
-            _sum_funcs(out[:, lo:hi], lanes, sums[:, lo:hi])
-    return out
+            _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sum_funcs(values: np.ndarray, lanes, sums: np.ndarray) -> None:
-    """sums[l, r, j] = sum of lane l's funcs[j] over row r of values[l]."""
+    """sums[l, r, j] = sum of lane l's funcs[j] over row r of values[l]; rows
+    over 2*TILE_VALUES are evaluated in slices into one reused row (same bits)."""
+    width, span = values.shape[2], 2 * TILE_VALUES
+    buf = np.empty(values.shape[1:]) if width > span else None
     for l, (_, funcs) in enumerate(lanes):
         for j, f in enumerate(funcs):
-            sums[l, :, j] = np.sum(f.evaluate(values[l]), axis=1)
+            if buf is None:
+                sums[l, :, j] = np.sum(f.evaluate(values[l]), axis=1)
+                continue
+            for c in range(0, width, span):
+                buf[:, c:c + span] = f.evaluate(values[l, :, c:c + span])
+            sums[l, :, j] = np.sum(buf, axis=1)
 
 
 def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
@@ -206,11 +214,12 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
     def work(span):
         l0, l1, lo, hi = span
         part, sums = lanes[l0:l1], out[l0:l1, lo:hi]
-        vals = _root_values(nu, part, keys[lo:hi])
-        _sum_funcs(vals, part, sums[:, :, 0])
+        tree = np.empty((l1 - l0, hi - lo, 1 << n))
+        tree[:, :, :1] = _root_values(nu, part, keys[lo:hi])
+        _sum_funcs(tree[:, :, :1], part, sums[:, :, 0])
         for g in range(n):
-            vals = _advance(vals, part, derive_keys(keys[lo:hi], g + 1),
-                            sums[:, :, g + 1])
+            _advance(tree, 1 << g, part, derive_keys(keys[lo:hi], g + 1),
+                     sums[:, :, g + 1])
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -381,6 +381,23 @@ def _number(value: float) -> str:
     return repr(float(value))
 
 
+def _run_quietly(argv):
+    """Run main with every warning raised as an error; a clean exit leaves
+    stderr empty and a rejection prints exactly one `error: ` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], (argv, lines)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
+    return code, out.getvalue()
+
+
 _slopes = st.one_of(
     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
     st.sampled_from([-_ROOT_HALF, _ROOT_HALF, math.nextafter(_ROOT_HALF, 0.0),
@@ -415,10 +432,20 @@ def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, 
         assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 
 
-# The explicit example pins a root far from zero: the sample's spread cancels
-# against its mean, so clt leaves skewness and kurtosis empty and exits 0.
+# The first explicit example pins a root far from zero: the sample's spread
+# cancels against its mean, so clt leaves skewness and kurtosis empty and
+# exits 0.  The others make the test function or the sample variance
+# overflow, which must be rejected with exit 3 and no numpy warning.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example(command="clt", a=0.3, sigma=1.0, f="x", n=3, replicas=50, nu="dirac:1e17")
+@example(command="clt", a=0.0, sigma=1.0, f="0,1.797693134862316e+291", n=3,
+         replicas=2, nu="dirac:1e17")
+@example(command="clt", a=0.703125, sigma=1.0, f="0,6.464396010224239e+290", n=3,
+         replicas=2, nu="dirac:1e17")
+@example(command="clt", a=0.0, sigma=1.0, f="0,0,1.797693134862316e+291", n=3,
+         replicas=2, nu="dirac:1e17")
+@example(command="clt", a=-_ROOT_HALF, sigma=1e19, f="x^8", n=3, replicas=2,
+         nu="stationary")
 @given(command=st.sampled_from(["clt", "simulate"]), a=_slopes, sigma=_sigmas,
        f=_test_functions, n=st.integers(3, 4), replicas=st.integers(2, 6),
        nu=st.sampled_from(["stationary", "dirac:1e17"]))
@@ -426,26 +453,26 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
         command, a, sigma, f, n, replicas, nu):
     argv = [command, "--a", _number(a), "--sigma", _number(sigma), "--f", f,
             "--n", str(n), "--replicas", str(replicas), "--nu", nu]
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", tmp])
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        code, out = _run_quietly(argv + ["--out", tmp])
         if code == 0:
             written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
                        if name.endswith(".csv")]
             assert written, argv
-            for text in [out.getvalue()] + written:
+            for text in [out] + written:
                 assert not _NON_FINITE.search(text), (argv, text)
 
 
 # The explicit examples pin faults the derandomized draws miss: a constant f
 # centers to zero, which leaves every replica's ratio and every regression
-# depth undefined, and a tiny slope makes (2a)^-g overflow.
+# depth undefined, a tiny slope makes (2a)^-g overflow, and a huge f makes a
+# depth's variance overflow, which leaves that depth out of the fit.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example(command="supercritical", a=0.85, sigma=1.0, f="1", n=4, replicas=5, n_min=0)
 @example(command="slopes", a=0.5, sigma=1.0, f="1", n=6, replicas=5, n_min=3)
 @example(command="martingale", a=1e-290, sigma=1.0, f="x", n=3, replicas=2, n_min=0)
+@example(command="slopes", a=0.5, sigma=1.0, f="0.0,1.1454206544607547e+154", n=3,
+         replicas=2, n_min=0)
 @given(command=st.sampled_from(["supercritical", "slopes", "martingale"]), a=_slopes,
        sigma=_sigmas, f=_test_functions, n=st.integers(3, 6), replicas=st.integers(2, 6),
        n_min=st.integers(-3, 3))
@@ -459,16 +486,13 @@ def test_tree_commands_exit_cleanly_and_write_finite_numbers(
         argv += [f"--a={_number(a)}"]
     if command == "supercritical":
         argv += [f"--replicas={replicas}"]
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", tmp])
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        code, out = _run_quietly(argv + ["--out", tmp])
         if code == 0:
             written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
                        if name.endswith((".csv", ".svg"))]
             assert written, argv
-            for text in [out.getvalue()] + written:
+            for text in [out] + written:
                 assert not _NON_FINITE.search(text), (argv, text)
 
 

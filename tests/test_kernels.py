@@ -54,17 +54,18 @@ def test_regime_classification():
 def _children(x, params, seed, count):
     """count child pairs below trait x: one step of the engine's _advance."""
     keys = np.array([RandomStream.from_seed(seed).key], dtype=np.uint64)
-    out = _advance(np.full((1, 1, count), float(x)), [(params, [])], keys)[0, 0]
-    return out[0::2], out[1::2]
+    tree = np.full((1, 1, 2 * count), float(x))
+    _advance(tree, count, [(params, [])], keys)
+    return tree[0, 0, 0::2], tree[0, 0, 1::2]
 
 
 def _lineage(x, n, params, seed, count):
     """count traits n generations down the first-child lineage, by _advance."""
     keys = RandomStream.from_seed(seed).split_keys(np.arange(count))
-    vals = np.full((1, count, 1), float(x))
+    tree = np.full((1, count, 2), float(x))
     for g in range(n):
-        vals = _advance(vals, [(params, [])], derive_keys(keys, g + 1))[:, :, :1]
-    return vals[0, :, 0]
+        _advance(tree, 1, [(params, [])], derive_keys(keys, g + 1))
+    return tree[0, :, 0]
 
 
 def test_children_deterministic_limit():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +27,12 @@ def _config(params, nu, fseq, n, replicas, master_seed):
 
 
 def _advance1(parents, params, keys):
-    """One generation step of a single lane."""
-    return treesim._advance(parents[None], [(params, [])], keys)[0]
+    """One generation step of a single lane, in a buffer twice as wide."""
+    rows, width = parents.shape
+    tree = np.empty((1, rows, 2 * width))
+    tree[0, :, :width] = parents
+    treesim._advance(tree, width, [(params, [])], keys)
+    return tree[0]
 
 
 def test_tree_index_navigation():
@@ -167,6 +172,28 @@ def test_tile_grid_does_not_change_results(monkeypatch, tile):
     monkeypatch.setattr(treesim, "TILE_VALUES", tile)
     assert np.array_equal(generation_sums([(params, funcs)], nu, 9, keys)[0], baseline)
     assert np.array_equal(_advance1(parents, params, keys[:3]), children)
+
+
+def test_one_tree_buffer_bounds_peak_memory():
+    # A deep single row keeps one 2^n tree buffer, one row of evaluated
+    # values and tile-sized temporaries: about 3.4 buffers at depth 18.  A
+    # fresh child generation beside its parent plus whole-row evaluation
+    # temporaries took 5.9.  numpy reports its allocations to tracemalloc.
+    n = 18
+    params = BarParams.symmetric_params(0.85)
+    funcs = [from_monomial([0.0, 0.0, 1.0], params.sigma_a())]
+    generation_sums([(params, funcs)], InitialLaw.dirac(0.0), 3, _keys(5))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        generation_sums([(params, funcs)], InitialLaw.dirac(0.0), n, _keys(5))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4.5 * (1 << n) * 8, peak / ((1 << n) * 8)
 
 
 def test_same_stream_same_tree():
