@@ -9,6 +9,8 @@ moment formulas, and drives the phase-transition slope experiment.
 
 from __future__ import annotations
 
+import types
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -63,56 +65,11 @@ from .spectral import (
     stationary_inner,
 )
 from .treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
-from .variance import VarianceReport, critical_variance, subcritical_variance
+from .variance import VarianceReport, limit_variance
 
-__all__ = [
-    "AssumptionReport",
-    "BarParams",
-    "BmcLabError",
-    "CRITICAL",
-    "CltResult",
-    "ComputationRejected",
-    "ConfigError",
-    "DegreeCapError",
-    "ExperimentConfig",
-    "FunctionalSeq",
-    "InitialLaw",
-    "RandomStream",
-    "RegimeError",
-    "ResourceCapError",
-    "SUBCRITICAL",
-    "SUPERCRITICAL",
-    "SlopeResult",
-    "SlopeSummary",
-    "SpectralFn",
-    "SupercriticalResult",
-    "VarianceReport",
-    "apply_kernel",
-    "as_monomial",
-    "center",
-    "check_assumptions",
-    "classify_regime",
-    "clt_study",
-    "critical_variance",
-    "enumerated_cross_moment",
-    "enumerated_mean",
-    "enumerated_second_moment",
-    "exact_cross_moment",
-    "exact_mean",
-    "exact_second_moment",
-    "from_monomial",
-    "generation_sums",
-    "h1",
-    "h2",
-    "martingale_path",
-    "pair_expect",
-    "product",
-    "project_linear",
-    "replicate",
-    "slope_study",
-    "slope_summary",
-    "stationary_inner",
-    "subcritical_variance",
-    "supercritical_study",
-    "__version__",
-]
+# The public names imported above: no submodule, no __future__ feature.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and name != "annotations"
+    and not isinstance(value, types.ModuleType)
+) + ["__version__"]

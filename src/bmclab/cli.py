@@ -5,8 +5,8 @@ optional JSON config file, and command-line flags (later sources win),
 computes an 8-byte digest of the canonicalized configuration, runs the
 requested study, and persists CSV/SVG outputs next to a manifest that
 records the digest, seed, version, and wall time.  Exit codes: 0 success,
-2 configuration error, 3 computation rejected (wrong regime or degree cap),
-4 resource cap.
+2 configuration error or unusable path, 3 computation rejected (wrong
+regime or degree cap), 4 resource cap.
 """
 
 from __future__ import annotations
@@ -37,19 +37,17 @@ from .experiments import (
     slope_summary,
     supercritical_study,
 )
-from .kernels import (
-    SUBCRITICAL,
-    SUPERCRITICAL,
-    BarParams,
-    check_assumptions,
-    classify_regime,
-)
+from .kernels import BarParams, check_assumptions
 from .spectral import from_monomial
 from .svg import Band, Series, line_chart
 from .treesim import FunctionalSeq, InitialLaw, replicate
-from .variance import critical_variance, subcritical_variance
+from .variance import limit_variance
 
 _MAX_MONOMIAL_POWER = 8
+
+# Each worker thread holds one chunk's tree buffer of 16 MiB (32 MiB at depth
+# 22), so the cap keeps the buffers near SUMS_BYTES_MAX, 1 GiB.
+THREADS_MAX = 64
 
 
 def _g17(value) -> str:
@@ -250,13 +248,7 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int,
 def _run_variance(cfg: dict, out_dir: str, threads: int,
                   args: argparse.Namespace) -> list[str]:
     params, fseq = _params_and_fseq(cfg)
-    regime = classify_regime(params.a)
-    if regime == SUPERCRITICAL:
-        raise ComputationRejected(
-            "no finite limit variance in the supercritical regime; "
-            "use the supercritical subcommand")
-    limit = subcritical_variance if regime == SUBCRITICAL else critical_variance
-    report = limit(fseq, params)
+    report = limit_variance(fseq, params)
     print(f"regime = {report.regime}")
     print(f"value = {_g17(report.value)}")
     print(f"sigma1 = {_g17(report.sigma1)}")
@@ -506,6 +498,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     threads = _as_int(args.threads, "--threads")
     if threads < 1:
         raise ConfigError("--threads must be positive")
+    if threads > THREADS_MAX:
+        raise ResourceCapError(f"--threads exceeds the cap of {THREADS_MAX}")
     out_dir = args.out if args.out is not None else "."
     if args.out is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -543,7 +537,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unusable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
-from .kernels import CRITICAL, SUPERCRITICAL, BarParams, classify_regime
+from .kernels import SUPERCRITICAL, BarParams, classify_regime
 from .rng import RandomStream
 from .spectral import SpectralFn, center, from_monomial, project_linear
 from .stats import SampleMoments, fit_line, ks_normal_distance, ks_threshold, sample_moments
 from .treesim import (FunctionalSeq, InitialLaw, generation_sums, keys_for_replicas,
                       replicate)
-from .variance import critical_variance, subcritical_variance
+from .variance import limit_variance
 
 DEFAULT_N_MIN = 5
 DEFAULT_OUTER_REPEATS = 20
@@ -133,15 +133,8 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     kurtosis are NaN, and flagged, when the sample's spread cancels against
     its mean.
     """
-    a = cfg.params.a
-    regime = classify_regime(a)
-    if regime == SUPERCRITICAL:
-        raise RegimeError(
-            "the fluctuation statistic does not stabilize above the critical "
-            "slope; use supercritical_study")
+    series = limit_variance(cfg.fseq, cfg.params)
     values = replicate(cfg, threads=threads)
-    limit = critical_variance if regime == CRITICAL else subcritical_variance
-    series = limit(cfg.fseq, cfg.params)
     moments = sample_moments(values)
     flags: list[str] = []
     if series.value > 0.0:
@@ -153,7 +146,7 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
         flags.append("moments-skipped:cancellation")
     return CltResult(
         n=cfg.n,
-        regime=regime,
+        regime=series.regime,
         empirical_variance=moments.variance,
         series_variance=series.value,
         ks_distance=ks,

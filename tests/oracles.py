@@ -2,8 +2,9 @@
 
 Each is a direct transcription of its definition: the scalar Philox4x32
 block cipher, the transition densities of the symmetric Gaussian BAR
-relative to its invariant law, and Gauss-Hermite expectations under a
-Gaussian law.  The program itself needs none of them.
+relative to its invariant law, Gauss-Hermite expectations under a
+Gaussian law, and the offset sums of the critical limit variance.  The
+program itself needs none of them.
 """
 
 from __future__ import annotations
@@ -64,3 +65,18 @@ def gaussian_expect(fn, mean: float = 0.0, std: float = 1.0, order: int = 64) ->
     t, w = hermite_nodes(order)
     x = mean + std * np.sqrt(2.0) * t
     return float(np.dot(w, fn(x)) / np.sqrt(np.pi))
+
+
+def critical_offset_sums(coeffs, a: float) -> tuple[float, float]:
+    """sigma1 and sigma2 of the critical limit variance, offset by offset.
+
+    coeffs[k] is the degree-one coefficient of the function at offset k:
+    sigma1 = sum_k 2^-k a^2 c_k^2 and
+    sigma2 = sum_{l<h} 2^(-(h+l)/2) a^2 c_h c_l.
+    """
+    a2 = a * a
+    root_half = math.sqrt(0.5)
+    sigma1 = math.fsum(0.5**k * a2 * c**2 for k, c in enumerate(coeffs))
+    sigma2 = math.fsum(root_half ** (high + low) * a2 * coeffs[high] * coeffs[low]
+                       for high in range(len(coeffs)) for low in range(high))
+    return sigma1, sigma2

@@ -9,7 +9,6 @@ import math
 import os
 import re
 import tempfile
-import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 import bmclab.experiments as experiments
 import bmclab.treesim as treesim
-from bmclab.cli import _parse_alphas, _parse_f, _parse_nu, main
+from bmclab.cli import THREADS_MAX, _parse_alphas, _parse_f, _parse_nu, main
 from bmclab.errors import ConfigError, ResourceCapError
 
 
@@ -318,6 +317,40 @@ def test_replica_count_over_the_cap_exits_four(tmp_path, capsys):
         assert "cap" in capsys.readouterr().err
 
 
+def test_thread_count_over_the_cap_exits_four(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(treesim, "ThreadPoolExecutor", no_pool)
+    # At the cap: one replica chunk runs on the calling thread.
+    small = ["simulate", "--a", "0.5", "--n", "3", "--replicas", "2",
+             "--out", str(tmp_path)]
+    assert main(small + ["--threads", str(THREADS_MAX)]) == 0
+    capsys.readouterr()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the thread cap was checked")
+
+    monkeypatch.setattr(treesim, "generation_sums", no_simulation)
+    # Depth 21 puts one replica in each chunk, each with a 16 MiB buffer.
+    deep = ["clt", "--a", "0.5", "--n", "21", "--replicas", "1000",
+            "--out", str(tmp_path)]
+    assert main(deep + ["--threads", str(THREADS_MAX + 1)]) == 4
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_unusable_output_paths_exit_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["simulate", "--a", "0.5", "--n", "3", "--replicas", "2",
+                 "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    missing = tmp_path / "missing" / "c.json"
+    assert main(["variance", "--a", "0.5", "--dump-config", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(missing) in err
+
+
 def test_slope_grid_is_checked_before_simulating(tmp_path, capsys, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the grid was checked")
@@ -333,7 +366,6 @@ def test_slope_grid_is_checked_before_simulating(tmp_path, capsys, monkeypatch):
         assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 def test_rescaled_coefficients_that_overflow_exit_2(capsys):
     # Both coefficients are finite; x * sigma_a is not, and numpy's overflow
     # warning would fail this test.
@@ -382,13 +414,11 @@ def _number(value: float) -> str:
 
 
 def _run_quietly(argv):
-    """Run main with every warning raised as an error; a clean exit leaves
-    stderr empty and a rejection prints exactly one `error: ` line."""
+    """Run main (pytest raises every warning as an error); a clean exit
+    leaves stderr empty and a rejection prints exactly one `error: ` line."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     lines = err.getvalue().splitlines()
     if code == 0:
@@ -512,9 +542,7 @@ def test_clt_leaves_moments_that_cancel_empty(tmp_path, capsys):
     # defined, but the centered values cancel against the mean, so skewness
     # and kurtosis are not.  No warning reaches stderr.
     argv = ["clt", "--a", "0.3", "--nu", "dirac:1e17", "--n", "3", "--replicas", "50"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert main(argv + ["--out", str(tmp_path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert "flag: moments-skipped:cancellation" in out.splitlines()

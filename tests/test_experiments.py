@@ -117,7 +117,11 @@ def test_clt_study_constant_function():
     assert (m.mean, m.variance, m.skewness, m.kurtosis) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_clt_study_rejects_supercritical():
+def test_clt_study_rejects_supercritical(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the regime was checked")
+
+    monkeypatch.setattr(experiments, "replicate", no_simulation)
     cfg = _single_config(0.85, [0.0, 1.0], n=8, replicas=100, seed=0)
     with pytest.raises(RegimeError):
         clt_study(cfg)

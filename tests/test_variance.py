@@ -15,7 +15,8 @@ from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
 from bmclab.rng import RandomStream
 from bmclab.spectral import SpectralFn, constant, from_monomial, identity, project_linear
 from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
-from bmclab.variance import critical_variance, subcritical_variance
+from bmclab.variance import limit_variance
+from oracles import critical_offset_sums
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -37,20 +38,20 @@ def _mode_weights(coeffs, a):
 
 def test_single_identity_closed_form():
     params = BarParams.symmetric_params(0.5)
-    report = subcritical_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
+    report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
     assert report.value == pytest.approx(2.0, abs=1e-10)
     assert report.sigma1 == pytest.approx(2.0, abs=1e-10)
     assert report.sigma2 == 0.0
     assert report.regime == SUBCRITICAL
 
     params = BarParams.symmetric_params(0.3, sigma=1.7)
-    report = subcritical_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
+    report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
     assert report.value == pytest.approx(1.7**2 / (1.0 - 2.0 * 0.09), rel=1e-10)
 
 
 def test_tree_identity_closed_form():
     params = BarParams.symmetric_params(0.5)
-    report = subcritical_variance(FunctionalSeq.tree(identity(params.sigma_a())), params)
+    report = limit_variance(FunctionalSeq.tree(identity(params.sigma_a())), params)
     assert report.sigma1 == pytest.approx(4.0, abs=1e-9)
     assert report.sigma2 == pytest.approx(4.0, abs=1e-9)
     assert report.value == pytest.approx(12.0, abs=1e-9)
@@ -62,7 +63,7 @@ def test_single_coefficient_oracle():
     rng = np.random.default_rng(21)
     coeffs = rng.normal(size=6)
     f = SpectralFn(params.sigma_a(), coeffs)
-    report = subcritical_variance(FunctionalSeq.single(f), params)
+    report = limit_variance(FunctionalSeq.single(f), params)
     assert report.value == pytest.approx(math.fsum(_mode_weights(coeffs, a)), rel=1e-9)
 
 
@@ -72,7 +73,7 @@ def test_tree_coefficient_oracle():
     rng = np.random.default_rng(22)
     coeffs = rng.normal(size=5)
     f = SpectralFn(params.sigma_a(), coeffs)
-    report = subcritical_variance(FunctionalSeq.tree(f), params)
+    report = limit_variance(FunctionalSeq.tree(f), params)
     weights = _mode_weights(coeffs, a)
     sigma1 = 2.0 * math.fsum(weights)
     sigma2 = 2.0 * math.fsum(
@@ -80,6 +81,7 @@ def test_tree_coefficient_oracle():
     assert report.sigma1 == pytest.approx(sigma1, rel=1e-8)
     assert report.sigma2 == pytest.approx(sigma2, rel=1e-8)
     assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, rel=1e-8)
+    assert report.sigma1 == 2.0 * limit_variance(FunctionalSeq.single(f), params).sigma1
 
 
 def test_custom_shape_oracle():
@@ -90,7 +92,7 @@ def test_custom_shape_oracle():
     c1 = rng.normal(size=3)
     f0 = SpectralFn(params.sigma_a(), c0)
     f1 = SpectralFn(params.sigma_a(), c1)
-    report = subcritical_variance(FunctionalSeq.custom([f0, f1]), params)
+    report = limit_variance(FunctionalSeq.custom([f0, f1]), params)
 
     def bracket(ch, cl, gap):
         total = 0.0
@@ -110,11 +112,11 @@ def test_custom_shape_oracle():
 def test_constant_functions_give_zero():
     params = BarParams.symmetric_params(0.4)
     flat = constant(2.5, params.sigma_a())
-    report = subcritical_variance(FunctionalSeq.tree(flat), params)
+    report = limit_variance(FunctionalSeq.tree(flat), params)
     assert report.value == report.sigma1 == report.sigma2 == 0.0
 
     params = BarParams.symmetric_params(A_CRIT)
-    report = critical_variance(FunctionalSeq.single(constant(1.0, params.sigma_a())), params)
+    report = limit_variance(FunctionalSeq.single(constant(1.0, params.sigma_a())), params)
     assert report.value == 0.0
 
 
@@ -123,23 +125,45 @@ def test_critical_closed_forms():
     sig = params.sigma_a()
     f = identity(sig)
 
-    report = critical_variance(FunctionalSeq.single(f), params)
+    report = limit_variance(FunctionalSeq.single(f), params)
     assert report.value == pytest.approx(1.0, rel=1e-12)
     assert report.sigma2 == 0.0
 
-    report = critical_variance(FunctionalSeq.tree(f), params)
+    report = limit_variance(FunctionalSeq.tree(f), params)
     assert report.sigma1 == pytest.approx(2.0, abs=1e-9)
     assert report.sigma2 == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-9)
     assert report.value == pytest.approx(6.0 + 4.0 * math.sqrt(2.0), abs=1e-9)
     assert report.regime == CRITICAL
 
     even = from_monomial([0.0, 0.0, 1.0], sig)
-    assert critical_variance(FunctionalSeq.tree(even), params).value == 0.0
+    assert limit_variance(FunctionalSeq.tree(even), params).value == 0.0
 
-    report = critical_variance(FunctionalSeq.custom([f, even, f]), params)
+    report = limit_variance(FunctionalSeq.custom([f, even, f]), params)
     assert report.sigma1 == pytest.approx(1.25, rel=1e-12)
     assert report.sigma2 == pytest.approx(0.5, rel=1e-12)
     assert report.value == pytest.approx(2.25, rel=1e-12)
+
+
+# Degree-one coefficients away from the subnormal range, where the two
+# multiplication orders round differently by more than a few ulps.
+_COEFF = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=st.sampled_from([A_CRIT, 2.0**-0.5, -(2.0**-0.5)]),
+       funcs=st.lists(st.lists(_COEFF, min_size=1, max_size=4), min_size=1, max_size=5))
+def test_critical_custom_matches_offset_sums(a, funcs):
+    params = BarParams.symmetric_params(a)
+    fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
+    report = limit_variance(FunctionalSeq.custom(fns), params)
+    sigma1, sigma2 = critical_offset_sums(
+        [float(f.coeffs[1]) if f.degree >= 1 else 0.0 for f in fns], a)
+    # The cross terms can cancel, so their rounding error scales with sigma1.
+    tol = {"rel": 1e-12, "abs": 1e-12 * sigma1}
+    assert report.regime == CRITICAL
+    assert report.sigma1 == pytest.approx(sigma1, rel=1e-12)
+    assert report.sigma2 == pytest.approx(sigma2, **tol)
+    assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, **tol)
 
 
 def test_quadratic_scaling():
@@ -147,15 +171,15 @@ def test_quadratic_scaling():
     sig = params.sigma_a()
     f = from_monomial([0.3, 1.0, 0.2], sig)
     tripled = from_monomial([0.9, 3.0, 0.6], sig)
-    base = subcritical_variance(FunctionalSeq.tree(f), params)
-    scaled = subcritical_variance(FunctionalSeq.tree(tripled), params)
+    base = limit_variance(FunctionalSeq.tree(f), params)
+    scaled = limit_variance(FunctionalSeq.tree(tripled), params)
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
     params = BarParams.symmetric_params(A_CRIT)
     f = from_monomial([0.0, 1.0, 0.4], params.sigma_a())
     tripled = from_monomial([0.0, 3.0, 1.2], params.sigma_a())
-    base = critical_variance(FunctionalSeq.tree(f), params)
-    scaled = critical_variance(FunctionalSeq.tree(tripled), params)
+    base = limit_variance(FunctionalSeq.tree(f), params)
+    scaled = limit_variance(FunctionalSeq.tree(tripled), params)
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
 
@@ -229,12 +253,12 @@ def test_matches_truncated_series_pins(shape, a, poly):
     params = BarParams.symmetric_params(a)
     f = from_monomial(SERIES_POLYS[poly], params.sigma_a())
     fseq = FunctionalSeq.single(f) if shape == "single" else FunctionalSeq.tree(f)
-    got = subcritical_variance(fseq, params).value
+    got = limit_variance(fseq, params).value
     assert got == pytest.approx(TRUNCATED_SERIES[shape, a, poly], rel=1e-9)
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(a=st.floats(-0.7, 0.7),
+@given(a=st.floats(-0.7, 0.7) | st.sampled_from([A_CRIT, -A_CRIT]),
        funcs=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
                       min_size=1, max_size=3),
        shape=st.sampled_from(["single", "tree", "custom"]))
@@ -245,7 +269,7 @@ def test_closed_form_finite_and_nonnegative(a, funcs, shape):
         fseq = FunctionalSeq.custom(fns)
     else:
         fseq = getattr(FunctionalSeq, shape)(fns[0])
-    report = subcritical_variance(fseq, params)
+    report = limit_variance(fseq, params)
     assert math.isfinite(report.value)
     # The custom shape is a positive semidefinite form with cross terms, so
     # its rounding error scales with the diagonal sum.
@@ -258,19 +282,20 @@ def test_nonnegative_on_random_sequences():
     for _ in range(5):
         funcs = [SpectralFn(params.sigma_a(), rng.normal(size=rng.integers(2, 5)))
                  for _ in range(3)]
-        report = subcritical_variance(FunctionalSeq.custom(funcs), params)
+        report = limit_variance(FunctionalSeq.custom(funcs), params)
         assert report.value >= -1e-12
 
 
 def test_regime_guards():
-    params = BarParams.symmetric_params(0.8)
-    f = identity(params.sigma_a())
-    with pytest.raises(RegimeError):
-        subcritical_variance(FunctionalSeq.single(f), params)
+    for a in (0.71, -0.8, 0.99):
+        params = BarParams.symmetric_params(a)
+        f = identity(params.sigma_a())
+        for fseq in (FunctionalSeq.single(f), FunctionalSeq.tree(f),
+                     FunctionalSeq.custom([f, f])):
+            with pytest.raises(RegimeError):
+                limit_variance(fseq, params)
     params = BarParams.symmetric_params(0.5)
     f = identity(params.sigma_a())
-    with pytest.raises(RegimeError):
-        critical_variance(FunctionalSeq.single(f), params)
     with pytest.raises(RegimeError):
         supercritical_study(ExperimentConfig(params, InitialLaw.dirac(0.0),
                                              FunctionalSeq.single(f), 3, 2, 0))
@@ -280,13 +305,13 @@ def test_regime_guards():
                         InitialLaw.dirac(0.0), 3, 0)
 
 
-def test_subcritical_variance_matches_simulation():
+def test_limit_variance_matches_simulation():
     n, rows = 12, 3000
     for a in (0.3, 0.5, 0.6):
         params = BarParams.symmetric_params(a)
         f = from_monomial([0.0, 0.5, 1.0], params.sigma_a())
         fseq = FunctionalSeq.single(f)
-        series = subcritical_variance(fseq, params).value
+        series = limit_variance(fseq, params).value
         values = replicate(_config(params, InitialLaw.stationary(), fseq, n, rows, 4))
         emp = values.var(ddof=1)
         centered = values - values.mean()
