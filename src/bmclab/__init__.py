@@ -31,6 +31,7 @@ from .experiments import (
     h1,
     h2,
     martingale_path,
+    replicate,
     slope_study,
     slope_summary,
     supercritical_study,
@@ -52,8 +53,9 @@ from .moments import (
     exact_mean,
     exact_second_moment,
 )
-from .rng import RandomStream
+from .rng import derive_keys, seed_key
 from .spectral import (
+    FunctionalSeq,
     SpectralFn,
     apply_kernel,
     as_monomial,
@@ -64,7 +66,7 @@ from .spectral import (
     project_linear,
     stationary_inner,
 )
-from .treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
+from .treesim import InitialLaw, generation_sums
 from .variance import VarianceReport, limit_variance
 
 # The public names imported above: no submodule, no __future__ feature.

@@ -33,14 +33,15 @@ from .experiments import (
     h1,
     h2,
     martingale_path,
+    replicate,
     slope_study,
     slope_summary,
     supercritical_study,
 )
 from .kernels import BarParams, check_assumptions
-from .spectral import from_monomial
+from .spectral import FunctionalSeq, from_monomial
 from .svg import Band, Series, line_chart
-from .treesim import FunctionalSeq, InitialLaw, replicate
+from .treesim import InitialLaw
 from .variance import limit_variance
 
 _MAX_MONOMIAL_POWER = 8

@@ -1,15 +1,15 @@
 """Experiment drivers: limit-law verification and the slope phase transition.
 
-clt_study replicates the regime-normalized fluctuation statistic and compares
-its empirical law with the Gaussian limit predicted by the variance series.
+replicate samples the regime-normalized fluctuation statistic; clt_study
+compares its empirical law with the Gaussian limit of the variance series.
 supercritical_study tracks the rescaled statistics and the additive
 martingale above the critical slope, and martingale_path follows that
 martingale along one tree.  slope_study regresses log-variance of
 the averaged statistic against log of the population size over a grid of
 slopes, reproducing the phase transition in the decay exponent.
 
-All drivers derive their randomness from a master seed through per-replica
-(and, for slope_study, per-outer-repeat) stream splits, so results are
+All drivers derive their randomness from the key of a master seed through
+per-replica (and, for slope_study, per-outer-repeat) key splits, so results are
 reproducible and independent of chunking or thread count.  slope_study
 simulates every grid slope on the same trees' normals (common random
 numbers): each slope's estimate keeps its law, and estimates at different
@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
-from .kernels import SUPERCRITICAL, BarParams, classify_regime
-from .rng import RandomStream
-from .spectral import SpectralFn, center, from_monomial, project_linear
+from .kernels import SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
+from .rng import derive_keys, seed_key
+from .spectral import (FunctionalSeq, SpectralFn, center, check_scale, from_monomial,
+                       project_linear)
 from .stats import SampleMoments, fit_line, ks_normal_distance, ks_threshold, sample_moments
-from .treesim import (FunctionalSeq, InitialLaw, generation_sums, keys_for_replicas,
-                      replicate)
+from .treesim import InitialLaw, generation_sums, keys_for_replicas
 from .variance import limit_variance
 
 DEFAULT_N_MIN = 5
@@ -53,6 +53,7 @@ class ExperimentConfig:
             raise ConfigError("variance estimation needs at least 2 replicas")
         if self.n < 3:
             raise ConfigError("experiments need depth n >= 3")
+        check_scale(self.fseq.funcs, self.params.sigma_a())
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,36 @@ def h2(alpha: float) -> float:
     return math.log2(max(alpha**4, 0.5))
 
 
+def replicate(cfg: ExperimentConfig, threads: int = 1) -> np.ndarray:
+    """Per-replica values of the regime-normalized fluctuation statistic.
+
+    Replica r is simulated from the key of (master_seed, r), so the output is
+    ordered by replica index and is a pure function of the configuration.  A
+    statistic that overflows double precision raises ComputationRejected.
+    """
+    a, n, fseq = cfg.params.a, cfg.n, cfg.fseq
+    regime = classify_regime(a)
+    if regime == SUPERCRITICAL and fseq.shape == "custom":
+        raise RegimeError("custom functional sequences have no supercritical normalization")
+    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, n, len(fseq.funcs))
+    centered = [center(f) for f in fseq.funcs]
+    sums = generation_sums([(cfg.params, centered)], cfg.nu, n, keys, threads=threads)[0]
+    tree = fseq.shape == "tree"
+    if regime == SUPERCRITICAL:
+        raw = sums[:, :, 0].sum(axis=1) if tree else sums[:, n, 0]
+        scale = (2.0 * a) ** n
+    else:
+        columns = [0] * (n + 1) if tree else range(min(len(fseq.funcs), n + 1))
+        raw = np.zeros(cfg.replicas)
+        for offset, column in enumerate(columns):
+            raw += sums[:, n - offset, column]
+        scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
+    values = raw / scale
+    if not np.all(np.isfinite(values)):
+        raise ComputationRejected("the fluctuation statistic overflows double precision")
+    return values
+
+
 def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     """Replicate the normalized statistic and compare with its Gaussian limit.
 
@@ -173,8 +204,7 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
         raise ConfigError("the supercritical study takes a single test function")
     f = cfg.fseq.funcs[0]
 
-    keys = keys_for_replicas(RandomStream.from_seed(cfg.master_seed), cfg.replicas,
-                             cfg.n, 2)
+    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, cfg.n, 2)
     sums = generation_sums([(cfg.params, [center(f), project_linear(f)])], cfg.nu,
                            cfg.n, keys, threads=threads)[0]
 
@@ -210,10 +240,11 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     the critical slope it converges and its limit drives the supercritical
     fluctuations.
     """
+    check_scale([f], params.sigma_a())
     a = params.a
     if a == 0.0:
         raise RegimeError("the additive martingale needs a nonzero slope")
-    keys = keys_for_replicas(RandomStream.from_seed(master_seed), 1, n, 1)
+    keys = keys_for_replicas(seed_key(master_seed), 1, n, 1)
     sums = generation_sums([(params, [project_linear(f)])], nu, n, keys)[0]
     # Python's scalar power, not numpy's vectorized one: the two can differ
     # in the last bit, and these values are written to martingale.csv.
@@ -243,13 +274,13 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     """Fit the variance decay exponent of the averaged statistic per slope.
 
     Each outer repetition k simulates `replicas` trees to depth n_max from
-    the keys below master.split(k), with every grid slope alpha as one lane
-    over the same normals.  Per slope it computes across replicas the
-    variance of the size-averaged sum of f over the target population at
-    every depth in [n_min, n_max], and regresses log-variance on log-size.
-    f is a monomial coefficient vector rescaled per alpha.  Depths with zero
-    or overflowing variance are flagged and omitted from the regression.
-    Results are ordered by alpha, then by outer repetition.
+    the keys below the key of (master_seed, k), with every grid slope alpha
+    as one lane over the same normals.  Per slope it computes across
+    replicas the variance of the size-averaged sum of f over the target
+    population at every depth in [n_min, n_max], and regresses log-variance
+    on log-size.  f is a monomial coefficient vector rescaled per alpha.
+    Depths with zero or overflowing variance are flagged and omitted from
+    the regression.  Results are ordered by alpha, then by outer repetition.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -269,14 +300,14 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
         raise ResourceCapError(f"{len(alphas)} x {outer_repeats} slope runs exceed "
                                f"the cap of {SLOPE_RUNS_MAX:,}")
 
-    master = RandomStream.from_seed(master_seed)
+    outer_keys = derive_keys(seed_key(master_seed), np.arange(outer_repeats))
     lanes = []
     for alpha in alphas:
         params = BarParams(alpha, sigma)
         lanes.append((params, [from_monomial(f, params.sigma_a())]))
     runs: list[list[SlopeResult]] = [[] for _ in alphas]
-    for outer in range(outer_repeats):
-        keys = keys_for_replicas(master.split(outer), replicas, n_max, len(lanes))
+    for outer, outer_key in enumerate(outer_keys):
+        keys = keys_for_replicas(int(outer_key), replicas, n_max, len(lanes))
         sums = generation_sums(lanes, nu, n_max, keys, threads=threads)
         for i, alpha in enumerate(alphas):
             runs[i].append(_fit_slope(alpha, sums[i, :, :, 0], n_min, n_max, target,

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import ConfigError
-from .quadrature import hermite_nodes
 
 EPS_REGIME = 1e-12
 
@@ -102,6 +103,17 @@ class AssumptionReport:
     def as_json_dict(self) -> dict:
         """The report's fields in declaration order, as JSON values."""
         return {**asdict(self), "flags": list(self.flags)}
+
+
+@lru_cache(maxsize=None)
+def hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's cached, read-only Gauss-Hermite rule for weight exp(-t^2)."""
+    if order < 1:
+        raise ValueError("quadrature order must be at least 1")
+    nodes, weights = hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _push_envelope(c: float, g: float, a: float) -> tuple[float, float, float]:

@@ -1,12 +1,13 @@
-"""Counter-based random streams for reproducible tree simulation.
+"""Keys and counter-based draws for reproducible tree simulation.
 
-A stream is a pure function of a 64-bit key: drawing from it never mutates
-state.  Keys are derived from a master seed by a splitmix64 chain, one level
-per index (replica, generation, ...), and the block cipher behind each stream
-is Philox4x32-10 evaluated vectorised over counter blocks.  A node's noise
-therefore depends only on its (key, position) pair and not on scheduling,
-chunking, or thread count, and a counter range split into tiles (a `start`
-offset per tile) yields exactly the draws of the whole range.
+A draw is a pure function of a 64-bit key and a counter: nothing mutates
+state.  The master key is splitmix64 of the seed (seed_key), child keys are
+derived from it by a splitmix64 chain, one level per index (replica,
+generation, ...), and the block cipher behind each key is Philox4x32-10
+evaluated vectorised over counter blocks.  A node's noise therefore depends
+only on its (key, position) pair and not on scheduling, chunking, or thread
+count, and a counter range split into tiles (a `start` offset per tile)
+yields exactly the draws of the whole range.
 
 Standard normals come from the inverse normal CDF applied to 53-bit uniforms,
 which keeps every draw bit-stable across platforms at double precision.
@@ -15,8 +16,6 @@ pair as the independent noises of a parent's two children.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,6 +44,11 @@ def splitmix64(x):
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
     return z
+
+
+def seed_key(seed: int) -> int:
+    """Master key of a seed; seeds are taken mod 2^64."""
+    return int(splitmix64(seed & _MASK64))
 
 
 def derive_keys(key, indices) -> np.ndarray:
@@ -119,29 +123,3 @@ def batch_normal_pairs(keys, count: int, start: int = 0) -> tuple[np.ndarray, np
     """Two (R, count) standard-normal arrays via the inverse CDF."""
     u0, u1 = batch_uniform_pairs(keys, count, start)
     return ndtri(u0), ndtri(u1)
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Immutable handle on one counter-based stream.
-
-    A stream is its key: ``split`` derives the child key of each index and
-    ``split_keys`` the keys of a whole index array, which the batch samplers
-    above turn into draws addressed by position.
-    """
-
-    key: int
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "RandomStream":
-        return cls(key=int(splitmix64(seed & _MASK64)))
-
-    def split(self, *indices: int) -> "RandomStream":
-        key = self.key
-        for index in indices:
-            key = int(derive_keys(key, index))
-        return RandomStream(key=key)
-
-    def split_keys(self, indices) -> np.ndarray:
-        """Vectorised split: child keys for an index array (uint64)."""
-        return derive_keys(self.key, indices)

@@ -82,11 +82,51 @@ class SpectralFn:
         return self.evaluate(x)
 
 
+@dataclass(frozen=True)
+class FunctionalSeq:
+    """A per-generation family of test functions with a tagged shape.
+
+    shape "single" weights only the deepest generation, "tree" applies one
+    function to every generation, "custom" lists one function per offset
+    from the deepest generation (zero beyond the list).
+    """
+
+    shape: str
+    funcs: tuple
+
+    @classmethod
+    def single(cls, f: SpectralFn) -> "FunctionalSeq":
+        return cls(shape="single", funcs=(f,))
+
+    @classmethod
+    def tree(cls, f: SpectralFn) -> "FunctionalSeq":
+        return cls(shape="tree", funcs=(f,))
+
+    @classmethod
+    def custom(cls, funcs) -> "FunctionalSeq":
+        return cls(shape="custom", funcs=tuple(funcs))
+
+    def __post_init__(self) -> None:
+        if self.shape not in ("single", "tree", "custom"):
+            raise ConfigError(f"unknown functional shape {self.shape!r}")
+        if self.shape in ("single", "tree") and len(self.funcs) != 1:
+            raise ConfigError(f"shape {self.shape!r} takes exactly one function")
+        if not self.funcs or not all(isinstance(f, SpectralFn) for f in self.funcs):
+            raise ConfigError("funcs must be SpectralFn instances")
+
+
 def _check_same_scale(f: SpectralFn, g: SpectralFn) -> None:
     if abs(f.sigma_a - g.sigma_a) > 1e-12 * max(f.sigma_a, g.sigma_a):
         raise ConfigError(
             f"mismatched stationary scales {f.sigma_a} and {g.sigma_a}"
         )
+
+
+def check_scale(funcs, sigma_a: float) -> None:
+    """Reject any function not expanded at the kernel's stationary scale."""
+    for f in funcs:
+        if abs(f.sigma_a - sigma_a) > 1e-12 * max(f.sigma_a, sigma_a):
+            raise ConfigError("functional scale does not match the kernel parameters")
 
 
 def from_monomial(poly, sigma_a: float) -> SpectralFn:

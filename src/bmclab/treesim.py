@@ -14,7 +14,6 @@ functions.  A single replica is a batch of one key.  It runs several lanes
 over one key set: a lane is one BarParams with its test functions, and every
 lane applies its own affine step to the same normals (common random
 numbers), so each lane's bits are those of a call with that lane alone.
-replicate turns those sums into the normalized fluctuation statistics.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
-from .kernels import CRITICAL, SUBCRITICAL, BarParams, classify_regime
-from .rng import RandomStream, batch_normal_pairs, derive_keys
-from .spectral import SpectralFn, center
+from .errors import ConfigError, ResourceCapError
+from .rng import batch_normal_pairs, derive_keys
 
 N_MAX = 22
 
@@ -73,49 +70,7 @@ class InitialLaw:
             raise ConfigError("the initial law needs a finite var > 0")
 
 
-@dataclass(frozen=True)
-class FunctionalSeq:
-    """A per-generation family of test functions with a tagged shape.
-
-    shape "single" weights only the deepest generation, "tree" applies one
-    function to every generation, "custom" lists one function per offset
-    from the deepest generation (zero beyond the list).
-    """
-
-    shape: str
-    funcs: tuple
-
-    @classmethod
-    def single(cls, f: SpectralFn) -> "FunctionalSeq":
-        return cls(shape="single", funcs=(f,))
-
-    @classmethod
-    def tree(cls, f: SpectralFn) -> "FunctionalSeq":
-        return cls(shape="tree", funcs=(f,))
-
-    @classmethod
-    def custom(cls, funcs) -> "FunctionalSeq":
-        return cls(shape="custom", funcs=tuple(funcs))
-
-    def __post_init__(self) -> None:
-        if self.shape not in ("single", "tree", "custom"):
-            raise ConfigError(f"unknown functional shape {self.shape!r}")
-        if self.shape in ("single", "tree") and len(self.funcs) != 1:
-            raise ConfigError(f"shape {self.shape!r} takes exactly one function")
-        if not self.funcs or not all(isinstance(f, SpectralFn) for f in self.funcs):
-            raise ConfigError("funcs must be SpectralFn instances")
-
-    def func_at(self, offset: int) -> SpectralFn | None:
-        """Function applied at generation n - offset, or None when zero."""
-        if self.shape == "single":
-            return self.funcs[0] if offset == 0 else None
-        if self.shape == "tree":
-            return self.funcs[0]
-        return self.funcs[offset] if offset < len(self.funcs) else None
-
-
-def keys_for_replicas(master: RandomStream, replicas: int, n: int,
-                      columns: int) -> np.ndarray:
+def keys_for_replicas(master: int, replicas: int, n: int, columns: int) -> np.ndarray:
     """Keys of replicas 0..replicas-1 below `master`, after checking that
     they and their n+1 sums per column (lanes x functions) fit under the cap."""
     need = replicas * (n + 2) * columns * 8
@@ -123,7 +78,7 @@ def keys_for_replicas(master: RandomStream, replicas: int, n: int,
         raise ResourceCapError(
             f"{replicas} replicas at depth {n} need {need:,} bytes of keys and "
             f"sums, over the cap of {SUMS_BYTES_MAX:,}")
-    return master.split_keys(np.arange(replicas))
+    return derive_keys(master, np.arange(replicas))
 
 
 def _root_values(nu: InitialLaw, lanes, keys: np.ndarray) -> np.ndarray:
@@ -228,51 +183,3 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
         for span in spans:
             work(span)
     return out
-
-
-def replicate(config, threads: int = 1) -> np.ndarray:
-    """Per-replica values of the regime-normalized fluctuation statistic.
-
-    `config` carries params, nu, fseq, n, replicas, and master_seed (see the
-    experiments module).  Replica r always uses the stream derived from
-    (master_seed, r), so the output is ordered by replica index and is a
-    pure function of the configuration.  A statistic that overflows double
-    precision raises ComputationRejected.
-    """
-    params: BarParams = config.params
-    fseq: FunctionalSeq = config.fseq
-    n = int(config.n)
-    replicas = int(config.replicas)
-    if replicas < 1:
-        raise ConfigError("need at least one replica")
-    a = params.a
-    sigma_a = params.sigma_a()
-    if abs(fseq.funcs[0].sigma_a - sigma_a) > 1e-12 * sigma_a:
-        raise ConfigError("functional scale does not match the kernel parameters")
-
-    master = RandomStream.from_seed(int(config.master_seed))
-    keys = keys_for_replicas(master, replicas, n, len(fseq.funcs))
-    centered = [center(f) for f in fseq.funcs]
-    sums = generation_sums([(params, centered)], config.nu, n, keys, threads=threads)[0]
-
-    regime = classify_regime(a)
-    if regime in (SUBCRITICAL, CRITICAL):
-        if regime == CRITICAL and n == 0:
-            raise ConfigError("the critical normalization needs depth n >= 1")
-        index_of = {id(f): j for j, f in enumerate(fseq.funcs)}
-        raw = np.zeros(replicas)
-        for offset in range(n + 1):
-            f = fseq.func_at(offset)
-            if f is not None:
-                raw += sums[:, n - offset, index_of[id(f)]]
-        scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
-    elif fseq.shape == "single":
-        raw, scale = sums[:, n, 0], (2.0 * a) ** n
-    elif fseq.shape == "tree":
-        raw, scale = sums[:, :, 0].sum(axis=1), (2.0 * a) ** n
-    else:
-        raise RegimeError("custom functional sequences have no supercritical normalization")
-    values = raw / scale
-    if not np.all(np.isfinite(values)):
-        raise ComputationRejected("the fluctuation statistic overflows double precision")
-    return values

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ComputationRejected, RegimeError
 from .kernels import SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
-from .treesim import FunctionalSeq
+from .spectral import FunctionalSeq, check_scale
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def limit_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
     every offset, so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
     sigma2 = 2 sum_n w_n f_n^2 lambda_n / (1 - lambda_n).
     """
+    check_scale(fseq.funcs, params.sigma_a())
     a = params.a
     regime = classify_regime(a)
     if regime == SUPERCRITICAL:

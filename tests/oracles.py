@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from bmclab.kernels import BarParams
-from bmclab.quadrature import hermite_nodes
+from bmclab.kernels import BarParams, hermite_nodes
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85

@@ -29,7 +29,7 @@ from bmclab.experiments import (
     slope_summary,
     supercritical_study,
 )
-from bmclab.kernels import BarParams, check_assumptions
+from bmclab.kernels import BarParams, check_assumptions, hermite_nodes
 from bmclab.moments import (
     enumerated_cross_moment,
     enumerated_mean,
@@ -38,10 +38,10 @@ from bmclab.moments import (
     exact_mean,
     exact_second_moment,
 )
-from bmclab.quadrature import hermite_nodes
-from bmclab.rng import RandomStream
-from bmclab.spectral import apply_kernel, from_monomial, product, stationary_inner
-from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums
+from bmclab.rng import derive_keys, seed_key
+from bmclab.spectral import (FunctionalSeq, apply_kernel, from_monomial, product,
+                             stationary_inner)
+from bmclab.treesim import InitialLaw, generation_sums
 
 A_SET = (0.3, 2.0**-0.5, 0.85)
 MONOMIALS = ((0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
@@ -130,8 +130,8 @@ def test_criterion_2_many_to_one_monte_carlo():
         params = BarParams.symmetric_params(a)
         funcs = [from_monomial(c, params.sigma_a()) for c in MONOMIALS]
         for x0 in (0.0, 1.0):
-            keys = RandomStream.from_seed(seed).split(5).split_keys(
-                np.arange(replicas))
+            keys = derive_keys(int(derive_keys(seed_key(seed), 5)),
+                               np.arange(replicas))
             seed += 1
             sums = generation_sums([(params, funcs)], InitialLaw.dirac(x0),
                                    depth, keys)[0]

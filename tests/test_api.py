@@ -1,8 +1,13 @@
-"""The package's public names all resolve."""
+"""The package's public names all resolve, and its modules keep their layers."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import bmclab
+
+PACKAGE = Path(bmclab.__file__).parent
 
 
 def test_public_names_resolve():
@@ -12,3 +17,28 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from bmclab import *", namespace)
     assert set(bmclab.__all__) <= set(namespace)
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Sibling modules a module imports, read from its source.
+
+    Reading the source, and not sys.modules after import, keeps one module's
+    imports from hiding behind another's.
+    """
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+    return found
+
+
+def test_module_layers():
+    imports = {path.stem: _relative_imports(path) for path in PACKAGE.glob("*.py")}
+    assert {"cli", "treesim", "variance", "experiments"} <= set(imports)
+    # The simulation engine needs only keys, draws and errors.
+    assert imports["treesim"] == {"errors", "rng"}
+    # The closed-form variance never reaches into the simulator.
+    assert "treesim" not in imports["variance"]
+    # The command line is the top layer: nothing imports it.
+    assert sorted(name for name, deps in imports.items() if "cli" in deps) == []

@@ -331,7 +331,7 @@ def test_thread_count_over_the_cap_exits_four(tmp_path, capsys, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the thread cap was checked")
 
-    monkeypatch.setattr(treesim, "generation_sums", no_simulation)
+    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
     # Depth 21 puts one replica in each chunk, each with a 16 MiB buffer.
     deep = ["clt", "--a", "0.5", "--n", "21", "--replicas", "1000",
             "--out", str(tmp_path)]

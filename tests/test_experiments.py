@@ -16,13 +16,14 @@ from bmclab.experiments import (
     clt_study,
     h1,
     h2,
+    replicate,
     slope_study,
     slope_summary,
     supercritical_study,
 )
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
-from bmclab.spectral import constant, from_monomial, identity
-from bmclab.treesim import FunctionalSeq, InitialLaw
+from bmclab.spectral import FunctionalSeq, constant, from_monomial, identity
+from bmclab.treesim import InitialLaw
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -125,6 +126,32 @@ def test_clt_study_rejects_supercritical(monkeypatch):
     cfg = _single_config(0.85, [0.0, 1.0], n=8, replicas=100, seed=0)
     with pytest.raises(RegimeError):
         clt_study(cfg)
+
+
+def test_config_rejects_every_mismatched_function():
+    # The config checks each function's stationary scale, so neither
+    # replicate, clt_study nor supercritical_study ever sees a mismatch.
+    for a in (0.5, A_CRIT, 0.85):
+        params = BarParams.symmetric_params(a)
+        f = identity(params.sigma_a())
+        wrong = from_monomial([0.0, 1.0, 0.3], 2.0 * params.sigma_a())
+        for fseq in (FunctionalSeq.single(wrong), FunctionalSeq.tree(wrong),
+                     FunctionalSeq.custom([f, wrong])):
+            with pytest.raises(ConfigError, match="functional scale"):
+                ExperimentConfig(params, InitialLaw.stationary(), fseq, 6, 50, 0)
+
+
+def test_replicate_rejects_supercritical_custom_before_simulating(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the regime was checked")
+
+    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
+    params = BarParams.symmetric_params(0.85)
+    f = identity(params.sigma_a())
+    cfg = ExperimentConfig(params, InitialLaw.stationary(), FunctionalSeq.custom([f, f]),
+                           8, 100, 0)
+    with pytest.raises(RegimeError, match="custom"):
+        replicate(cfg)
 
 
 def test_supercritical_study():

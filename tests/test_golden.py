@@ -29,6 +29,13 @@ CRITICAL_A = repr(2.0**-0.5)
 CASES = {
     "simulate": ["simulate", "--a", "0.5", "--n", "6", "--replicas", "20",
                  "--f", "x^2", "--seed", "11"],
+    # The supercritical tree statistic, and a Gaussian root law.
+    "simulate-supercritical-tree": ["simulate", "--a", "0.85", "--shape", "tree",
+                                    "--f", "0.3,1,0.5,0.2", "--n", "6",
+                                    "--replicas", "20", "--seed", "13"],
+    "simulate-gaussian-tree": ["simulate", "--a", "-0.6", "--shape", "tree",
+                               "--f", "x^2", "--nu", "gaussian:0.2,2", "--n", "6",
+                               "--replicas", "20", "--seed", "17"],
     "clt-critical": ["clt", "--a", CRITICAL_A, "--n", "6", "--replicas", "50",
                      "--nu", "dirac:0", "--seed", "3"],
     "clt-subcritical": ["clt", "--a", "0.5", "--n", "6", "--replicas", "50",
@@ -71,6 +78,12 @@ GOLDEN = {
     },
     "simulate": {
         "stats.csv": "de39f0f5d2b9763fb7107b3031b1b3b7",
+    },
+    "simulate-gaussian-tree": {
+        "stats.csv": "1f399de95af097cd40d9601ec4640403",
+    },
+    "simulate-supercritical-tree": {
+        "stats.csv": "a0e2438a80a8e041cb3a6292c6cde387",
     },
     "slopes": {
         "slopes.csv": "e31d176b69ac4324403db4d4469a580a",

@@ -14,7 +14,7 @@ from bmclab.kernels import (
     classify_regime,
     density_row_norm,
 )
-from bmclab.rng import RandomStream, derive_keys
+from bmclab.rng import derive_keys, seed_key
 from bmclab.treesim import _advance
 from oracles import gaussian_expect, pair_density, transition_density
 
@@ -53,7 +53,7 @@ def test_regime_classification():
 
 def _children(x, params, seed, count):
     """count child pairs below trait x: one step of the engine's _advance."""
-    keys = np.array([RandomStream.from_seed(seed).key], dtype=np.uint64)
+    keys = np.array([seed_key(seed)], dtype=np.uint64)
     tree = np.full((1, 1, 2 * count), float(x))
     _advance(tree, count, [(params, [])], keys)
     return tree[0, 0, 0::2], tree[0, 0, 1::2]
@@ -61,7 +61,7 @@ def _children(x, params, seed, count):
 
 def _lineage(x, n, params, seed, count):
     """count traits n generations down the first-child lineage, by _advance."""
-    keys = RandomStream.from_seed(seed).split_keys(np.arange(count))
+    keys = derive_keys(seed_key(seed), np.arange(count))
     tree = np.full((1, count, 2), float(x))
     for g in range(n):
         _advance(tree, 1, [(params, [])], derive_keys(keys, g + 1))

@@ -19,7 +19,7 @@ from bmclab.moments import (
     exact_mean,
     exact_second_moment,
 )
-from bmclab.rng import RandomStream
+from bmclab.rng import derive_keys, seed_key
 from bmclab.spectral import constant, from_monomial, identity
 from bmclab.treesim import InitialLaw, generation_sums
 from oracles import gaussian_expect
@@ -171,7 +171,7 @@ def test_monte_carlo_agreement():
     f = from_monomial([0.0, 0.0, 1.0], sig)
     g = identity(sig)
     n, rows = 6, 4000
-    keys = RandomStream.from_seed(77).split_keys(np.arange(rows))
+    keys = derive_keys(seed_key(77), np.arange(rows))
     sums = generation_sums([(params, [f, g])], InitialLaw.dirac(1.0), n, keys)[0]
     mf = sums[:, n, 0]
     mg4 = sums[:, 4, 1]

@@ -1,9 +1,11 @@
+"""Tests for the cached Gauss-Hermite rule in kernels and the quadrature oracle."""
+
 import math
 
 import numpy as np
 import pytest
 
-from bmclab.quadrature import hermite_nodes
+from bmclab.kernels import hermite_nodes
 from oracles import gaussian_expect
 
 

@@ -2,12 +2,12 @@ import numpy as np
 from scipy.special import ndtri
 
 from bmclab.rng import (
-    RandomStream,
     _philox_words,
     _to_uniform,
     batch_normal_pairs,
     batch_uniform_pairs,
     derive_keys,
+    seed_key,
     splitmix64,
 )
 from bmclab.treesim import TILE_VALUES
@@ -116,23 +116,32 @@ def test_splitmix_scalar_and_array_agree():
     assert int(derive_keys(0, 0)) != 0
 
 
+def _key(seed: int, *indices: int) -> int:
+    """The key of seed, split once per index with the scalar derive_keys."""
+    key = seed_key(seed)
+    for index in indices:
+        key = int(derive_keys(key, index))
+    return key
+
+
 def test_derive_keys_matches_scalar():
-    base = RandomStream.from_seed(42)
-    vec = derive_keys(base.key, np.arange(16))
+    base = seed_key(42)
+    assert isinstance(base, int)
+    vec = derive_keys(base, np.arange(16))
     for i in range(16):
-        assert int(vec[i]) == base.split(i).key == _derive_key_ref(base.key, i)
-    assert base.split(3, 1).key == _derive_key_ref(_derive_key_ref(base.key, 3), 1)
+        assert int(vec[i]) == _key(42, i) == _derive_key_ref(base, i)
+    assert _key(42, 3, 1) == _derive_key_ref(_derive_key_ref(base, 3), 1)
     # Seeds are taken mod 2^64, so negative and oversized seeds are valid.
     for seed in (0, 7, -1, -(2**70) + 3, 2**64 - 1, 2**64 + 5, 2**80):
-        assert RandomStream.from_seed(seed).key == _splitmix_ref(seed & _MASK64)
+        assert seed_key(seed) == _splitmix_ref(seed & _MASK64)
 
 
-def _row(stream: RandomStream) -> np.ndarray:
-    return np.array([stream.key], dtype=np.uint64)
+def _row(key: int) -> np.ndarray:
+    return np.array([key], dtype=np.uint64)
 
 
 def test_streams_are_pure():
-    keys = _row(RandomStream.from_seed(11).split(3, 1))
+    keys = _row(_key(11, 3, 1))
     a = batch_normal_pairs(keys, 64)
     b = batch_normal_pairs(keys, 64)
     assert np.array_equal(a, b)
@@ -140,15 +149,14 @@ def test_streams_are_pure():
 
 
 def test_split_changes_draws():
-    s = RandomStream.from_seed(5)
-    a = batch_normal_pairs(_row(s.split(0)), 8)
-    b = batch_normal_pairs(_row(s.split(1)), 8)
+    a = batch_normal_pairs(_row(_key(5, 0)), 8)
+    b = batch_normal_pairs(_row(_key(5, 1)), 8)
     assert not np.array_equal(a, b)
-    assert s.split(0, 1).key != s.split(1, 0).key
+    assert _key(5, 0, 1) != _key(5, 1, 0)
 
 
 def test_uniforms_open_interval():
-    u0, u1 = batch_uniform_pairs(_row(RandomStream.from_seed(3)), 5_000)
+    u0, u1 = batch_uniform_pairs(_row(seed_key(3)), 5_000)
     for u in (u0, u1):
         assert u.min() > 0.0
         assert u.max() < 1.0
@@ -160,7 +168,7 @@ def test_uniforms_open_interval():
 
 
 def test_normal_moments():
-    z = np.concatenate(batch_normal_pairs(_row(RandomStream.from_seed(2)), 200_000), axis=1)
+    z = np.concatenate(batch_normal_pairs(_row(seed_key(2)), 200_000), axis=1)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -170,13 +178,13 @@ def test_normal_moments():
 def test_batch_helpers_consistent_with_stream():
     # Normals are ndtri of the uniforms, and each row of a batch is the
     # draw of its key alone, whatever else is in the batch.
-    keys = RandomStream.from_seed(9).split_keys(np.arange(4))
+    keys = derive_keys(seed_key(9), np.arange(4))
     u0, u1 = batch_uniform_pairs(keys, 5)
     z0, z1 = batch_normal_pairs(keys, 5)
     assert np.array_equal(z0, ndtri(u0))
     assert np.array_equal(z1, ndtri(u1))
     for i in range(4):
-        assert int(keys[i]) == RandomStream.from_seed(9).split(i).key
+        assert int(keys[i]) == _key(9, i)
         a0, a1 = batch_normal_pairs(keys[i:i + 1], 5)
         assert np.array_equal(a0[0], z0[i])
         assert np.array_equal(a1[0], z1[i])
@@ -185,6 +193,6 @@ def test_batch_helpers_consistent_with_stream():
 def test_lane_decorrelation():
     # Hi and lo words of one block feed different variates; check they look
     # independent at the usual four-sigma level.
-    z0, z1 = batch_normal_pairs(np.array([RandomStream.from_seed(13).key], dtype=np.uint64), 200_000)
+    z0, z1 = batch_normal_pairs(_row(seed_key(13)), 200_000)
     r = float(np.mean(z0 * z1))
     assert abs(r) < 4.0 / np.sqrt(z0.size)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.quadrature import hermite_nodes
+from bmclab.kernels import hermite_nodes
 from bmclab.spectral import (
     DEGREE_CAP,
     TRIM_EPS,

@@ -4,26 +4,20 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from bmclab.errors import ConfigError, RegimeError, ResourceCapError
+from bmclab.experiments import ExperimentConfig, replicate
 from bmclab.kernels import BarParams
 from bmclab.moments import common_ancestor_depth
-from bmclab.rng import RandomStream, batch_normal_pairs
-from bmclab.spectral import apply_kernel, center, constant, from_monomial, identity
+from bmclab.rng import batch_normal_pairs, derive_keys, seed_key
+from bmclab.spectral import (FunctionalSeq, apply_kernel, center, constant, from_monomial,
+                             identity)
 from bmclab import treesim
-from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
-
-
-def _config(params, nu, fseq, n, replicas, master_seed):
-    return SimpleNamespace(
-        params=params, nu=nu, fseq=fseq, n=n, replicas=replicas,
-        master_seed=master_seed,
-    )
+from bmclab.treesim import InitialLaw, generation_sums
 
 
 def _advance1(parents, params, keys):
@@ -97,18 +91,26 @@ def test_functional_seq_shapes():
     f = identity(1.0)
     g = from_monomial([0.0, 0.0, 1.0], 1.0)
 
-    single = FunctionalSeq.single(f)
-    assert single.func_at(0) is f
-    assert single.func_at(1) is None
+    assert FunctionalSeq.single(f) == FunctionalSeq(shape="single", funcs=(f,))
+    assert FunctionalSeq.tree(f) == FunctionalSeq(shape="tree", funcs=(f,))
+    assert FunctionalSeq.custom([f, g]) == FunctionalSeq(shape="custom", funcs=(f, g))
 
-    tree = FunctionalSeq.tree(f)
-    assert tree.func_at(0) is f
-    assert tree.func_at(7) is f
+    # replicate reads offset k from the deepest generation: single only
+    # offset 0, tree every offset, custom its k-th function up to depth n.
+    # Equal functions have equal sums bit for bit, so the shapes agree.
+    params = BarParams(0.5)
+    h = from_monomial([0.1, 1.0, 0.4], params.sigma_a())
+    n, nu = 3, InitialLaw.stationary()
 
-    custom = FunctionalSeq.custom([f, g])
-    assert custom.func_at(0) is f
-    assert custom.func_at(1) is g
-    assert custom.func_at(2) is None
+    def values(fseq):
+        return replicate(ExperimentConfig(params, nu, fseq, n, 2, 8))
+
+    assert np.array_equal(values(FunctionalSeq.custom([h])),
+                          values(FunctionalSeq.single(h)))
+    tree = values(FunctionalSeq.tree(h))
+    assert np.array_equal(values(FunctionalSeq.custom([h] * (n + 1))), tree)
+    assert np.array_equal(values(FunctionalSeq.custom([h] * (n + 3))), tree)
+    assert not np.array_equal(values(FunctionalSeq.custom([h] * n)), tree)
 
     with pytest.raises(ConfigError):
         FunctionalSeq(shape="single", funcs=(f, g))
@@ -119,7 +121,7 @@ def test_functional_seq_shapes():
 
 
 def _keys(seed, rows=1):
-    return RandomStream.from_seed(seed).split_keys(np.arange(rows))
+    return derive_keys(seed_key(seed), np.arange(rows))
 
 
 def test_buffer_lengths_and_generations():
@@ -224,24 +226,24 @@ def test_depth_cap(monkeypatch):
 def test_replica_cap():
     # The cap is checked before any key or sum is allocated; 2^62 replicas
     # would not even fit numpy's index range.
-    master = RandomStream.from_seed(0)
+    master = seed_key(0)
     with pytest.raises(ResourceCapError, match="replicas"):
         treesim.keys_for_replicas(master, 2**62, 3, 1)
     limit = treesim.SUMS_BYTES_MAX // (8 * 8)
     with pytest.raises(ResourceCapError):
         treesim.keys_for_replicas(master, limit + 1, 6, 1)
     keys = treesim.keys_for_replicas(master, 5, 6, 2)
-    assert np.array_equal(keys, master.split_keys(np.arange(5)))
+    assert np.array_equal(keys, derive_keys(master, np.arange(5)))
     params = BarParams.symmetric_params(0.5)
-    config = _config(params, InitialLaw.stationary(),
-                     FunctionalSeq.single(identity(params.sigma_a())), 3, 2**62, 0)
+    config = ExperimentConfig(params, InitialLaw.stationary(),
+                              FunctionalSeq.single(identity(params.sigma_a())), 3, 2**62, 0)
     with pytest.raises(ResourceCapError):
         replicate(config)
 
 
 def test_child_pair_joint_moments():
     rows = 40_000
-    keys = RandomStream.from_seed(7).split_keys(np.arange(rows))
+    keys = _keys(7, rows)
     parents = np.full((rows, 1), 2.0)
     params = BarParams(a=0.4, sigma=1.2)
     children = _advance1(parents, params, keys)
@@ -278,7 +280,7 @@ def test_generation_mean_matches_iterated_kernel():
     for a in (0.3, 1.0 / math.sqrt(2.0), 0.85):
         params = BarParams.symmetric_params(a)
         f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
-        keys = RandomStream.from_seed(101).split_keys(np.arange(rows))
+        keys = _keys(101, rows)
         sums = generation_sums([(params, [f])], InitialLaw.dirac(x0), n, keys)[0]
         sample = sums[:, n, 0]
         exact = 2.0**n * apply_kernel(f, a, steps=n)(x0)
@@ -296,17 +298,17 @@ def test_fluctuation_statistic_shapes():
     sums = generation_sums([(params, [center(f), center(g)])], nu, n, _keys(seed, 3))[0]
     scale = math.sqrt(2.0**n)
 
-    single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
+    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 3, seed))
     assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12, abs=1e-12)
-    tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 3, seed))
     assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale,
                                  rel=1e-12, abs=1e-12)
-    custom = replicate(_config(params, nu, FunctionalSeq.custom([f, g]), n, 3, seed))
+    custom = replicate(ExperimentConfig(params, nu, FunctionalSeq.custom([f, g]), n, 3, seed))
     manual = (sums[:, n, 0] + sums[:, n - 1, 1]) / scale
     assert custom == pytest.approx(manual, rel=1e-12, abs=1e-12)
 
     flat = constant(3.0, sigma_a)
-    zeros = replicate(_config(params, nu, FunctionalSeq.single(flat), n, 3, seed))
+    zeros = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(flat), n, 3, seed))
     assert np.array_equal(zeros, np.zeros(3))
 
 
@@ -318,8 +320,8 @@ def test_replicate_matches_simulate_per_replica():
     nu = InitialLaw.stationary()
     keys = _keys(seed, 3)
     scale = math.sqrt(2.0**n)
-    single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 3, seed))
-    tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 3, seed))
+    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 3, seed))
     for r in range(3):
         alone = generation_sums([(params, [center(f)])], nu, n, keys[r:r + 1])[0, 0, :, 0]
         assert single[r] == pytest.approx(alone[n] / scale, rel=1e-12, abs=1e-12)
@@ -333,25 +335,26 @@ def test_replicate_critical_and_supercritical_scaling():
     a_crit = 1.0 / math.sqrt(2.0)
     params = BarParams.symmetric_params(a_crit)
     f = identity(params.sigma_a())
-    values = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
+    values = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
     sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     assert values == pytest.approx(sums[:, n, 0] / math.sqrt(n * 2.0**n), rel=1e-12)
 
     params = BarParams.symmetric_params(0.85)
     f = from_monomial([0.3, 1.0, 0.2], params.sigma_a())
-    single = replicate(_config(params, nu, FunctionalSeq.single(f), n, 2, seed))
-    tree = replicate(_config(params, nu, FunctionalSeq.tree(f), n, 2, seed))
+    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
+    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 2, seed))
     sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     scale = (2.0 * 0.85) ** n
     assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12)
     assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale, rel=1e-12)
 
     with pytest.raises(RegimeError):
-        replicate(_config(params, nu, FunctionalSeq.custom([f, f]), n, 2, seed))
+        replicate(ExperimentConfig(params, nu, FunctionalSeq.custom([f, f]), n, 2, seed))
     params_crit = BarParams.symmetric_params(a_crit)
     f_crit = identity(params_crit.sigma_a())
+    # The critical normalization divides by sqrt(n 2^n); configs need n >= 3.
     with pytest.raises(ConfigError):
-        replicate(_config(params_crit, nu, FunctionalSeq.single(f_crit), 0, 2, seed))
+        ExperimentConfig(params_crit, nu, FunctionalSeq.single(f_crit), 0, 2, seed)
 
 
 def test_replicate_validation():
@@ -359,16 +362,19 @@ def test_replicate_validation():
     f = identity(params.sigma_a())
     nu = InitialLaw.stationary()
     with pytest.raises(ConfigError):
-        replicate(_config(params, nu, FunctionalSeq.single(f), 4, 0, 1))
+        replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), 4, 0, 1))
+    # Every function is checked, not only the first.
     wrong_scale = identity(2.0 * params.sigma_a())
-    with pytest.raises(ConfigError):
-        replicate(_config(params, nu, FunctionalSeq.single(wrong_scale), 4, 2, 1))
+    for fseq in (FunctionalSeq.single(wrong_scale), FunctionalSeq.tree(wrong_scale),
+                 FunctionalSeq.custom([f, wrong_scale])):
+        with pytest.raises(ConfigError, match="functional scale"):
+            replicate(ExperimentConfig(params, nu, fseq, 4, 2, 1))
 
 
 def test_chunking_and_threads_do_not_change_results(monkeypatch):
     params = BarParams.symmetric_params(0.6)
     f = from_monomial([0.0, 1.0, 0.2], params.sigma_a())
-    config = _config(params, InitialLaw.stationary(), FunctionalSeq.tree(f), 6, 64, 5)
+    config = ExperimentConfig(params, InitialLaw.stationary(), FunctionalSeq.tree(f), 6, 64, 5)
     baseline = replicate(config)
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
     monkeypatch.setattr(treesim, "TILE_VALUES", 7)

@@ -9,22 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmclab.errors import RegimeError
-from bmclab.experiments import ExperimentConfig, martingale_path, supercritical_study
+from bmclab.errors import ConfigError, RegimeError
+from bmclab.experiments import (ExperimentConfig, martingale_path, replicate,
+                                supercritical_study)
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
-from bmclab.rng import RandomStream
-from bmclab.spectral import SpectralFn, constant, from_monomial, identity, project_linear
-from bmclab.treesim import FunctionalSeq, InitialLaw, generation_sums, replicate
+from bmclab.rng import derive_keys, seed_key
+from bmclab.spectral import (FunctionalSeq, SpectralFn, constant, from_monomial, identity,
+                             project_linear)
+from bmclab.treesim import InitialLaw, generation_sums
 from bmclab.variance import limit_variance
 from oracles import critical_offset_sums
 
 A_CRIT = 1.0 / math.sqrt(2.0)
-
-
-def _config(params, nu, fseq, n, replicas, master_seed):
-    from types import SimpleNamespace
-    return SimpleNamespace(params=params, nu=nu, fseq=fseq, n=n,
-                           replicas=replicas, master_seed=master_seed)
 
 
 def _mode_weights(coeffs, a):
@@ -305,6 +301,25 @@ def test_regime_guards():
                         InitialLaw.dirac(0.0), 3, 0)
 
 
+def test_limit_variance_rejects_mismatched_scale():
+    # x^2 expanded at twice sigma_a gave 60.95 at a = 0.5 instead of 80/21.
+    params = BarParams.symmetric_params(0.5)
+    f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
+    wrong = from_monomial([0.0, 0.0, 1.0], 2.0 * params.sigma_a())
+    assert limit_variance(FunctionalSeq.single(f), params).value == pytest.approx(80 / 21)
+    for fseq in (FunctionalSeq.single(wrong), FunctionalSeq.tree(wrong),
+                 FunctionalSeq.custom([f, wrong])):
+        with pytest.raises(ConfigError, match="functional scale"):
+            limit_variance(fseq, params)
+
+
+def test_martingale_path_rejects_mismatched_scale():
+    params = BarParams.symmetric_params(0.85)
+    wrong = from_monomial([0.0, 1.0], 2.0 * params.sigma_a())
+    with pytest.raises(ConfigError, match="functional scale"):
+        martingale_path(wrong, params, InitialLaw.dirac(1.0), 4, 0)
+
+
 def test_limit_variance_matches_simulation():
     n, rows = 12, 3000
     for a in (0.3, 0.5, 0.6):
@@ -312,7 +327,8 @@ def test_limit_variance_matches_simulation():
         f = from_monomial([0.0, 0.5, 1.0], params.sigma_a())
         fseq = FunctionalSeq.single(f)
         series = limit_variance(fseq, params).value
-        values = replicate(_config(params, InitialLaw.stationary(), fseq, n, rows, 4))
+        cfg = ExperimentConfig(params, InitialLaw.stationary(), fseq, n, rows, 4)
+        values = replicate(cfg)
         emp = values.var(ddof=1)
         centered = values - values.mean()
         se = math.sqrt(max(np.mean(centered**4) - emp**2, 0.0) / rows)
@@ -324,8 +340,7 @@ def test_martingale_path_properties():
     params = BarParams.symmetric_params(a)
     f = from_monomial([0.0, 1.0, 0.3], params.sigma_a())
     lin = project_linear(f)
-    master = RandomStream.from_seed(55)
-    keys = master.split_keys(np.arange(rows))
+    keys = derive_keys(seed_key(55), np.arange(rows))
     sums = generation_sums([(params, [lin])], InitialLaw.dirac(1.0), n, keys)[0]
     scales = (2.0 * a) ** (-np.arange(n + 1))
     paths = sums[:, :, 0] * scales
