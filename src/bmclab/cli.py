@@ -221,7 +221,7 @@ def _write_manifest(out_dir: str, command: str, digest: str, seed,
 
 def _params_and_fseq(cfg: dict) -> tuple[BarParams, FunctionalSeq]:
     """Kernel parameters and the test function in the requested shape."""
-    params = BarParams.symmetric_params(cfg["a"], cfg["sigma"])
+    params = BarParams(cfg["a"], cfg["sigma"])
     f = from_monomial(cfg["f"], params.sigma_a())
     shape = cfg["shape"]
     if shape not in ("single", "tree"):
@@ -350,9 +350,9 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
         print(f"flagged runs: {len(flagged)}")
     if args.plot:
         svg_path = os.path.join(out_dir, "slopes.svg")
+        chart = _slope_plot(alphas, summaries)
         with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(_slope_plot(alphas, summaries))
-            fh.write("\n")
+            fh.write(chart + "\n")
         outputs.append(svg_path)
     return outputs
 
@@ -375,7 +375,7 @@ def _run_supercritical(cfg: dict, out_dir: str, threads: int,
 
 def _run_martingale(cfg: dict, out_dir: str, threads: int,
                     args: argparse.Namespace) -> list[str]:
-    params = BarParams.symmetric_params(cfg["a"], cfg["sigma"])
+    params = BarParams(cfg["a"], cfg["sigma"])
     f = from_monomial(cfg["f"], params.sigma_a())
     n = cfg["n"]
     path_values = martingale_path(f, params, cfg["nu"], n, cfg["seed"])

@@ -105,7 +105,6 @@ class SlopeSummary:
     target: str
     mean_slope: float
     sd_slope: float
-    outer_repeats: int
     h1: float
     h2: float
 
@@ -262,8 +261,7 @@ def _fit_loglog(sizes, variances) -> tuple[float, float]:
     """Slope and stderr of log(variance) regressed on log(size)."""
     xs = np.log(np.asarray(sizes, dtype=np.float64))
     ys = np.log(np.asarray(variances, dtype=np.float64))
-    slope, stderr, _ = fit_line(xs, ys)
-    return slope, stderr
+    return fit_line(xs, ys)
 
 
 def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
@@ -378,7 +376,6 @@ def slope_summary(results) -> list[SlopeSummary]:
             target=target,
             mean_slope=mean,
             sd_slope=sd,
-            outer_repeats=len(group),
             h1=group[0].h1,
             h2=group[0].h2,
         ))

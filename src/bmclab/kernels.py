@@ -51,6 +51,7 @@ class BarParams:
 
     @classmethod
     def symmetric_params(cls, a: float, sigma: float = 1.0) -> "BarParams":
+        """BarParams(a, sigma); kept only for perfbench/workloads.py."""
         return cls(a, sigma)
 
     def sigma_a(self) -> float:
@@ -135,7 +136,7 @@ def check_assumptions(a: float) -> AssumptionReport:
     near-threshold margins or quadrature disagreement.  Booleans are never
     silently flipped by the numeric cross-check.
     """
-    BarParams.symmetric_params(a)
+    BarParams(a)
     var_a = 1.0 / (1.0 - a * a)
     flags: list[str] = []
     norms: dict[str, float] = {}

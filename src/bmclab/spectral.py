@@ -115,18 +115,12 @@ class FunctionalSeq:
             raise ConfigError("funcs must be SpectralFn instances")
 
 
-def _check_same_scale(f: SpectralFn, g: SpectralFn) -> None:
-    if abs(f.sigma_a - g.sigma_a) > 1e-12 * max(f.sigma_a, g.sigma_a):
-        raise ConfigError(
-            f"mismatched stationary scales {f.sigma_a} and {g.sigma_a}"
-        )
-
-
 def check_scale(funcs, sigma_a: float) -> None:
-    """Reject any function not expanded at the kernel's stationary scale."""
+    """Reject any function not expanded at the stationary scale sigma_a."""
     for f in funcs:
         if abs(f.sigma_a - sigma_a) > 1e-12 * max(f.sigma_a, sigma_a):
-            raise ConfigError("functional scale does not match the kernel parameters")
+            raise ConfigError(f"functional scale {f.sigma_a} does not match "
+                              f"the stationary scale {sigma_a}")
 
 
 def from_monomial(poly, sigma_a: float) -> SpectralFn:
@@ -172,14 +166,14 @@ def apply_kernel(f: SpectralFn, a: float, steps: int = 1) -> SpectralFn:
 
 def stationary_inner(f: SpectralFn, g: SpectralFn) -> float:
     """Inner product under the invariant law: sum of n! c_n d_n."""
-    _check_same_scale(f, g)
+    check_scale([g], f.sigma_a)
     k = min(len(f.coeffs), len(g.coeffs))
     return float(np.dot(_FACTORIALS[:k], f.coeffs[:k] * g.coeffs[:k]))
 
 
 def product(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     """Pointwise product, expanded back into the basis."""
-    _check_same_scale(f, g)
+    check_scale([g], f.sigma_a)
     if f.degree + g.degree > DEGREE_CAP:
         raise DegreeCapError(
             f"product degree {f.degree + g.degree} exceeds the cap {DEGREE_CAP}"
@@ -209,12 +203,3 @@ def pair_expect(f: SpectralFn, g: SpectralFn, a: float) -> SpectralFn:
     this is (Kf)(Kg) with K the one-step lineage chain.
     """
     return product(apply_kernel(f, a, 1), apply_kernel(g, a, 1))
-
-
-def constant(value: float, sigma_a: float) -> SpectralFn:
-    return SpectralFn(sigma_a=sigma_a, coeffs=np.array([float(value)]))
-
-
-def identity(sigma_a: float) -> SpectralFn:
-    """The coordinate function f(x) = x."""
-    return SpectralFn(sigma_a=sigma_a, coeffs=np.array([0.0, sigma_a]))

@@ -87,19 +87,18 @@ def ks_threshold(count: int) -> float:
     return 1.36 / math.sqrt(count)
 
 
-def fit_line(x, y) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, stderr_of_slope, intercept)."""
+def fit_line(x, y) -> tuple[float, float]:
+    """Least-squares line fit; returns (slope, stderr_of_slope)."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if len(x) < 2 or np.amax(x) == np.amin(x):
         raise ValueError("fit_line needs two distinct x values")
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     slope = ssxym / ssxm
-    intercept = np.mean(y) - slope * np.mean(x)
     if len(x) == 2:
-        return float(slope), 0.0, float(intercept)
+        return float(slope), 0.0
     if ssxm == 0.0 or ssym == 0.0:
         r = np.nan if ssxym == 0 else 0.0
     else:
         r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
     stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
-    return float(slope), float(stderr), float(intercept)
+    return float(slope), float(stderr)

@@ -1,8 +1,8 @@
-"""Minimal self-contained SVG line charts.
+"""The slope chart as a minimal self-contained SVG document.
 
-Produces standalone SVG documents with axes, ticks, a legend, optional
-shaded bands, and one polyline per series.  Kept dependency-free so chart
-output is byte-reproducible across environments.
+Draws axes, ticks, a title, axis labels, a legend, an optional shaded band
+and one polyline per series on a fixed 720 x 480 canvas.  Kept
+dependency-free so chart output is byte-reproducible across environments.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from xml.sax.saxutils import escape
 
 from .errors import ConfigError
 
-PALETTE = ("#000000", "#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00")
-
+WIDTH, HEIGHT = 720, 480
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
@@ -28,7 +27,7 @@ class Series:
     label: str
     x: tuple
     y: tuple
-    color: str = ""
+    color: str
     dashed: bool = False
 
 
@@ -39,7 +38,6 @@ class Band:
     x: tuple
     lower: tuple
     upper: tuple
-    color: str = "#9e9e9e"
 
 
 def _finite_pairs(xs, ys):
@@ -48,38 +46,41 @@ def _finite_pairs(xs, ys):
 
 
 def _tick_values(lo: float, hi: float, target: int = 6):
+    """Round values from lo to hi, at most 2 * target + 2 of them; a span
+    too small for a nonzero double step gets the single tick lo."""
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / target
-    power = 10.0 ** math.floor(math.log10(raw))
+    power = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
         if step >= raw:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-9 * step:
+    if step == 0.0:
+        return [lo]
+    ticks, value = [], math.ceil(lo / step) * step
+    for _ in range(2 * target + 2):
+        if value > hi + 1e-9 * step:
+            break
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:
+            break
         value += step
     return ticks
 
 
-def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 720, height: int = 480, band: Band | None = None) -> str:
+def line_chart(series, *, title: str, x_label: str, y_label: str,
+               band: Band | None) -> str:
     """Render series (and an optional band) to an SVG document string."""
     series = list(series)
     if not series:
         raise ConfigError("line_chart needs at least one series")
-    cleaned = []
-    for i, s in enumerate(series):
+    for s in series:
         if len(s.x) != len(s.y):
             raise ConfigError(f"series {s.label!r} has mismatched lengths")
-        pts = _finite_pairs(s.x, s.y)
-        color = s.color or PALETTE[i % len(PALETTE)]
-        cleaned.append((s.label, pts, color, s.dashed))
-    all_x = [p[0] for _, pts, _, _ in cleaned for p in pts]
-    all_y = [p[1] for _, pts, _, _ in cleaned for p in pts]
+    finite = [_finite_pairs(s.x, s.y) for s in series]
+    all_x = [x for pts in finite for x, _ in pts]
+    all_y = [y for pts in finite for _, y in pts]
     if band is not None:
         if not (len(band.x) == len(band.lower) == len(band.upper)):
             raise ConfigError("band arrays must share one length")
@@ -96,8 +97,8 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -106,14 +107,12 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>')
 
     for tick in _tick_values(x_lo, x_hi):
         x = px(tick)
@@ -136,7 +135,7 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
         backward = _finite_pairs(band.x, band.lower)[::-1]
         if forward and backward:
             points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in forward + backward)
-            out.append(f'<polygon points="{points}" fill="{band.color}" '
+            out.append(f'<polygon points="{points}" fill="#9e9e9e" '
                        f'fill-opacity="0.25" stroke="none"/>')
 
     frame = (f'<rect x="{_MARGIN_LEFT:.2f}" y="{_MARGIN_TOP:.2f}" '
@@ -144,38 +143,34 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
              f'stroke="#424242"/>')
     out.append(frame)
 
-    for label, pts, color, dashed in cleaned:
+    for s, pts in zip(series, finite):
         if not pts:
             continue
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         out.append(f'<polyline points="{points}" fill="none" '
-                   f'stroke="{color}" stroke-width="1.8"{dash}/>')
+                   f'stroke="{s.color}" stroke-width="1.8"{dash}/>')
 
-    if x_label:
-        out.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" '
-                   f'y="{height - 8:.1f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">'
-                   f'{escape(x_label)}</text>')
-    if y_label:
-        cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
-        out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 {cx:.1f} {cy:.1f})">'
-                   f'{escape(y_label)}</text>')
+    out.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" '
+               f'y="{HEIGHT - 8:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="12">'
+               f'{escape(x_label)}</text>')
+    cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
+    out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="12" '
+               f'transform="rotate(-90 {cx:.1f} {cy:.1f})">'
+               f'{escape(y_label)}</text>')
 
     legend_y = _MARGIN_TOP + 10
     legend_x = _MARGIN_LEFT + plot_w - 150
-    for label, _, color, dashed in cleaned:
-        if not label:
-            continue
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
+    for s in series:
+        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         out.append(f'<line x1="{legend_x:.1f}" y1="{legend_y:.1f}" '
                    f'x2="{legend_x + 24:.1f}" y2="{legend_y:.1f}" '
-                   f'stroke="{color}" stroke-width="1.8"{dash}/>')
+                   f'stroke="{s.color}" stroke-width="1.8"{dash}/>')
         out.append(f'<text x="{legend_x + 30:.1f}" y="{legend_y + 4:.1f}" '
                    f'font-family="sans-serif" font-size="11">'
-                   f'{escape(label)}</text>')
+                   f'{escape(s.label)}</text>')
         legend_y += 16
 
     out.append("</svg>")

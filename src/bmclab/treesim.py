@@ -92,7 +92,7 @@ def _root_values(nu: InitialLaw, lanes, keys: np.ndarray) -> np.ndarray:
 
 
 def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
-             sums=None) -> None:
+             sums: np.ndarray) -> None:
     """Expand the parents tree[l, :, :width] into their children
     tree[l, :, :2*width] in place: children 2c and 2c+1 come from parent c and
     counter c of the row's key, with lane l's slope and noise scale.  Tiles of
@@ -112,8 +112,7 @@ def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
                 av = params.a * tree[l, lo:hi, c:d]
                 tree[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
                 tree[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
-        if sums is not None:
-            _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi])
+        _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi])
 
 
 @np.errstate(over="ignore", invalid="ignore")

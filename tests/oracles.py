@@ -1,10 +1,11 @@
 """Reference implementations the tests check the program against.
 
-Each is a direct transcription of its definition: the scalar Philox4x32
-block cipher, the transition densities of the symmetric Gaussian BAR
-relative to its invariant law, Gauss-Hermite expectations under a
-Gaussian law, and the offset sums of the critical limit variance.  The
-program itself needs none of them.
+Each is a direct transcription of its definition: the constant and
+coordinate functions in the Hermite basis, the scalar Philox4x32 block
+cipher, the transition densities of the symmetric Gaussian BAR relative to
+its invariant law, Gauss-Hermite expectations under a Gaussian law, and the
+offset sums of the critical limit variance.  The program itself needs none
+of them.
 """
 
 from __future__ import annotations
@@ -14,9 +15,20 @@ import math
 import numpy as np
 
 from bmclab.kernels import BarParams, hermite_nodes
+from bmclab.spectral import SpectralFn
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85
+
+
+def constant(value: float, sigma_a: float) -> SpectralFn:
+    """The constant function f(x) = value."""
+    return SpectralFn(sigma_a=sigma_a, coeffs=np.array([float(value)]))
+
+
+def identity(sigma_a: float) -> SpectralFn:
+    """The coordinate function f(x) = x."""
+    return SpectralFn(sigma_a=sigma_a, coeffs=np.array([0.0, sigma_a]))
 
 
 def philox4x32(counter, key, rounds: int = 10) -> tuple[int, int, int, int]:

@@ -86,7 +86,7 @@ def test_criterion_1_spectral_oracle():
         fc = rng.uniform(-1.0, 1.0, int(rng.integers(1, 10)))
         gc = rng.uniform(-1.0, 1.0, int(rng.integers(1, 10)))
         a = a_values[trial % 4]
-        sigma_a = BarParams.symmetric_params(a).sigma_a()
+        sigma_a = BarParams(a).sigma_a()
         f = from_monomial(fc, sigma_a)
         g = from_monomial(gc, sigma_a)
 
@@ -127,7 +127,7 @@ def test_criterion_2_many_to_one_monte_carlo():
     depth = 8
     seed = 0
     for a in A_SET:
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         funcs = [from_monomial(c, params.sigma_a()) for c in MONOMIALS]
         for x0 in (0.0, 1.0):
             keys = derive_keys(int(derive_keys(seed_key(seed), 5)),
@@ -162,7 +162,7 @@ def test_criterion_3_enumeration_oracle():
     failures: list[str] = []
     worst = 0.0
     for a in A_SET:
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         funcs = [from_monomial(c, params.sigma_a()) for c in MONOMIALS]
         for x0 in (0.0, 1.0):
             for j, f in enumerate(funcs):
@@ -198,7 +198,7 @@ def test_criterion_3_enumeration_oracle():
 def test_criterion_4_subcritical_clt():
     start = time.perf_counter()
     failures: list[str] = []
-    params = BarParams.symmetric_params(0.5, 1.0)
+    params = BarParams(0.5, 1.0)
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.stationary(),
@@ -225,7 +225,7 @@ def test_criterion_4_subcritical_clt():
 def test_criterion_5_critical_clt():
     start = time.perf_counter()
     failures: list[str] = []
-    params = BarParams.symmetric_params(2.0**-0.5, 1.0)
+    params = BarParams(2.0**-0.5, 1.0)
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.dirac(0.0),
@@ -274,7 +274,7 @@ def test_criterion_6_phase_transition_slopes():
 def test_criterion_7_supercritical_limits():
     start = time.perf_counter()
     failures: list[str] = []
-    params = BarParams.symmetric_params(0.85, 1.0)
+    params = BarParams(0.85, 1.0)
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.stationary(),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bmclab
@@ -38,7 +39,32 @@ def test_module_layers():
     assert {"cli", "treesim", "variance", "experiments"} <= set(imports)
     # The simulation engine needs only keys, draws and errors.
     assert imports["treesim"] == {"errors", "rng"}
+    # The chart writer and the statistics helpers are leaves.
+    assert imports["svg"] == imports["stats"] == {"errors"}
     # The closed-form variance never reaches into the simulator.
     assert "treesim" not in imports["variance"]
     # The command line is the top layer: nothing imports it.
     assert sorted(name for name, deps in imports.items() if "cli" in deps) == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names a subtree reads or imports: bare names, attributes, import aliases."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else
+        sub.attr if isinstance(sub, ast.Attribute) else sub.name
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_src_name_has_a_program_caller():
+    # Code only the tests call belongs in tests/ (oracles.py), not in src/.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in bmclab.__all__
+        and used[node.name] == _references(node)[node.name])
+    assert orphans == []

@@ -495,22 +495,33 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
 
 # The explicit examples pin faults the derandomized draws miss: a constant f
 # centers to zero, which leaves every replica's ratio and every regression
-# depth undefined, a tiny slope makes (2a)^-g overflow, and a huge f makes a
-# depth's variance overflow, which leaves that depth out of the fit.
+# depth undefined, a tiny slope makes (2a)^-g overflow, a huge f makes a
+# depth's variance overflow, which leaves that depth out of the fit, and a
+# slope grid whose span is tiny next to the spacing of doubles at its values
+# once sent the plot's tick loop into a hang or an exception.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@example(command="supercritical", a=0.85, sigma=1.0, f="1", n=4, replicas=5, n_min=0)
-@example(command="slopes", a=0.5, sigma=1.0, f="1", n=6, replicas=5, n_min=3)
-@example(command="martingale", a=1e-290, sigma=1.0, f="x", n=3, replicas=2, n_min=0)
-@example(command="slopes", a=0.5, sigma=1.0, f="0.0,1.1454206544607547e+154", n=3,
+@example(command="supercritical", a=0.85, a2=0.5, sigma=1.0, f="1", n=4, replicas=5,
+         n_min=0)
+@example(command="slopes", a=0.5, a2=0.5, sigma=1.0, f="1", n=6, replicas=5, n_min=3)
+@example(command="martingale", a=1e-290, a2=0.5, sigma=1.0, f="x", n=3, replicas=2,
+         n_min=0)
+@example(command="slopes", a=0.5, a2=0.5, sigma=1.0, f="0.0,1.1454206544607547e+154",
+         n=3, replicas=2, n_min=0)
+@example(command="slopes", a=0.5, a2=0.5000000000000001, sigma=1.0, f="x", n=3,
          replicas=2, n_min=0)
+@example(command="slopes", a=5e-324, a2=1e-323, sigma=1.0, f="x", n=3, replicas=2,
+         n_min=0)
+@example(command="slopes", a=5e-324, a2=3.5e-323, sigma=1.0, f="x", n=3, replicas=2,
+         n_min=0)
 @given(command=st.sampled_from(["supercritical", "slopes", "martingale"]), a=_slopes,
-       sigma=_sigmas, f=_test_functions, n=st.integers(3, 6), replicas=st.integers(2, 6),
-       n_min=st.integers(-3, 3))
+       a2=_slopes, sigma=_sigmas, f=_test_functions, n=st.integers(3, 6),
+       replicas=st.integers(2, 6), n_min=st.integers(-3, 3))
 def test_tree_commands_exit_cleanly_and_write_finite_numbers(
-        command, a, sigma, f, n, replicas, n_min):
+        command, a, a2, sigma, f, n, replicas, n_min):
     argv = [command, f"--sigma={_number(sigma)}", f"--f={f}", f"--n={n}"]
     if command == "slopes":
-        argv += [f"--alphas={_number(a)}", f"--n-min={n_min}",
+        # A second grid point gives the plot a nonzero x-span.
+        argv += [f"--alphas={_number(a)},{_number(a2)}", f"--n-min={n_min}",
                  f"--replicas={replicas}", "--outer-repeats=2", "--plot"]
     else:
         argv += [f"--a={_number(a)}"]

@@ -19,10 +19,6 @@ from bmclab.treesim import _advance
 from oracles import gaussian_expect, pair_density, transition_density
 
 
-def sym(a, sigma=1.0):
-    return BarParams.symmetric_params(a, sigma)
-
-
 def test_params_validation():
     with pytest.raises(ConfigError):
         BarParams(a=1.0)
@@ -33,7 +29,7 @@ def test_params_validation():
             BarParams(a=0.5, sigma=sigma)
     for sigma in (1.5e-154, 1e-100, 1e100, 1.3e154):
         assert BarParams(a=0.5, sigma=sigma).sigma == sigma
-    q = sym(0.5)
+    q = BarParams.symmetric_params(0.5)  # the benchmark's constructor
     assert q == BarParams(0.5, 1.0)
     assert abs(q.sigma_a() - 1.0 / math.sqrt(0.75)) < 1e-15
 
@@ -55,7 +51,7 @@ def _children(x, params, seed, count):
     """count child pairs below trait x: one step of the engine's _advance."""
     keys = np.array([seed_key(seed)], dtype=np.uint64)
     tree = np.full((1, 1, 2 * count), float(x))
-    _advance(tree, count, [(params, [])], keys)
+    _advance(tree, count, [(params, [])], keys, np.empty((1, 1, 0)))
     return tree[0, 0, 0::2], tree[0, 0, 1::2]
 
 
@@ -64,7 +60,8 @@ def _lineage(x, n, params, seed, count):
     keys = derive_keys(seed_key(seed), np.arange(count))
     tree = np.full((1, count, 2), float(x))
     for g in range(n):
-        _advance(tree, 1, [(params, [])], derive_keys(keys, g + 1))
+        _advance(tree, 1, [(params, [])], derive_keys(keys, g + 1),
+                 np.empty((1, count, 0)))
     return tree[0, :, 0]
 
 
@@ -75,14 +72,14 @@ def test_children_deterministic_limit():
 
 
 def test_children_independent_when_uncorrelated():
-    y, z = _children(0.0, sym(0.5), 2, 100_000)
+    y, z = _children(0.0, BarParams(0.5), 2, 100_000)
     corr = np.corrcoef(y, z)[0, 1]
     assert abs(corr) < 0.01
 
 
 def test_children_match_one_step_chain():
     # Averaging over either child reproduces one lineage step (3 SE).
-    params = sym(0.5)
+    params = BarParams(0.5)
     x = 0.7
     y, z = _children(x, params, 4, 100_000)
     for side in (y, z):
@@ -93,17 +90,17 @@ def test_children_match_one_step_chain():
 
 
 def test_lineage_endpoints():
-    assert _lineage(3.25, 0, sym(0.5), 5, 3).tolist() == [3.25] * 3
+    assert _lineage(3.25, 0, BarParams(0.5), 5, 3).tolist() == [3.25] * 3
     # Fifty steps forget the start: the trait follows the invariant law.
-    draws = _lineage(0.0, 50, sym(0.5), 5, 10_000)
-    sigma_a = sym(0.5).sigma_a()
+    draws = _lineage(0.0, 50, BarParams(0.5), 5, 10_000)
+    sigma_a = BarParams(0.5).sigma_a()
     assert kstest(draws, "norm", args=(0.0, sigma_a)).statistic < 0.02
 
 
 def test_lineage_mean():
     # Two steps from x = 4 at a = 0.5: mean a^2 x = 1 and variance
     # (1 - a^4) sigma_a^2, the closed-form n-step law.
-    params = sym(0.5)
+    params = BarParams(0.5)
     draws = _lineage(4.0, 2, params, 6, 100_000)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 1.0) < 3.0 * se
@@ -112,19 +109,19 @@ def test_lineage_mean():
 
 
 def test_transition_density_pinned():
-    assert abs(transition_density(0.3, -1.2, sym(0.0)) - 1.0) < 1e-15
-    got = transition_density(0.0, 0.0, sym(0.5))
+    assert abs(transition_density(0.3, -1.2, BarParams(0.0)) - 1.0) < 1e-15
+    got = transition_density(0.0, 0.0, BarParams(0.5))
     assert abs(got - 0.75**-0.5) < 1e-12
     assert abs(got - 1.1547) < 1e-4
     xs = np.array([0.4, -1.0, 2.2])
     ys = np.array([-0.3, 0.9, 1.1])
     assert np.allclose(
-        transition_density(xs, ys, sym(0.6)), transition_density(ys, xs, sym(0.6))
+        transition_density(xs, ys, BarParams(0.6)), transition_density(ys, xs, BarParams(0.6))
     )
 
 
 def test_densities_normalize():
-    params = sym(0.5)
+    params = BarParams(0.5)
     sigma_a = params.sigma_a()
     for x in [0.0, 1.0, 2.0]:
         total = gaussian_expect(
@@ -147,7 +144,7 @@ def test_densities_normalize():
 
 
 def test_pair_density_factorizes_symmetric():
-    params = sym(0.6)
+    params = BarParams(0.6)
     got = pair_density(0.5, 1.0, -0.7, params)
     want = transition_density(0.5, 1.0, params) * transition_density(0.5, -0.7, params)
     assert got == want
@@ -158,7 +155,7 @@ def test_row_norm_closed_form():
         assert abs(density_row_norm(0.0, a) - (1.0 - a**4) ** -0.25) < 1e-14
     assert density_row_norm(2.0, 0.0) == 1.0
     # Defining integral: h(x)^2 is the invariant-law integral of q(x,.)^2.
-    params = sym(0.5)
+    params = BarParams(0.5)
     sigma_a = params.sigma_a()
     for x in [0.0, 1.0, -2.0]:
         direct = gaussian_expect(

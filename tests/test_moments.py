@@ -20,9 +20,9 @@ from bmclab.moments import (
     exact_second_moment,
 )
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import constant, from_monomial, identity
+from bmclab.spectral import from_monomial
 from bmclab.treesim import InitialLaw, generation_sums
-from oracles import gaussian_expect
+from oracles import constant, gaussian_expect, identity
 
 A_GRID = (0.3, 1.0 / math.sqrt(2.0), 0.85)
 POLY_GRID = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
@@ -72,7 +72,7 @@ def test_gaussian_pair_expect_against_quadrature():
 
 
 def test_mean_closed_forms():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     one = constant(1.0, params.sigma_a())
     for n in range(5):
         assert exact_mean(one, params, n, 0.3) == pytest.approx(2.0**n, rel=1e-12)
@@ -83,7 +83,7 @@ def test_mean_closed_forms():
 
 
 def test_second_moment_closed_forms():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     sig = params.sigma_a()
     one = constant(1.0, sig)
     for n in range(5):
@@ -94,7 +94,7 @@ def test_second_moment_closed_forms():
         f(1.3) ** 2, rel=1e-12)
     x_fn = identity(sig)
     for sigma in (1.0, 0.7):
-        p = BarParams.symmetric_params(0.5, sigma=sigma)
+        p = BarParams(0.5, sigma=sigma)
         assert exact_second_moment(identity(p.sigma_a()), p, 1, 0.0) == pytest.approx(
             2.0 * sigma**2, rel=1e-12)
     assert exact_second_moment(x_fn, params, 1, 0.0) == pytest.approx(2.0, rel=1e-12)
@@ -102,7 +102,7 @@ def test_second_moment_closed_forms():
 
 def test_critical_second_moment_growth():
     a = 1.0 / math.sqrt(2.0)
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     f = identity(params.sigma_a())
     sig2 = params.sigma_a() ** 2
     for n in range(1, 7):
@@ -111,7 +111,7 @@ def test_critical_second_moment_growth():
 
 
 def test_cross_moment_reductions():
-    params = BarParams.symmetric_params(0.6)
+    params = BarParams(0.6)
     sig = params.sigma_a()
     f = from_monomial([0.0, 1.0, 0.3], sig)
     g = from_monomial([0.5, 0.7], sig)
@@ -129,7 +129,7 @@ def test_cross_moment_reductions():
 
 def test_variance_nonnegative_and_cauchy_schwarz():
     for a in A_GRID:
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         sig = params.sigma_a()
         funcs = [from_monomial(c, sig) for c in POLY_GRID]
         for x in (0.0, 1.0):
@@ -147,7 +147,7 @@ def test_variance_nonnegative_and_cauchy_schwarz():
 
 def test_exact_matches_enumeration():
     for a in A_GRID:
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         sig = params.sigma_a()
         funcs = [from_monomial(c, sig) for c in POLY_GRID]
         for x in (0.0, 1.0):
@@ -166,7 +166,7 @@ def test_exact_matches_enumeration():
 
 
 def test_monte_carlo_agreement():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     sig = params.sigma_a()
     f = from_monomial([0.0, 0.0, 1.0], sig)
     g = identity(sig)
@@ -192,7 +192,7 @@ def test_monte_carlo_agreement():
 
 
 def test_guards():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     f = identity(params.sigma_a())
     with pytest.raises(ResourceCapError):
         enumerated_mean(f, params, 5, 0.0)

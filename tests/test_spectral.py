@@ -15,15 +15,13 @@ from bmclab.spectral import (
     apply_kernel,
     as_monomial,
     center,
-    constant,
     from_monomial,
-    identity,
     pair_expect,
     product,
     project_linear,
     stationary_inner,
 )
-from oracles import gaussian_expect
+from oracles import constant, gaussian_expect, identity
 
 
 def basis(n, sigma_a):

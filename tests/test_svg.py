@@ -5,18 +5,26 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmclab.errors import ConfigError
-from bmclab.svg import Band, Series, line_chart
+from bmclab.svg import Band, Series, _tick_values, line_chart
+
+
+def _chart(series, title="t", band=None):
+    return line_chart(series, title=title, x_label="x", y_label="y", band=band)
 
 
 def test_chart_structure():
     chart = line_chart(
         [
-            Series(label="data", x=(0, 1, 2, 3), y=(1.0, 0.5, 0.25, 0.125)),
-            Series(label="reference", x=(0, 3), y=(1.0, 0.1), dashed=True),
+            Series(label="data", x=(0, 1, 2, 3), y=(1.0, 0.5, 0.25, 0.125),
+                   color="#000000"),
+            Series(label="reference", x=(0, 3), y=(1.0, 0.1), color="#c62828",
+                   dashed=True),
         ],
-        title="decay", x_label="n", y_label="variance",
+        title="decay", x_label="n", y_label="variance", band=None,
     )
     assert chart.startswith("<svg ")
     assert chart.endswith("</svg>")
@@ -30,16 +38,16 @@ def test_chart_structure():
 
 
 def test_chart_escapes_labels():
-    chart = line_chart([Series(label="a<b>&c", x=(0, 1), y=(0, 1))],
-                       title='q "quote" <tag>')
+    chart = _chart([Series(label="a<b>&c", x=(0, 1), y=(0, 1), color="#000000")],
+                   title='q "quote" <tag>')
     assert "a&lt;b&gt;&amp;c" in chart
     assert "<tag>" not in chart
 
 
 def test_chart_band_and_nan_points():
     band = Band(x=(0, 1, 2), lower=(-1.0, -1.2, -1.1), upper=(-0.8, -0.9, -0.7))
-    chart = line_chart(
-        [Series(label="s", x=(0, 1, 2), y=(-0.9, math.nan, -0.8))],
+    chart = _chart(
+        [Series(label="s", x=(0, 1, 2), y=(-0.9, math.nan, -0.8), color="#000000")],
         band=band,
     )
     assert "<polygon " in chart
@@ -48,16 +56,32 @@ def test_chart_band_and_nan_points():
 
 def test_chart_errors():
     with pytest.raises(ConfigError):
-        line_chart([])
+        _chart([])
     with pytest.raises(ConfigError):
-        line_chart([Series(label="bad", x=(0, 1), y=(0.0,))])
+        _chart([Series(label="bad", x=(0, 1), y=(0.0,), color="#000000")])
     with pytest.raises(ConfigError):
-        line_chart([Series(label="empty", x=(math.nan,), y=(1.0,))])
+        _chart([Series(label="empty", x=(math.nan,), y=(1.0,), color="#000000")])
     with pytest.raises(ConfigError):
-        line_chart([Series(label="s", x=(0, 1), y=(0, 1))],
-                   band=Band(x=(0, 1), lower=(0.0,), upper=(0.0, 1.0)))
+        _chart([Series(label="s", x=(0, 1), y=(0, 1), color="#000000")],
+               band=Band(x=(0, 1), lower=(0.0,), upper=(0.0, 1.0)))
 
 
 def test_chart_deterministic():
-    series = [Series(label="s", x=(0, 1, 2), y=(3.0, 1.0, 2.0))]
-    assert line_chart(series) == line_chart(series)
+    series = [Series(label="s", x=(0, 1, 2), y=(3.0, 1.0, 2.0), color="#000000")]
+    assert _chart(series) == _chart(series)
+
+
+# The one caller plots slopes in (0, 1) and fitted exponents of moderate
+# size, so spans stay far from overflowing.  The examples once hung or raised.
+@settings(derandomize=True, database=None, max_examples=500)
+@example(lo=0.5, hi=0.5000000000000001)  # the step is below half an ulp
+@example(lo=5e-324, hi=1e-323)  # the span over the tick target is zero
+@example(lo=5e-324, hi=3.5e-323)  # the power of ten underflows to zero
+@example(lo=1e300, hi=1e300)  # lo + 1 rounds back to lo
+@given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300))
+def test_ticks_bounded_and_finite(lo, hi):
+    lo, hi = sorted((lo, hi))
+    ticks = _tick_values(lo, hi)
+    assert len(ticks) <= 14
+    assert all(math.isfinite(t) for t in ticks)
+    assert ticks == sorted(set(ticks))

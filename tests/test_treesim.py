@@ -14,10 +14,10 @@ from bmclab.experiments import ExperimentConfig, replicate
 from bmclab.kernels import BarParams
 from bmclab.moments import common_ancestor_depth
 from bmclab.rng import batch_normal_pairs, derive_keys, seed_key
-from bmclab.spectral import (FunctionalSeq, apply_kernel, center, constant, from_monomial,
-                             identity)
+from bmclab.spectral import FunctionalSeq, apply_kernel, center, from_monomial
 from bmclab import treesim
 from bmclab.treesim import InitialLaw, generation_sums
+from oracles import constant, identity
 
 
 def _advance1(parents, params, keys):
@@ -25,7 +25,7 @@ def _advance1(parents, params, keys):
     rows, width = parents.shape
     tree = np.empty((1, rows, 2 * width))
     tree[0, :, :width] = parents
-    treesim._advance(tree, width, [(params, [])], keys)
+    treesim._advance(tree, width, [(params, [])], keys, np.empty((1, rows, 0)))
     return tree[0]
 
 
@@ -125,7 +125,7 @@ def _keys(seed, rows=1):
 
 
 def test_buffer_lengths_and_generations():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     one = constant(1.0, params.sigma_a())
     sums = generation_sums([(params, [one])], InitialLaw.stationary(), 5, _keys(3, 2))[0]
     assert sums.shape == (2, 6, 1)
@@ -133,7 +133,7 @@ def test_buffer_lengths_and_generations():
 
 
 def test_near_deterministic_limit():
-    params = BarParams.symmetric_params(0.5, sigma=1e-12)
+    params = BarParams(0.5, sigma=1e-12)
     sigma_a = params.sigma_a()
     funcs = [identity(sigma_a), from_monomial([0.0, 0.0, 1.0], sigma_a)]
     sums = generation_sums([(params, funcs)], InitialLaw.dirac(1.0), 2, _keys(0))[0]
@@ -182,7 +182,7 @@ def test_one_tree_buffer_bounds_peak_memory():
     # fresh child generation beside its parent plus whole-row evaluation
     # temporaries took 5.9.  numpy reports its allocations to tracemalloc.
     n = 18
-    params = BarParams.symmetric_params(0.85)
+    params = BarParams(0.85)
     funcs = [from_monomial([0.0, 0.0, 1.0], params.sigma_a())]
     generation_sums([(params, funcs)], InitialLaw.dirac(0.0), 3, _keys(5))
     tracing = tracemalloc.is_tracing()
@@ -199,7 +199,7 @@ def test_one_tree_buffer_bounds_peak_memory():
 
 
 def test_same_stream_same_tree():
-    params = BarParams.symmetric_params(0.6)
+    params = BarParams(0.6)
     nu = InitialLaw.stationary()
     funcs = [identity(params.sigma_a()),
              from_monomial([0.0, 0.0, 1.0], params.sigma_a())]
@@ -211,7 +211,7 @@ def test_same_stream_same_tree():
 
 
 def test_depth_cap(monkeypatch):
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     nu = InitialLaw.dirac(0.0)
     f = [identity(params.sigma_a())]
     with pytest.raises(ResourceCapError, match="bytes"):
@@ -234,7 +234,7 @@ def test_replica_cap():
         treesim.keys_for_replicas(master, limit + 1, 6, 1)
     keys = treesim.keys_for_replicas(master, 5, 6, 2)
     assert np.array_equal(keys, derive_keys(master, np.arange(5)))
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     config = ExperimentConfig(params, InitialLaw.stationary(),
                               FunctionalSeq.single(identity(params.sigma_a())), 3, 2**62, 0)
     with pytest.raises(ResourceCapError):
@@ -260,7 +260,7 @@ def test_child_pair_joint_moments():
 
 def test_leaf_marginal_distribution():
     a, n, x0 = 0.6, 6, 0.7
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     nu = InitialLaw.dirac(x0)
     keys = _keys(19, 1500)
     vals = treesim._root_values(nu, [(params, [])], keys)[0]
@@ -278,7 +278,7 @@ def test_generation_mean_matches_iterated_kernel():
     rows = 2000
     n = 8
     for a in (0.3, 1.0 / math.sqrt(2.0), 0.85):
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
         keys = _keys(101, rows)
         sums = generation_sums([(params, [f])], InitialLaw.dirac(x0), n, keys)[0]
@@ -289,7 +289,7 @@ def test_generation_mean_matches_iterated_kernel():
 
 
 def test_fluctuation_statistic_shapes():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     sigma_a = params.sigma_a()
     n, seed = 6, 5
     nu = InitialLaw.stationary()
@@ -314,7 +314,7 @@ def test_fluctuation_statistic_shapes():
 
 def test_replicate_matches_simulate_per_replica():
     # Replica r of replicate is the tree of key r simulated on its own.
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     f = from_monomial([0.1, 1.0, 0.4], params.sigma_a())
     n, seed = 6, 909
     nu = InitialLaw.stationary()
@@ -333,13 +333,13 @@ def test_replicate_critical_and_supercritical_scaling():
     nu = InitialLaw.dirac(0.0)
 
     a_crit = 1.0 / math.sqrt(2.0)
-    params = BarParams.symmetric_params(a_crit)
+    params = BarParams(a_crit)
     f = identity(params.sigma_a())
     values = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
     sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     assert values == pytest.approx(sums[:, n, 0] / math.sqrt(n * 2.0**n), rel=1e-12)
 
-    params = BarParams.symmetric_params(0.85)
+    params = BarParams(0.85)
     f = from_monomial([0.3, 1.0, 0.2], params.sigma_a())
     single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
     tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 2, seed))
@@ -350,7 +350,7 @@ def test_replicate_critical_and_supercritical_scaling():
 
     with pytest.raises(RegimeError):
         replicate(ExperimentConfig(params, nu, FunctionalSeq.custom([f, f]), n, 2, seed))
-    params_crit = BarParams.symmetric_params(a_crit)
+    params_crit = BarParams(a_crit)
     f_crit = identity(params_crit.sigma_a())
     # The critical normalization divides by sqrt(n 2^n); configs need n >= 3.
     with pytest.raises(ConfigError):
@@ -358,7 +358,7 @@ def test_replicate_critical_and_supercritical_scaling():
 
 
 def test_replicate_validation():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     f = identity(params.sigma_a())
     nu = InitialLaw.stationary()
     with pytest.raises(ConfigError):
@@ -372,7 +372,7 @@ def test_replicate_validation():
 
 
 def test_chunking_and_threads_do_not_change_results(monkeypatch):
-    params = BarParams.symmetric_params(0.6)
+    params = BarParams(0.6)
     f = from_monomial([0.0, 1.0, 0.2], params.sigma_a())
     config = ExperimentConfig(params, InitialLaw.stationary(), FunctionalSeq.tree(f), 6, 64, 5)
     baseline = replicate(config)

@@ -14,11 +14,10 @@ from bmclab.experiments import (ExperimentConfig, martingale_path, replicate,
                                 supercritical_study)
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import (FunctionalSeq, SpectralFn, constant, from_monomial, identity,
-                             project_linear)
+from bmclab.spectral import FunctionalSeq, SpectralFn, from_monomial, project_linear
 from bmclab.treesim import InitialLaw, generation_sums
 from bmclab.variance import limit_variance
-from oracles import critical_offset_sums
+from oracles import constant, critical_offset_sums, identity
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -33,20 +32,20 @@ def _mode_weights(coeffs, a):
 
 
 def test_single_identity_closed_form():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
     assert report.value == pytest.approx(2.0, abs=1e-10)
     assert report.sigma1 == pytest.approx(2.0, abs=1e-10)
     assert report.sigma2 == 0.0
     assert report.regime == SUBCRITICAL
 
-    params = BarParams.symmetric_params(0.3, sigma=1.7)
+    params = BarParams(0.3, sigma=1.7)
     report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
     assert report.value == pytest.approx(1.7**2 / (1.0 - 2.0 * 0.09), rel=1e-10)
 
 
 def test_tree_identity_closed_form():
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     report = limit_variance(FunctionalSeq.tree(identity(params.sigma_a())), params)
     assert report.sigma1 == pytest.approx(4.0, abs=1e-9)
     assert report.sigma2 == pytest.approx(4.0, abs=1e-9)
@@ -55,7 +54,7 @@ def test_tree_identity_closed_form():
 
 def test_single_coefficient_oracle():
     a = 0.55
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     rng = np.random.default_rng(21)
     coeffs = rng.normal(size=6)
     f = SpectralFn(params.sigma_a(), coeffs)
@@ -65,7 +64,7 @@ def test_single_coefficient_oracle():
 
 def test_tree_coefficient_oracle():
     a = 0.45
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     rng = np.random.default_rng(22)
     coeffs = rng.normal(size=5)
     f = SpectralFn(params.sigma_a(), coeffs)
@@ -82,7 +81,7 @@ def test_tree_coefficient_oracle():
 
 def test_custom_shape_oracle():
     a = 0.5
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     rng = np.random.default_rng(23)
     c0 = rng.normal(size=4)
     c1 = rng.normal(size=3)
@@ -106,18 +105,18 @@ def test_custom_shape_oracle():
 
 
 def test_constant_functions_give_zero():
-    params = BarParams.symmetric_params(0.4)
+    params = BarParams(0.4)
     flat = constant(2.5, params.sigma_a())
     report = limit_variance(FunctionalSeq.tree(flat), params)
     assert report.value == report.sigma1 == report.sigma2 == 0.0
 
-    params = BarParams.symmetric_params(A_CRIT)
+    params = BarParams(A_CRIT)
     report = limit_variance(FunctionalSeq.single(constant(1.0, params.sigma_a())), params)
     assert report.value == 0.0
 
 
 def test_critical_closed_forms():
-    params = BarParams.symmetric_params(A_CRIT)
+    params = BarParams(A_CRIT)
     sig = params.sigma_a()
     f = identity(sig)
 
@@ -149,7 +148,7 @@ _COEFF = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
 @given(a=st.sampled_from([A_CRIT, 2.0**-0.5, -(2.0**-0.5)]),
        funcs=st.lists(st.lists(_COEFF, min_size=1, max_size=4), min_size=1, max_size=5))
 def test_critical_custom_matches_offset_sums(a, funcs):
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
     report = limit_variance(FunctionalSeq.custom(fns), params)
     sigma1, sigma2 = critical_offset_sums(
@@ -163,7 +162,7 @@ def test_critical_custom_matches_offset_sums(a, funcs):
 
 
 def test_quadratic_scaling():
-    params = BarParams.symmetric_params(0.6)
+    params = BarParams(0.6)
     sig = params.sigma_a()
     f = from_monomial([0.3, 1.0, 0.2], sig)
     tripled = from_monomial([0.9, 3.0, 0.6], sig)
@@ -171,7 +170,7 @@ def test_quadratic_scaling():
     scaled = limit_variance(FunctionalSeq.tree(tripled), params)
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
-    params = BarParams.symmetric_params(A_CRIT)
+    params = BarParams(A_CRIT)
     f = from_monomial([0.0, 1.0, 0.4], params.sigma_a())
     tripled = from_monomial([0.0, 3.0, 1.2], params.sigma_a())
     base = limit_variance(FunctionalSeq.tree(f), params)
@@ -246,7 +245,7 @@ TRUNCATED_SERIES = {
 
 @pytest.mark.parametrize("shape,a,poly", sorted(TRUNCATED_SERIES))
 def test_matches_truncated_series_pins(shape, a, poly):
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     f = from_monomial(SERIES_POLYS[poly], params.sigma_a())
     fseq = FunctionalSeq.single(f) if shape == "single" else FunctionalSeq.tree(f)
     got = limit_variance(fseq, params).value
@@ -259,7 +258,7 @@ def test_matches_truncated_series_pins(shape, a, poly):
                       min_size=1, max_size=3),
        shape=st.sampled_from(["single", "tree", "custom"]))
 def test_closed_form_finite_and_nonnegative(a, funcs, shape):
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
     if shape == "custom":
         fseq = FunctionalSeq.custom(fns)
@@ -273,7 +272,7 @@ def test_closed_form_finite_and_nonnegative(a, funcs, shape):
 
 
 def test_nonnegative_on_random_sequences():
-    params = BarParams.symmetric_params(0.55)
+    params = BarParams(0.55)
     rng = np.random.default_rng(8)
     for _ in range(5):
         funcs = [SpectralFn(params.sigma_a(), rng.normal(size=rng.integers(2, 5)))
@@ -284,18 +283,18 @@ def test_nonnegative_on_random_sequences():
 
 def test_regime_guards():
     for a in (0.71, -0.8, 0.99):
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         f = identity(params.sigma_a())
         for fseq in (FunctionalSeq.single(f), FunctionalSeq.tree(f),
                      FunctionalSeq.custom([f, f])):
             with pytest.raises(RegimeError):
                 limit_variance(fseq, params)
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     f = identity(params.sigma_a())
     with pytest.raises(RegimeError):
         supercritical_study(ExperimentConfig(params, InitialLaw.dirac(0.0),
                                              FunctionalSeq.single(f), 3, 2, 0))
-    zero_slope = BarParams.symmetric_params(0.0)
+    zero_slope = BarParams(0.0)
     with pytest.raises(RegimeError):
         martingale_path(identity(zero_slope.sigma_a()), zero_slope,
                         InitialLaw.dirac(0.0), 3, 0)
@@ -303,7 +302,7 @@ def test_regime_guards():
 
 def test_limit_variance_rejects_mismatched_scale():
     # x^2 expanded at twice sigma_a gave 60.95 at a = 0.5 instead of 80/21.
-    params = BarParams.symmetric_params(0.5)
+    params = BarParams(0.5)
     f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
     wrong = from_monomial([0.0, 0.0, 1.0], 2.0 * params.sigma_a())
     assert limit_variance(FunctionalSeq.single(f), params).value == pytest.approx(80 / 21)
@@ -314,7 +313,7 @@ def test_limit_variance_rejects_mismatched_scale():
 
 
 def test_martingale_path_rejects_mismatched_scale():
-    params = BarParams.symmetric_params(0.85)
+    params = BarParams(0.85)
     wrong = from_monomial([0.0, 1.0], 2.0 * params.sigma_a())
     with pytest.raises(ConfigError, match="functional scale"):
         martingale_path(wrong, params, InitialLaw.dirac(1.0), 4, 0)
@@ -323,7 +322,7 @@ def test_martingale_path_rejects_mismatched_scale():
 def test_limit_variance_matches_simulation():
     n, rows = 12, 3000
     for a in (0.3, 0.5, 0.6):
-        params = BarParams.symmetric_params(a)
+        params = BarParams(a)
         f = from_monomial([0.0, 0.5, 1.0], params.sigma_a())
         fseq = FunctionalSeq.single(f)
         series = limit_variance(fseq, params).value
@@ -337,7 +336,7 @@ def test_limit_variance_matches_simulation():
 
 def test_martingale_path_properties():
     a, n, rows = 0.85, 8, 2000
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     f = from_monomial([0.0, 1.0, 0.3], params.sigma_a())
     lin = project_linear(f)
     keys = derive_keys(seed_key(55), np.arange(rows))
@@ -358,7 +357,7 @@ def test_martingale_path_properties():
 
 def test_supercritical_ratio():
     a, n, rows = 0.85, 10, 400
-    params = BarParams.symmetric_params(a)
+    params = BarParams(a)
     f = from_monomial([0.2, 1.0, 0.1], params.sigma_a())
     res = supercritical_study(ExperimentConfig(
         params, InitialLaw.stationary(), FunctionalSeq.single(f), n, rows, 91))
