@@ -55,7 +55,6 @@ from .moments import (
 )
 from .rng import derive_keys, seed_key
 from .spectral import (
-    FunctionalSeq,
     SpectralFn,
     apply_kernel,
     as_monomial,

@@ -39,7 +39,7 @@ from .experiments import (
     supercritical_study,
 )
 from .kernels import BarParams, check_assumptions
-from .spectral import FunctionalSeq, from_monomial
+from .spectral import SpectralFn, from_monomial
 from .svg import Band, Series, line_chart
 from .treesim import InitialLaw
 from .variance import limit_variance
@@ -117,6 +117,12 @@ def _parse_nu(value, name: str = "--nu") -> InitialLaw:
                                    _as_float(parts[1], f"{name} gaussian var"))
     raise ConfigError(
         f"{name} takes stationary, dirac:X, or gaussian:MEAN,VAR, got {value!r}")
+
+
+def _nu_text(nu: InitialLaw) -> str:
+    """The canonical spelling of a root law, which _parse_nu reads back."""
+    return {"stationary": "stationary", "dirac": f"dirac:{nu.x0!r}",
+            "gaussian": f"gaussian:{nu.mean!r},{nu.var!r}"}[nu.kind]
 
 
 def _parse_alphas(value, name: str = "--alphas") -> list[float]:
@@ -219,20 +225,25 @@ def _write_manifest(out_dir: str, command: str, digest: str, seed,
     return path
 
 
-def _params_and_fseq(cfg: dict) -> tuple[BarParams, FunctionalSeq]:
-    """Kernel parameters and the test function in the requested shape."""
+def _params_and_f(cfg: dict) -> tuple[BarParams, SpectralFn]:
+    """Kernel parameters and the test function in the kernel's eigenbasis."""
     params = BarParams(cfg["a"], cfg["sigma"])
-    f = from_monomial(cfg["f"], params.sigma_a())
-    shape = cfg["shape"]
+    return params, from_monomial(cfg["f"], params.sigma_a())
+
+
+def _tree(cfg: dict) -> bool:
+    """Whether --shape asks for the whole-tree sum (no, for commands without it)."""
+    shape = cfg.get("shape", "single")
     if shape not in ("single", "tree"):
         raise ConfigError(f"--shape takes single or tree, got {shape!r}")
-    return params, getattr(FunctionalSeq, shape)(f)
+    return shape == "tree"
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    params, fseq = _params_and_fseq(cfg)
-    return ExperimentConfig(params=params, nu=cfg["nu"], fseq=fseq, n=cfg["n"],
-                            replicas=cfg["replicas"], master_seed=cfg["seed"])
+    params, f = _params_and_f(cfg)
+    return ExperimentConfig(params=params, nu=cfg["nu"], f=f, n=cfg["n"],
+                            replicas=cfg["replicas"], master_seed=cfg["seed"],
+                            tree=_tree(cfg))
 
 
 def _run_simulate(cfg: dict, out_dir: str, threads: int,
@@ -248,8 +259,8 @@ def _run_simulate(cfg: dict, out_dir: str, threads: int,
 
 def _run_variance(cfg: dict, out_dir: str, threads: int,
                   args: argparse.Namespace) -> list[str]:
-    params, fseq = _params_and_fseq(cfg)
-    report = limit_variance(fseq, params)
+    params, f = _params_and_f(cfg)
+    report = limit_variance(f, params, _tree(cfg))
     print(f"regime = {report.regime}")
     print(f"value = {_g17(report.value)}")
     print(f"sigma1 = {_g17(report.sigma1)}")
@@ -359,8 +370,7 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
 
 def _run_supercritical(cfg: dict, out_dir: str, threads: int,
                        args: argparse.Namespace) -> list[str]:
-    # The study reads one test function, never a shape.
-    ecfg = _experiment_config({**cfg, "shape": "single"})
+    ecfg = _experiment_config(cfg)
     res = supercritical_study(ecfg, threads=threads)
     path = os.path.join(out_dir, "supercritical.csv")
     _write_csv(path, ("level", "martingale_l1_diff"),
@@ -375,8 +385,7 @@ def _run_supercritical(cfg: dict, out_dir: str, threads: int,
 
 def _run_martingale(cfg: dict, out_dir: str, threads: int,
                     args: argparse.Namespace) -> list[str]:
-    params = BarParams(cfg["a"], cfg["sigma"])
-    f = from_monomial(cfg["f"], params.sigma_a())
+    params, f = _params_and_f(cfg)
     n = cfg["n"]
     path_values = martingale_path(f, params, cfg["nu"], n, cfg["seed"])
     path = os.path.join(out_dir, "martingale.csv")
@@ -490,11 +499,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         flags = ", ".join(_flag(key) for key in missing)
         raise ConfigError(f"missing required option(s): {flags}")
     # Parsed values make the digest independent of the source (flags are
-    # strings, a config file may hold numbers); nu is kept as given.
+    # strings, a config file may hold numbers) and of the spelling.
     cfg = {key: _OPTIONS[key][0](value, _flag(key)) for key, value in raw.items()}
     record = {"command": command, **cfg}
-    if "nu" in raw:
-        record["nu"] = str(raw["nu"])
+    if "nu" in cfg:
+        record["nu"] = _nu_text(cfg["nu"])
 
     threads = _as_int(args.threads, "--threads")
     if threads < 1:

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ComputationRejected, ConfigError, RegimeError, ResourceCapError
 from .kernels import SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .rng import derive_keys, seed_key
-from .spectral import (FunctionalSeq, SpectralFn, center, check_scale, from_monomial,
-                       project_linear)
+from .spectral import SpectralFn, center, check_scale, from_monomial, project_linear
 from .stats import SampleMoments, fit_line, ks_normal_distance, ks_threshold, sample_moments
 from .treesim import InitialLaw, generation_sums, keys_for_replicas
 from .variance import limit_variance
@@ -39,21 +38,23 @@ SLOPE_RUNS_MAX = 1 << 16  # grid slopes x outer repeats, one lane of a batch eac
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A reproducible experiment: kernel, initial law, functions, and sizes."""
+    """A reproducible experiment: kernel, initial law, test function, sizes,
+    and the sum taken: over the deepest generation, or the whole tree."""
 
     params: BarParams
     nu: InitialLaw
-    fseq: FunctionalSeq
+    f: SpectralFn
     n: int
     replicas: int
     master_seed: int
+    tree: bool = False
 
     def __post_init__(self) -> None:
         if self.replicas < 2:
             raise ConfigError("variance estimation needs at least 2 replicas")
         if self.n < 3:
             raise ConfigError("experiments need depth n >= 3")
-        check_scale(self.fseq.funcs, self.params.sigma_a())
+        check_scale(self.f, self.params.sigma_a())
 
 
 @dataclass(frozen=True)
@@ -126,28 +127,26 @@ def h2(alpha: float) -> float:
 def replicate(cfg: ExperimentConfig, threads: int = 1) -> np.ndarray:
     """Per-replica values of the regime-normalized fluctuation statistic.
 
-    Replica r is simulated from the key of (master_seed, r), so the output is
-    ordered by replica index and is a pure function of the configuration.  A
-    statistic that overflows double precision raises ComputationRejected.
+    It sums the centered f over the deepest generation, or over the whole
+    tree if cfg.tree.  Replica r is simulated from the key of (master_seed,
+    r), so the output is ordered by replica index and is a pure function of
+    the configuration.  A statistic that overflows raises ComputationRejected.
     """
-    a, n, fseq = cfg.params.a, cfg.n, cfg.fseq
+    a, n = cfg.params.a, cfg.n
     regime = classify_regime(a)
-    if regime == SUPERCRITICAL and fseq.shape == "custom":
-        raise RegimeError("custom functional sequences have no supercritical normalization")
-    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, n, len(fseq.funcs))
-    centered = [center(f) for f in fseq.funcs]
-    sums = generation_sums([(cfg.params, centered)], cfg.nu, n, keys, threads=threads)[0]
-    tree = fseq.shape == "tree"
-    if regime == SUPERCRITICAL:
-        raw = sums[:, :, 0].sum(axis=1) if tree else sums[:, n, 0]
-        scale = (2.0 * a) ** n
-    else:
-        columns = [0] * (n + 1) if tree else range(min(len(fseq.funcs), n + 1))
-        raw = np.zeros(cfg.replicas)
-        for offset, column in enumerate(columns):
-            raw += sums[:, n - offset, column]
-        scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
-    values = raw / scale
+    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, n, 1)
+    sums = generation_sums([(cfg.params, [center(cfg.f)])], cfg.nu, n, keys,
+                           threads=threads)[0, :, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if regime == SUPERCRITICAL:
+            raw = sums.sum(axis=1) if cfg.tree else sums[:, n]
+            scale = (2.0 * a) ** n
+        else:
+            raw = np.zeros(cfg.replicas)
+            for g in range(n, -1, -1) if cfg.tree else [n]:
+                raw += sums[:, g]
+            scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
+        values = raw / scale
     if not np.all(np.isfinite(values)):
         raise ComputationRejected("the fluctuation statistic overflows double precision")
     return values
@@ -163,7 +162,7 @@ def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
     kurtosis are NaN, and flagged, when the sample's spread cancels against
     its mean.
     """
-    series = limit_variance(cfg.fseq, cfg.params)
+    series = limit_variance(cfg.f, cfg.params, cfg.tree)
     values = replicate(cfg, threads=threads)
     moments = sample_moments(values)
     flags: list[str] = []
@@ -194,18 +193,15 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     ratio of the (2a)^(-n)-rescaled centered sums, and the mean absolute
     martingale increment at each depth.  Replicas whose deepest-generation
     statistic is zero are left out of the median and flagged; when none is
-    left, the ratio is undefined and ComputationRejected is raised.
+    left, the ratio is undefined and ComputationRejected is raised.  Both
+    sums are taken, so cfg.tree is not read.
     """
     a = cfg.params.a
     if classify_regime(a) != SUPERCRITICAL:
         raise RegimeError(f"the supercritical study needs 2 a^2 > 1, got a={a}")
-    if cfg.fseq.shape == "custom":
-        raise ConfigError("the supercritical study takes a single test function")
-    f = cfg.fseq.funcs[0]
-
     keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, cfg.n, 2)
-    sums = generation_sums([(cfg.params, [center(f), project_linear(f)])], cfg.nu,
-                           cfg.n, keys, threads=threads)[0]
+    sums = generation_sums([(cfg.params, [center(cfg.f), project_linear(cfg.f)])],
+                           cfg.nu, cfg.n, keys, threads=threads)[0]
 
     flags: list[str] = []
     scale = (2.0 * a) ** (-cfg.n)
@@ -239,7 +235,7 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     the critical slope it converges and its limit drives the supercritical
     fluctuations.
     """
-    check_scale([f], params.sigma_a())
+    check_scale(f, params.sigma_a())
     a = params.a
     if a == 0.0:
         raise RegimeError("the additive martingale needs a nonzero slope")

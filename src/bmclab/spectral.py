@@ -82,45 +82,11 @@ class SpectralFn:
         return self.evaluate(x)
 
 
-@dataclass(frozen=True)
-class FunctionalSeq:
-    """A per-generation family of test functions with a tagged shape.
-
-    shape "single" weights only the deepest generation, "tree" applies one
-    function to every generation, "custom" lists one function per offset
-    from the deepest generation (zero beyond the list).
-    """
-
-    shape: str
-    funcs: tuple
-
-    @classmethod
-    def single(cls, f: SpectralFn) -> "FunctionalSeq":
-        return cls(shape="single", funcs=(f,))
-
-    @classmethod
-    def tree(cls, f: SpectralFn) -> "FunctionalSeq":
-        return cls(shape="tree", funcs=(f,))
-
-    @classmethod
-    def custom(cls, funcs) -> "FunctionalSeq":
-        return cls(shape="custom", funcs=tuple(funcs))
-
-    def __post_init__(self) -> None:
-        if self.shape not in ("single", "tree", "custom"):
-            raise ConfigError(f"unknown functional shape {self.shape!r}")
-        if self.shape in ("single", "tree") and len(self.funcs) != 1:
-            raise ConfigError(f"shape {self.shape!r} takes exactly one function")
-        if not self.funcs or not all(isinstance(f, SpectralFn) for f in self.funcs):
-            raise ConfigError("funcs must be SpectralFn instances")
-
-
-def check_scale(funcs, sigma_a: float) -> None:
-    """Reject any function not expanded at the stationary scale sigma_a."""
-    for f in funcs:
-        if abs(f.sigma_a - sigma_a) > 1e-12 * max(f.sigma_a, sigma_a):
-            raise ConfigError(f"functional scale {f.sigma_a} does not match "
-                              f"the stationary scale {sigma_a}")
+def check_scale(f: SpectralFn, sigma_a: float) -> None:
+    """Reject a function not expanded at the stationary scale sigma_a."""
+    if abs(f.sigma_a - sigma_a) > 1e-12 * max(f.sigma_a, sigma_a):
+        raise ConfigError(f"functional scale {f.sigma_a} does not match "
+                          f"the stationary scale {sigma_a}")
 
 
 def from_monomial(poly, sigma_a: float) -> SpectralFn:
@@ -166,14 +132,14 @@ def apply_kernel(f: SpectralFn, a: float, steps: int = 1) -> SpectralFn:
 
 def stationary_inner(f: SpectralFn, g: SpectralFn) -> float:
     """Inner product under the invariant law: sum of n! c_n d_n."""
-    check_scale([g], f.sigma_a)
+    check_scale(g, f.sigma_a)
     k = min(len(f.coeffs), len(g.coeffs))
     return float(np.dot(_FACTORIALS[:k], f.coeffs[:k] * g.coeffs[:k]))
 
 
 def product(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     """Pointwise product, expanded back into the basis."""
-    check_scale([g], f.sigma_a)
+    check_scale(g, f.sigma_a)
     if f.degree + g.degree > DEGREE_CAP:
         raise DegreeCapError(
             f"product degree {f.degree + g.degree} exceeds the cap {DEGREE_CAP}"

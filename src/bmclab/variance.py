@@ -1,11 +1,11 @@
 """Limit variances of the normalized fluctuation statistics.
 
 The centered multi-generation statistic has a limiting Gaussian whose
-variance is a sum over the Hermite degrees of the test functions.  The
+variance is a sum over the Hermite degrees of the test function.  The
 lineage kernel multiplies the degree-n coefficient by lambda = a^n
 (Mehler's formula), so the branching, depth-gap and generation-offset sums
 of the series are geometric and are summed here in closed form, leaving a
-finite sum over degrees and offsets.  Below the critical slope degree n
+finite sum over degrees.  Below the critical slope degree n
 carries the factor n! (1 - lambda^2) / (1 - 2 lambda^2); at the critical
 slope only the degree-one coefficients survive.  See Guyon, "Limit theorems
 for bifurcating Markov chains", Ann. Appl. Probab. 17 (2007).
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ComputationRejected, RegimeError
 from .kernels import SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
-from .spectral import FunctionalSeq, check_scale
+from .spectral import SpectralFn, check_scale
 
 
 @dataclass(frozen=True)
@@ -41,59 +41,50 @@ class VarianceReport:
     regime: str
 
 
-def limit_variance(fseq: FunctionalSeq, params: BarParams) -> VarianceReport:
+def limit_variance(f: SpectralFn, params: BarParams,
+                   tree: bool = False) -> VarianceReport:
     """Limit variance of the fluctuation statistic at or below the critical slope.
 
     Centered functions f, g at depth gap d are coupled by
     B(f, g, d) = sum_n w_n f_n g_n lambda_n^d.  Below the critical slope
     lambda_n = a^n and w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2); at
     the critical slope only degree one survives, with w_1 = a^2 and
-    lambda_1 = 2^(-1/2).  For the function f_l at offset l,
-    sigma1 = sum_l 2^-l B(f_l, f_l, 0) and
-    sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).  The tree shape repeats f at
-    every offset, so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
+    lambda_1 = 2^(-1/2).  For the function f_l at offset l from the deepest
+    generation, sigma1 = sum_l 2^-l B(f_l, f_l, 0) and
+    sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).  The generation sum
+    (tree=False) puts f at offset 0 only, so sigma1 = sum_n w_n f_n^2 and
+    sigma2 = 0.  The whole-tree sum (tree=True) repeats f at every offset,
+    so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
     sigma2 = 2 sum_n w_n f_n^2 lambda_n / (1 - lambda_n).
     """
-    check_scale(fseq.funcs, params.sigma_a())
+    check_scale(f, params.sigma_a())
     a = params.a
     regime = classify_regime(a)
     if regime == SUPERCRITICAL:
         raise RegimeError(
             "no finite limit variance above the critical slope (2 a^2 > 1); "
             "use the supercritical study")
-    length = max(len(f.coeffs) for f in fseq.funcs)
+    length = len(f.coeffs) if regime == SUBCRITICAL else min(len(f.coeffs), 2)
+    coeffs = f.coeffs[1:length]
     if regime == SUBCRITICAL:
         lam = np.power(float(a), np.arange(1, length))
         factorials = np.array([math.factorial(n) for n in range(1, length)],
                               dtype=np.float64)
         weights = factorials * (1.0 - lam * lam) / (1.0 - 2.0 * lam * lam)
     else:
-        length = min(length, 2)
         lam = np.full(length - 1, math.sqrt(0.5))
         weights = np.full(length - 1, a * a)
-    coeffs = np.zeros((len(fseq.funcs), length - 1))
-    for row, f in zip(coeffs, fseq.funcs):
-        kept = f.coeffs[1:length]
-        row[: len(kept)] = kept
 
     # math.fsum raises OverflowError when the terms overflow, or ValueError
     # for inf - inf.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if fseq.shape == "tree":
-                diagonal = weights * coeffs[0] ** 2
+            diagonal = weights * coeffs**2
+            if tree:
                 sigma1 = 2.0 * math.fsum(diagonal)
                 sigma2 = 2.0 * math.fsum(diagonal * lam / (1.0 - lam))
             else:
-                sigma1_terms: list[float] = []
-                sigma2_terms: list[float] = []
-                for low, f_low in enumerate(coeffs):
-                    scaled = 0.5**low * weights
-                    sigma1_terms.extend(scaled * f_low**2)
-                    for high in range(low + 1, len(coeffs)):
-                        sigma2_terms.extend(
-                            scaled * f_low * coeffs[high] * lam ** (high - low))
-                sigma1, sigma2 = math.fsum(sigma1_terms), math.fsum(sigma2_terms)
+                sigma1, sigma2 = math.fsum(diagonal), 0.0
     except (OverflowError, ValueError):
         raise ComputationRejected(f"the {regime} limit variance is not finite") from None
     value = sigma1 + 2.0 * sigma2

@@ -4,7 +4,7 @@ Each is a direct transcription of its definition: the constant and
 coordinate functions in the Hermite basis, the scalar Philox4x32 block
 cipher, the transition densities of the symmetric Gaussian BAR relative to
 its invariant law, Gauss-Hermite expectations under a Gaussian law, and the
-offset sums of the critical limit variance.  The program itself needs none
+offset sums of the limit variance.  The program itself needs none
 of them.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from bmclab.kernels import BarParams, hermite_nodes
+from bmclab.kernels import CRITICAL, BarParams, classify_regime, hermite_nodes
 from bmclab.spectral import SpectralFn
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
@@ -78,16 +78,38 @@ def gaussian_expect(fn, mean: float = 0.0, std: float = 1.0, order: int = 64) ->
     return float(np.dot(w, fn(x)) / np.sqrt(np.pi))
 
 
-def critical_offset_sums(coeffs, a: float) -> tuple[float, float]:
-    """sigma1 and sigma2 of the critical limit variance, offset by offset.
+def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
+    """sigma1 and sigma2 of the limit variance, offset by offset.
 
-    coeffs[k] is the degree-one coefficient of the function at offset k:
-    sigma1 = sum_k 2^-k a^2 c_k^2 and
-    sigma2 = sum_{l<h} 2^(-(h+l)/2) a^2 c_h c_l.
+    coeff_rows[l] holds the Hermite coefficients of the function f_l at
+    offset l from the deepest generation.  Functions at depth gap d are
+    coupled by B(f, g, d) = sum_n w_n f_n g_n lambda_n^d, and
+    sigma1 = sum_l 2^-l B(f_l, f_l, 0),
+    sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).
+    Below the critical slope lambda_n = a^n and
+    w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2) for n >= 1; at the
+    critical slope only degree one counts, with w_1 = a^2 and
+    lambda_1 = 2^(-1/2).
     """
-    a2 = a * a
-    root_half = math.sqrt(0.5)
-    sigma1 = math.fsum(0.5**k * a2 * c**2 for k, c in enumerate(coeffs))
-    sigma2 = math.fsum(root_half ** (high + low) * a2 * coeffs[high] * coeffs[low]
-                       for high in range(len(coeffs)) for low in range(high))
+    critical = classify_regime(a) == CRITICAL
+    top = 2 if critical else max(len(c) for c in coeff_rows)
+    rows = np.zeros((len(coeff_rows), top - 1))
+    for row, c in zip(rows, coeff_rows):
+        kept = np.asarray(c, dtype=np.float64)[1:top]
+        row[: len(kept)] = kept
+    degrees = np.arange(1, top)
+    if critical:
+        lam = np.full(top - 1, math.sqrt(0.5))
+        weights = np.full(top - 1, a * a)
+    else:
+        lam = np.power(float(a), degrees)
+        factorials = np.array([math.factorial(n) for n in degrees], dtype=np.float64)
+        weights = factorials * (1.0 - lam**2) / (1.0 - 2.0 * lam**2)
+
+    def bracket(f, g, gap):
+        return math.fsum(weights * f * g * lam**gap)
+
+    sigma1 = math.fsum(0.5**low * bracket(f, f, 0) for low, f in enumerate(rows))
+    sigma2 = math.fsum(0.5**low * bracket(rows[high], rows[low], high - low)
+                       for high in range(len(rows)) for low in range(high))
     return sigma1, sigma2

@@ -39,8 +39,7 @@ from bmclab.moments import (
     exact_second_moment,
 )
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import (FunctionalSeq, apply_kernel, from_monomial, product,
-                             stationary_inner)
+from bmclab.spectral import apply_kernel, from_monomial, product, stationary_inner
 from bmclab.treesim import InitialLaw, generation_sums
 
 A_SET = (0.3, 2.0**-0.5, 0.85)
@@ -202,7 +201,7 @@ def test_criterion_4_subcritical_clt():
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.stationary(),
-        fseq=FunctionalSeq.single(from_monomial([0.0, 1.0], params.sigma_a())),
+        f=from_monomial([0.0, 1.0], params.sigma_a()),
         n=12,
         replicas=5000,
         master_seed=41,
@@ -229,7 +228,7 @@ def test_criterion_5_critical_clt():
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.dirac(0.0),
-        fseq=FunctionalSeq.single(from_monomial([0.0, 1.0], params.sigma_a())),
+        f=from_monomial([0.0, 1.0], params.sigma_a()),
         n=14,
         replicas=5000,
         master_seed=43,
@@ -278,7 +277,7 @@ def test_criterion_7_supercritical_limits():
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.stationary(),
-        fseq=FunctionalSeq.single(from_monomial([0.0, 1.0], params.sigma_a())),
+        f=from_monomial([0.0, 1.0], params.sigma_a()),
         n=14,
         replicas=2000,
         master_seed=53,

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -215,6 +216,23 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert dumped["command"] == "simulate"
     assert dumped["f"] == [0.0, 0.0, 1.0]
     assert dumped["seed"] == 11
+
+
+def test_root_law_spellings_share_one_digest(tmp_path, capsys):
+    # The digest records the parsed root law in canonical form, so spellings
+    # of one law that give one output give one digest.
+    runs = []
+    for i, nu in enumerate(["dirac:1", "dirac:1.0", "dirac:+1", " dirac:1"]):
+        argv = ["simulate", "--a", "0.5", "--n", "3", "--replicas", "2", "--nu", nu]
+        runs.append(_run_round_trip_side(argv, tmp_path / str(i), tmp_path / f"{i}.json",
+                                         capsys))
+        assert json.loads(_read(tmp_path / f"{i}.json"))["nu"] == "dirac:1.0"
+    assert all(run == runs[0] for run in runs)
+    # The canonical form of the stationary law is its only spelling, so the
+    # digest of a stationary run is the one recorded before.
+    argv = ["simulate", "--a", "0.5", "--n", "3", "--replicas", "2"]
+    stationary = _run_round_trip_side(argv, tmp_path / "s", tmp_path / "s.json", capsys)
+    assert stationary[2] == "cb3e9c0c0fa3072c"
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -425,7 +443,7 @@ def _run_quietly(argv):
         assert lines == [], (argv, lines)
     else:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 _slopes = st.one_of(
@@ -465,26 +483,36 @@ def test_numeric_flags_exit_cleanly_and_print_finite_numbers(command, a, sigma, 
 # The first explicit example pins a root far from zero: the sample's spread
 # cancels against its mean, so clt leaves skewness and kurtosis empty and
 # exits 0.  The others make the test function or the sample variance
-# overflow, which must be rejected with exit 3 and no numpy warning.
+# overflow, which must be rejected with exit 3 and no numpy warning.  The
+# drawn shape runs the whole-tree sum in every regime; the last three
+# examples overflow that sum, or add infinities of both signs in it.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@example(command="clt", a=0.3, sigma=1.0, f="x", n=3, replicas=50, nu="dirac:1e17")
+@example(command="clt", a=0.3, sigma=1.0, f="x", n=3, replicas=50, nu="dirac:1e17",
+         shape="single")
 @example(command="clt", a=0.0, sigma=1.0, f="0,1.797693134862316e+291", n=3,
-         replicas=2, nu="dirac:1e17")
+         replicas=2, nu="dirac:1e17", shape="single")
 @example(command="clt", a=0.703125, sigma=1.0, f="0,6.464396010224239e+290", n=3,
-         replicas=2, nu="dirac:1e17")
+         replicas=2, nu="dirac:1e17", shape="single")
 @example(command="clt", a=0.0, sigma=1.0, f="0,0,1.797693134862316e+291", n=3,
-         replicas=2, nu="dirac:1e17")
+         replicas=2, nu="dirac:1e17", shape="single")
 @example(command="clt", a=-_ROOT_HALF, sigma=1e19, f="x^8", n=3, replicas=2,
-         nu="stationary")
+         nu="stationary", shape="single")
+@example(command="simulate", a=_ROOT_HALF, sigma=1.0, f="0,3e307", n=4, replicas=2,
+         nu="stationary", shape="tree")
+@example(command="simulate", a=-_ROOT_HALF, sigma=1.0, f="0,3e307", n=4, replicas=2,
+         nu="stationary", shape="tree")
+@example(command="simulate", a=0.9, sigma=1.0, f="0,1e307", n=4, replicas=2,
+         nu="stationary", shape="tree")
 @given(command=st.sampled_from(["clt", "simulate"]), a=_slopes, sigma=_sigmas,
        f=_test_functions, n=st.integers(3, 4), replicas=st.integers(2, 6),
-       nu=st.sampled_from(["stationary", "dirac:1e17"]))
+       nu=st.sampled_from(["stationary", "dirac:1e17"]),
+       shape=st.sampled_from(["single", "tree"]))
 def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
-        command, a, sigma, f, n, replicas, nu):
+        command, a, sigma, f, n, replicas, nu, shape):
     argv = [command, "--a", _number(a), "--sigma", _number(sigma), "--f", f,
-            "--n", str(n), "--replicas", str(replicas), "--nu", nu]
+            "--n", str(n), "--replicas", str(replicas), "--nu", nu, "--shape", shape]
     with tempfile.TemporaryDirectory() as tmp:
-        code, out = _run_quietly(argv + ["--out", tmp])
+        code, out, _ = _run_quietly(argv + ["--out", tmp])
         if code == 0:
             written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
                        if name.endswith(".csv")]
@@ -493,12 +521,41 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
                 assert not _NON_FINITE.search(text), (argv, text)
 
 
+def _tree_command_argv(command, a, a2, sigma, f, n, replicas, n_min):
+    argv = [command, f"--sigma={_number(sigma)}", f"--f={f}", f"--n={n}"]
+    if command == "slopes":
+        # A second grid point gives the plot a nonzero x-span.
+        argv += [f"--alphas={_number(a)},{_number(a2)}", f"--n-min={n_min}",
+                 f"--replicas={replicas}", "--outer-repeats=2", "--plot"]
+    else:
+        argv += [f"--a={_number(a)}"]
+    if command == "supercritical":
+        argv += [f"--replicas={replicas}"]
+    return argv
+
+
+def _run_tree_command(argv) -> tuple[int, str, list[str]]:
+    """Run quietly; a clean exit writes outputs with only finite numbers, as
+    does stdout.  Returns the exit code, stderr and the CSV and SVG files
+    written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_quietly(argv + ["--out", tmp])
+        names = sorted(name for name in os.listdir(tmp)
+                       if name.endswith((".csv", ".svg")))
+        if code == 0:
+            assert names, argv
+            for text in [out] + [_read(os.path.join(tmp, name)) for name in names]:
+                assert not _NON_FINITE.search(text), (argv, text)
+    return code, err, names
+
+
 # The explicit examples pin faults the derandomized draws miss: a constant f
 # centers to zero, which leaves every replica's ratio and every regression
 # depth undefined, a tiny slope makes (2a)^-g overflow, a huge f makes a
 # depth's variance overflow, which leaves that depth out of the fit, and a
 # slope grid whose span is tiny next to the spacing of doubles at its values
-# once sent the plot's tick loop into a hang or an exception.
+# once sent the plot's tick loop into a hang or an exception.  Most draws
+# are rejected at the boundary, and each of those must exit 2.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example(command="supercritical", a=0.85, a2=0.5, sigma=1.0, f="1", n=4, replicas=5,
          n_min=0)
@@ -518,23 +575,40 @@ def test_simulating_commands_exit_cleanly_and_write_finite_numbers(
        replicas=st.integers(2, 6), n_min=st.integers(-3, 3))
 def test_tree_commands_exit_cleanly_and_write_finite_numbers(
         command, a, a2, sigma, f, n, replicas, n_min):
-    argv = [command, f"--sigma={_number(sigma)}", f"--f={f}", f"--n={n}"]
-    if command == "slopes":
-        # A second grid point gives the plot a nonzero x-span.
-        argv += [f"--alphas={_number(a)},{_number(a2)}", f"--n-min={n_min}",
-                 f"--replicas={replicas}", "--outer-repeats=2", "--plot"]
-    else:
-        argv += [f"--a={_number(a)}"]
-    if command == "supercritical":
-        argv += [f"--replicas={replicas}"]
-    with tempfile.TemporaryDirectory() as tmp:
-        code, out = _run_quietly(argv + ["--out", tmp])
-        if code == 0:
-            written = [_read(os.path.join(tmp, name)) for name in sorted(os.listdir(tmp))
-                       if name.endswith((".csv", ".svg"))]
-            assert written, argv
-            for text in [out] + written:
-                assert not _NON_FINITE.search(text), (argv, text)
+    code, _, names = _run_tree_command(
+        _tree_command_argv(command, a, a2, sigma, f, n, replicas, n_min))
+    sigma_ok = sigma > 0.0 and sys.float_info.min <= sigma * sigma < math.inf
+    grid_ok = 0.0 < a < 1.0 and 0.0 < a2 < 1.0 and 0 <= n_min <= n - 3
+    if not sigma_ok or (command == "slopes" and not grid_ok):
+        assert (code, names) == (2, []), (command, a, a2, sigma, n, n_min)
+
+
+_unit_slopes = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def test_tree_commands_accept_valid_values():
+    # Only values the boundary accepts: sigma = 10^e with |e| <= 150 (its
+    # square is a normal float), slopes in (0, 1) and a regression range of
+    # at least four depths.  Rejections left are of the function or of the
+    # computation, so most slope grids must be fitted and plotted.
+    plotted: list[bool] = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(command=st.sampled_from(["supercritical", "slopes", "martingale"]),
+           a=_unit_slopes, a2=_unit_slopes,
+           sigma=st.floats(-150.0, 150.0).map(lambda e: 10.0**e), f=_test_functions,
+           n=st.integers(3, 6), replicas=st.integers(2, 6), n_min=st.integers(0, 3))
+    def run(command, a, a2, sigma, f, n, replicas, n_min):
+        argv = _tree_command_argv(command, a, a2, sigma, f, max(n, n_min + 3),
+                                  replicas, n_min)
+        code, err, names = _run_tree_command(argv)
+        # A function whose coefficients overflow at this scale is rejected.
+        assert code != 2 or "overflow once rescaled" in err, (argv, err)
+        if command == "slopes":
+            plotted.append(code == 0 and "slopes.svg" in names)
+
+    run()
+    assert sum(plotted) > len(plotted) / 2, (sum(plotted), len(plotted))
 
 
 def test_clt_moments_of_large_traits_are_finite(tmp_path, capsys):

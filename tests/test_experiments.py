@@ -16,13 +16,12 @@ from bmclab.experiments import (
     clt_study,
     h1,
     h2,
-    replicate,
     slope_study,
     slope_summary,
     supercritical_study,
 )
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
-from bmclab.spectral import FunctionalSeq, from_monomial
+from bmclab.spectral import from_monomial
 from bmclab.treesim import InitialLaw
 from oracles import constant, identity
 
@@ -35,7 +34,7 @@ def _single_config(a, poly, n, replicas, seed, nu=None, sigma=1.0):
     return ExperimentConfig(
         params=params,
         nu=nu if nu is not None else InitialLaw.stationary(),
-        fseq=FunctionalSeq.single(f),
+        f=f,
         n=n,
         replicas=replicas,
         master_seed=seed,
@@ -59,12 +58,11 @@ def test_h_exponents():
 def test_config_validation():
     params = BarParams(0.5)
     f = identity(params.sigma_a())
-    fseq = FunctionalSeq.single(f)
     nu = InitialLaw.stationary()
     with pytest.raises(ConfigError):
-        ExperimentConfig(params, nu, fseq, n=10, replicas=1, master_seed=0)
+        ExperimentConfig(params, nu, f, n=10, replicas=1, master_seed=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(params, nu, fseq, n=2, replicas=10, master_seed=0)
+        ExperimentConfig(params, nu, f, n=2, replicas=10, master_seed=0)
 
 
 def test_fit_loglog_recovers_exponent():
@@ -105,7 +103,7 @@ def test_clt_study_constant_function():
     cfg = ExperimentConfig(
         params=params,
         nu=InitialLaw.stationary(),
-        fseq=FunctionalSeq.single(constant(4.0, params.sigma_a())),
+        f=constant(4.0, params.sigma_a()),
         n=6,
         replicas=100,
         master_seed=0,
@@ -130,29 +128,14 @@ def test_clt_study_rejects_supercritical(monkeypatch):
 
 
 def test_config_rejects_every_mismatched_function():
-    # The config checks each function's stationary scale, so neither
+    # The config checks the function's stationary scale, so neither
     # replicate, clt_study nor supercritical_study ever sees a mismatch.
     for a in (0.5, A_CRIT, 0.85):
         params = BarParams(a)
-        f = identity(params.sigma_a())
         wrong = from_monomial([0.0, 1.0, 0.3], 2.0 * params.sigma_a())
-        for fseq in (FunctionalSeq.single(wrong), FunctionalSeq.tree(wrong),
-                     FunctionalSeq.custom([f, wrong])):
+        for tree in (False, True):
             with pytest.raises(ConfigError, match="functional scale"):
-                ExperimentConfig(params, InitialLaw.stationary(), fseq, 6, 50, 0)
-
-
-def test_replicate_rejects_supercritical_custom_before_simulating(monkeypatch):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before the regime was checked")
-
-    monkeypatch.setattr(experiments, "generation_sums", no_simulation)
-    params = BarParams(0.85)
-    f = identity(params.sigma_a())
-    cfg = ExperimentConfig(params, InitialLaw.stationary(), FunctionalSeq.custom([f, f]),
-                           8, 100, 0)
-    with pytest.raises(RegimeError, match="custom"):
-        replicate(cfg)
+                ExperimentConfig(params, InitialLaw.stationary(), wrong, 6, 50, 0, tree)
 
 
 def test_supercritical_study():
@@ -167,13 +150,6 @@ def test_supercritical_study():
     sub = _single_config(0.5, [0.0, 1.0], n=8, replicas=50, seed=0)
     with pytest.raises(RegimeError):
         supercritical_study(sub)
-
-    params = BarParams(a)
-    f = identity(params.sigma_a())
-    custom = ExperimentConfig(params, InitialLaw.stationary(),
-                              FunctionalSeq.custom([f, f]), 8, 50, 0)
-    with pytest.raises(ConfigError):
-        supercritical_study(custom)
 
     # A constant f centers to zero, so no replica has a defined ratio.
     flat = _single_config(a, [1.0], n=4, replicas=5, seed=0)

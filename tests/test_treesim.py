@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bmclab.errors import ConfigError, RegimeError, ResourceCapError
+from bmclab.errors import ConfigError, ResourceCapError
 from bmclab.experiments import ExperimentConfig, replicate
 from bmclab.kernels import BarParams
 from bmclab.moments import common_ancestor_depth
 from bmclab.rng import batch_normal_pairs, derive_keys, seed_key
-from bmclab.spectral import FunctionalSeq, apply_kernel, center, from_monomial
+from bmclab.spectral import apply_kernel, center, from_monomial
 from bmclab import treesim
 from bmclab.treesim import InitialLaw, generation_sums
 from oracles import constant, identity
@@ -88,36 +88,25 @@ def test_initial_law():
 
 
 def test_functional_seq_shapes():
-    f = identity(1.0)
-    g = from_monomial([0.0, 0.0, 1.0], 1.0)
-
-    assert FunctionalSeq.single(f) == FunctionalSeq(shape="single", funcs=(f,))
-    assert FunctionalSeq.tree(f) == FunctionalSeq(shape="tree", funcs=(f,))
-    assert FunctionalSeq.custom([f, g]) == FunctionalSeq(shape="custom", funcs=(f, g))
-
-    # replicate reads offset k from the deepest generation: single only
-    # offset 0, tree every offset, custom its k-th function up to depth n.
-    # Equal functions have equal sums bit for bit, so the shapes agree.
+    # replicate reads the generation sums from the deepest generation up: the
+    # single shape only offset 0, the tree shape every offset, each added in
+    # that order to a zero start.  The order decides the last bit of every
+    # value, so it is pinned bit for bit.
     params = BarParams(0.5)
     h = from_monomial([0.1, 1.0, 0.4], params.sigma_a())
-    n, nu = 3, InitialLaw.stationary()
+    n, nu, seed = 3, InitialLaw.stationary(), 8
+    sums = generation_sums([(params, [center(h)])], nu, n, _keys(seed, 2))[0, :, :, 0]
+    gen_sum, tree_sum = np.zeros(2), np.zeros(2)
+    gen_sum += sums[:, n]
+    for g in range(n, -1, -1):
+        tree_sum += sums[:, g]
 
-    def values(fseq):
-        return replicate(ExperimentConfig(params, nu, fseq, n, 2, 8))
+    def values(tree):
+        return replicate(ExperimentConfig(params, nu, h, n, 2, seed, tree))
 
-    assert np.array_equal(values(FunctionalSeq.custom([h])),
-                          values(FunctionalSeq.single(h)))
-    tree = values(FunctionalSeq.tree(h))
-    assert np.array_equal(values(FunctionalSeq.custom([h] * (n + 1))), tree)
-    assert np.array_equal(values(FunctionalSeq.custom([h] * (n + 3))), tree)
-    assert not np.array_equal(values(FunctionalSeq.custom([h] * n)), tree)
-
-    with pytest.raises(ConfigError):
-        FunctionalSeq(shape="single", funcs=(f, g))
-    with pytest.raises(ConfigError):
-        FunctionalSeq.custom([])
-    with pytest.raises(ConfigError):
-        FunctionalSeq.custom([f, lambda x: x])
+    scale = math.sqrt(2.0**n)
+    assert np.array_equal(values(False), gen_sum / scale)
+    assert np.array_equal(values(True), tree_sum / scale)
 
 
 def _keys(seed, rows=1):
@@ -236,7 +225,7 @@ def test_replica_cap():
     assert np.array_equal(keys, derive_keys(master, np.arange(5)))
     params = BarParams(0.5)
     config = ExperimentConfig(params, InitialLaw.stationary(),
-                              FunctionalSeq.single(identity(params.sigma_a())), 3, 2**62, 0)
+                              identity(params.sigma_a()), 3, 2**62, 0)
     with pytest.raises(ResourceCapError):
         replicate(config)
 
@@ -294,21 +283,17 @@ def test_fluctuation_statistic_shapes():
     n, seed = 6, 5
     nu = InitialLaw.stationary()
     f = from_monomial([0.2, 1.0, 0.3], sigma_a)
-    g = from_monomial([0.0, 0.0, 1.0], sigma_a)
-    sums = generation_sums([(params, [center(f), center(g)])], nu, n, _keys(seed, 3))[0]
+    sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 3))[0]
     scale = math.sqrt(2.0**n)
 
-    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 3, seed))
+    single = replicate(ExperimentConfig(params, nu, f, n, 3, seed))
     assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12, abs=1e-12)
-    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    tree = replicate(ExperimentConfig(params, nu, f, n, 3, seed, tree=True))
     assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale,
                                  rel=1e-12, abs=1e-12)
-    custom = replicate(ExperimentConfig(params, nu, FunctionalSeq.custom([f, g]), n, 3, seed))
-    manual = (sums[:, n, 0] + sums[:, n - 1, 1]) / scale
-    assert custom == pytest.approx(manual, rel=1e-12, abs=1e-12)
 
     flat = constant(3.0, sigma_a)
-    zeros = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(flat), n, 3, seed))
+    zeros = replicate(ExperimentConfig(params, nu, flat, n, 3, seed))
     assert np.array_equal(zeros, np.zeros(3))
 
 
@@ -320,8 +305,8 @@ def test_replicate_matches_simulate_per_replica():
     nu = InitialLaw.stationary()
     keys = _keys(seed, 3)
     scale = math.sqrt(2.0**n)
-    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 3, seed))
-    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 3, seed))
+    single = replicate(ExperimentConfig(params, nu, f, n, 3, seed))
+    tree = replicate(ExperimentConfig(params, nu, f, n, 3, seed, tree=True))
     for r in range(3):
         alone = generation_sums([(params, [center(f)])], nu, n, keys[r:r + 1])[0, 0, :, 0]
         assert single[r] == pytest.approx(alone[n] / scale, rel=1e-12, abs=1e-12)
@@ -335,26 +320,24 @@ def test_replicate_critical_and_supercritical_scaling():
     a_crit = 1.0 / math.sqrt(2.0)
     params = BarParams(a_crit)
     f = identity(params.sigma_a())
-    values = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
+    values = replicate(ExperimentConfig(params, nu, f, n, 2, seed))
     sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     assert values == pytest.approx(sums[:, n, 0] / math.sqrt(n * 2.0**n), rel=1e-12)
 
     params = BarParams(0.85)
     f = from_monomial([0.3, 1.0, 0.2], params.sigma_a())
-    single = replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), n, 2, seed))
-    tree = replicate(ExperimentConfig(params, nu, FunctionalSeq.tree(f), n, 2, seed))
+    single = replicate(ExperimentConfig(params, nu, f, n, 2, seed))
+    tree = replicate(ExperimentConfig(params, nu, f, n, 2, seed, tree=True))
     sums = generation_sums([(params, [center(f)])], nu, n, _keys(seed, 2))[0]
     scale = (2.0 * 0.85) ** n
     assert single == pytest.approx(sums[:, n, 0] / scale, rel=1e-12)
     assert tree == pytest.approx(sums[:, :, 0].sum(axis=1) / scale, rel=1e-12)
 
-    with pytest.raises(RegimeError):
-        replicate(ExperimentConfig(params, nu, FunctionalSeq.custom([f, f]), n, 2, seed))
     params_crit = BarParams(a_crit)
     f_crit = identity(params_crit.sigma_a())
     # The critical normalization divides by sqrt(n 2^n); configs need n >= 3.
     with pytest.raises(ConfigError):
-        ExperimentConfig(params_crit, nu, FunctionalSeq.single(f_crit), 0, 2, seed)
+        ExperimentConfig(params_crit, nu, f_crit, 0, 2, seed)
 
 
 def test_replicate_validation():
@@ -362,19 +345,17 @@ def test_replicate_validation():
     f = identity(params.sigma_a())
     nu = InitialLaw.stationary()
     with pytest.raises(ConfigError):
-        replicate(ExperimentConfig(params, nu, FunctionalSeq.single(f), 4, 0, 1))
-    # Every function is checked, not only the first.
+        replicate(ExperimentConfig(params, nu, f, 4, 0, 1))
     wrong_scale = identity(2.0 * params.sigma_a())
-    for fseq in (FunctionalSeq.single(wrong_scale), FunctionalSeq.tree(wrong_scale),
-                 FunctionalSeq.custom([f, wrong_scale])):
+    for tree in (False, True):
         with pytest.raises(ConfigError, match="functional scale"):
-            replicate(ExperimentConfig(params, nu, fseq, 4, 2, 1))
+            replicate(ExperimentConfig(params, nu, wrong_scale, 4, 2, 1, tree))
 
 
 def test_chunking_and_threads_do_not_change_results(monkeypatch):
     params = BarParams(0.6)
     f = from_monomial([0.0, 1.0, 0.2], params.sigma_a())
-    config = ExperimentConfig(params, InitialLaw.stationary(), FunctionalSeq.tree(f), 6, 64, 5)
+    config = ExperimentConfig(params, InitialLaw.stationary(), f, 6, 64, 5, tree=True)
     baseline = replicate(config)
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 64)
     monkeypatch.setattr(treesim, "TILE_VALUES", 7)

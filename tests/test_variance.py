@@ -14,10 +14,10 @@ from bmclab.experiments import (ExperimentConfig, martingale_path, replicate,
                                 supercritical_study)
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import FunctionalSeq, SpectralFn, from_monomial, project_linear
+from bmclab.spectral import SpectralFn, from_monomial, project_linear
 from bmclab.treesim import InitialLaw, generation_sums
 from bmclab.variance import limit_variance
-from oracles import constant, critical_offset_sums, identity
+from oracles import constant, identity, offset_sums
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -33,20 +33,20 @@ def _mode_weights(coeffs, a):
 
 def test_single_identity_closed_form():
     params = BarParams(0.5)
-    report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
+    report = limit_variance(identity(params.sigma_a()), params)
     assert report.value == pytest.approx(2.0, abs=1e-10)
     assert report.sigma1 == pytest.approx(2.0, abs=1e-10)
     assert report.sigma2 == 0.0
     assert report.regime == SUBCRITICAL
 
     params = BarParams(0.3, sigma=1.7)
-    report = limit_variance(FunctionalSeq.single(identity(params.sigma_a())), params)
+    report = limit_variance(identity(params.sigma_a()), params)
     assert report.value == pytest.approx(1.7**2 / (1.0 - 2.0 * 0.09), rel=1e-10)
 
 
 def test_tree_identity_closed_form():
     params = BarParams(0.5)
-    report = limit_variance(FunctionalSeq.tree(identity(params.sigma_a())), params)
+    report = limit_variance(identity(params.sigma_a()), params, tree=True)
     assert report.sigma1 == pytest.approx(4.0, abs=1e-9)
     assert report.sigma2 == pytest.approx(4.0, abs=1e-9)
     assert report.value == pytest.approx(12.0, abs=1e-9)
@@ -58,7 +58,7 @@ def test_single_coefficient_oracle():
     rng = np.random.default_rng(21)
     coeffs = rng.normal(size=6)
     f = SpectralFn(params.sigma_a(), coeffs)
-    report = limit_variance(FunctionalSeq.single(f), params)
+    report = limit_variance(f, params)
     assert report.value == pytest.approx(math.fsum(_mode_weights(coeffs, a)), rel=1e-9)
 
 
@@ -68,7 +68,7 @@ def test_tree_coefficient_oracle():
     rng = np.random.default_rng(22)
     coeffs = rng.normal(size=5)
     f = SpectralFn(params.sigma_a(), coeffs)
-    report = limit_variance(FunctionalSeq.tree(f), params)
+    report = limit_variance(f, params, tree=True)
     weights = _mode_weights(coeffs, a)
     sigma1 = 2.0 * math.fsum(weights)
     sigma2 = 2.0 * math.fsum(
@@ -76,18 +76,15 @@ def test_tree_coefficient_oracle():
     assert report.sigma1 == pytest.approx(sigma1, rel=1e-8)
     assert report.sigma2 == pytest.approx(sigma2, rel=1e-8)
     assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, rel=1e-8)
-    assert report.sigma1 == 2.0 * limit_variance(FunctionalSeq.single(f), params).sigma1
+    assert report.sigma1 == 2.0 * limit_variance(f, params).sigma1
 
 
-def test_custom_shape_oracle():
+def test_offset_sums_oracle():
     a = 0.5
     params = BarParams(a)
     rng = np.random.default_rng(23)
     c0 = rng.normal(size=4)
     c1 = rng.normal(size=3)
-    f0 = SpectralFn(params.sigma_a(), c0)
-    f1 = SpectralFn(params.sigma_a(), c1)
-    report = limit_variance(FunctionalSeq.custom([f0, f1]), params)
 
     def bracket(ch, cl, gap):
         total = 0.0
@@ -97,21 +94,42 @@ def test_custom_shape_oracle():
                       * (1.0 - a2n) / (1.0 - 2.0 * a2n))
         return total
 
-    sigma1 = bracket(c0, c0, 0) + 0.5 * bracket(c1, c1, 0)
-    sigma2 = bracket(c1, c0, 1)
-    assert report.sigma1 == pytest.approx(sigma1, rel=1e-10)
-    assert report.sigma2 == pytest.approx(sigma2, rel=1e-10)
-    assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, rel=1e-10)
+    # The oracle against a hand sum over two offsets.
+    sigma1, sigma2 = offset_sums([c0, c1], a)
+    assert sigma1 == pytest.approx(bracket(c0, c0, 0) + 0.5 * bracket(c1, c1, 0),
+                                   rel=1e-10)
+    assert sigma2 == pytest.approx(bracket(c1, c0, 1), rel=1e-10)
+
+    # The generation sum is offset 0 alone; the tree sum repeats f at every
+    # offset, and 120 offsets leave a tail far below rounding.
+    f = SpectralFn(params.sigma_a(), c0)
+    single = limit_variance(f, params)
+    assert (single.sigma1, single.sigma2) == pytest.approx(offset_sums([c0], a),
+                                                           rel=1e-12)
+    tree = limit_variance(f, params, tree=True)
+    sigma1, sigma2 = offset_sums([c0] * 120, a)
+    assert tree.sigma1 == pytest.approx(sigma1, rel=1e-10)
+    assert tree.sigma2 == pytest.approx(sigma2, rel=1e-10, abs=1e-10 * sigma1)
+    assert tree.value == pytest.approx(sigma1 + 2.0 * sigma2, rel=1e-10)
+
+    # At the critical slope only degree one counts: x, x^2 and x at offsets
+    # 0, 1 and 2 give sigma1 = 1 + 1/4 and sigma2 = 1/2.
+    params = BarParams(A_CRIT)
+    x = identity(params.sigma_a())
+    even = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
+    sigma1, sigma2 = offset_sums([x.coeffs, even.coeffs, x.coeffs], A_CRIT)
+    assert sigma1 == pytest.approx(1.25, rel=1e-12)
+    assert sigma2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_constant_functions_give_zero():
     params = BarParams(0.4)
     flat = constant(2.5, params.sigma_a())
-    report = limit_variance(FunctionalSeq.tree(flat), params)
+    report = limit_variance(flat, params, tree=True)
     assert report.value == report.sigma1 == report.sigma2 == 0.0
 
     params = BarParams(A_CRIT)
-    report = limit_variance(FunctionalSeq.single(constant(1.0, params.sigma_a())), params)
+    report = limit_variance(constant(1.0, params.sigma_a()), params)
     assert report.value == 0.0
 
 
@@ -120,23 +138,18 @@ def test_critical_closed_forms():
     sig = params.sigma_a()
     f = identity(sig)
 
-    report = limit_variance(FunctionalSeq.single(f), params)
+    report = limit_variance(f, params)
     assert report.value == pytest.approx(1.0, rel=1e-12)
     assert report.sigma2 == 0.0
 
-    report = limit_variance(FunctionalSeq.tree(f), params)
+    report = limit_variance(f, params, tree=True)
     assert report.sigma1 == pytest.approx(2.0, abs=1e-9)
     assert report.sigma2 == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-9)
     assert report.value == pytest.approx(6.0 + 4.0 * math.sqrt(2.0), abs=1e-9)
     assert report.regime == CRITICAL
 
     even = from_monomial([0.0, 0.0, 1.0], sig)
-    assert limit_variance(FunctionalSeq.tree(even), params).value == 0.0
-
-    report = limit_variance(FunctionalSeq.custom([f, even, f]), params)
-    assert report.sigma1 == pytest.approx(1.25, rel=1e-12)
-    assert report.sigma2 == pytest.approx(0.5, rel=1e-12)
-    assert report.value == pytest.approx(2.25, rel=1e-12)
+    assert limit_variance(even, params, tree=True).value == 0.0
 
 
 # Degree-one coefficients away from the subnormal range, where the two
@@ -146,17 +159,18 @@ _COEFF = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=st.sampled_from([A_CRIT, 2.0**-0.5, -(2.0**-0.5)]),
-       funcs=st.lists(st.lists(_COEFF, min_size=1, max_size=4), min_size=1, max_size=5))
-def test_critical_custom_matches_offset_sums(a, funcs):
+       coeffs=st.lists(_COEFF, min_size=1, max_size=4), tree=st.booleans())
+def test_critical_matches_offset_sums(a, coeffs, tree):
     params = BarParams(a)
-    fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
-    report = limit_variance(FunctionalSeq.custom(fns), params)
-    sigma1, sigma2 = critical_offset_sums(
-        [float(f.coeffs[1]) if f.degree >= 1 else 0.0 for f in fns], a)
-    # The cross terms can cancel, so their rounding error scales with sigma1.
-    tol = {"rel": 1e-12, "abs": 1e-12 * sigma1}
+    f = SpectralFn(params.sigma_a(), coeffs)
+    report = limit_variance(f, params, tree)
+    # The tree sum repeats f at every offset; past 120 offsets the tail is
+    # below 2^-60 of sigma1.
+    sigma1, sigma2 = offset_sums([f.coeffs] * (120 if tree else 1), a)
+    rel = 1e-10 if tree else 1e-12
+    tol = {"rel": rel, "abs": rel * sigma1}
     assert report.regime == CRITICAL
-    assert report.sigma1 == pytest.approx(sigma1, rel=1e-12)
+    assert report.sigma1 == pytest.approx(sigma1, **tol)
     assert report.sigma2 == pytest.approx(sigma2, **tol)
     assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, **tol)
 
@@ -166,15 +180,15 @@ def test_quadratic_scaling():
     sig = params.sigma_a()
     f = from_monomial([0.3, 1.0, 0.2], sig)
     tripled = from_monomial([0.9, 3.0, 0.6], sig)
-    base = limit_variance(FunctionalSeq.tree(f), params)
-    scaled = limit_variance(FunctionalSeq.tree(tripled), params)
+    base = limit_variance(f, params, tree=True)
+    scaled = limit_variance(tripled, params, tree=True)
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
     params = BarParams(A_CRIT)
     f = from_monomial([0.0, 1.0, 0.4], params.sigma_a())
     tripled = from_monomial([0.0, 3.0, 1.2], params.sigma_a())
-    base = limit_variance(FunctionalSeq.tree(f), params)
-    scaled = limit_variance(FunctionalSeq.tree(tripled), params)
+    base = limit_variance(f, params, tree=True)
+    scaled = limit_variance(tripled, params, tree=True)
     assert scaled.value == pytest.approx(9.0 * base.value, rel=1e-9)
 
 
@@ -247,53 +261,51 @@ TRUNCATED_SERIES = {
 def test_matches_truncated_series_pins(shape, a, poly):
     params = BarParams(a)
     f = from_monomial(SERIES_POLYS[poly], params.sigma_a())
-    fseq = FunctionalSeq.single(f) if shape == "single" else FunctionalSeq.tree(f)
-    got = limit_variance(fseq, params).value
+    got = limit_variance(f, params, shape == "tree").value
     assert got == pytest.approx(TRUNCATED_SERIES[shape, a, poly], rel=1e-9)
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=st.floats(-0.7, 0.7) | st.sampled_from([A_CRIT, -A_CRIT]),
-       funcs=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
-                      min_size=1, max_size=3),
-       shape=st.sampled_from(["single", "tree", "custom"]))
-def test_closed_form_finite_and_nonnegative(a, funcs, shape):
+       coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+       tree=st.booleans())
+def test_closed_form_finite_and_nonnegative(a, coeffs, tree):
     params = BarParams(a)
-    fns = [SpectralFn(params.sigma_a(), c) for c in funcs]
-    if shape == "custom":
-        fseq = FunctionalSeq.custom(fns)
-    else:
-        fseq = getattr(FunctionalSeq, shape)(fns[0])
-    report = limit_variance(fseq, params)
+    report = limit_variance(SpectralFn(params.sigma_a(), coeffs), params, tree)
     assert math.isfinite(report.value)
-    # The custom shape is a positive semidefinite form with cross terms, so
-    # its rounding error scales with the diagonal sum.
+    # Below zero slope the tree's odd degrees have negative cross terms, so
+    # the rounding error scales with the diagonal sum.
     assert report.value >= -1e-12 * max(1.0, report.sigma1)
 
 
 def test_nonnegative_on_random_sequences():
-    params = BarParams(0.55)
+    # The tree sum as 120 offsets of one random function, at slopes of both
+    # signs: below zero its odd degrees have negative cross terms.
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        funcs = [SpectralFn(params.sigma_a(), rng.normal(size=rng.integers(2, 5)))
-                 for _ in range(3)]
-        report = limit_variance(FunctionalSeq.custom(funcs), params)
-        assert report.value >= -1e-12
+    for a in (0.55, -0.55):
+        params = BarParams(a)
+        for _ in range(5):
+            f = SpectralFn(params.sigma_a(), rng.normal(size=rng.integers(2, 5)))
+            sigma1, sigma2 = offset_sums([f.coeffs] * 120, a)
+            report = limit_variance(f, params, tree=True)
+            assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, rel=1e-10,
+                                                 abs=1e-10 * sigma1)
+            assert report.value >= -1e-12
+            assert limit_variance(f, params).value >= -1e-12
 
 
 def test_regime_guards():
     for a in (0.71, -0.8, 0.99):
         params = BarParams(a)
         f = identity(params.sigma_a())
-        for fseq in (FunctionalSeq.single(f), FunctionalSeq.tree(f),
-                     FunctionalSeq.custom([f, f])):
+        for tree in (False, True):
             with pytest.raises(RegimeError):
-                limit_variance(fseq, params)
+                limit_variance(f, params, tree)
     params = BarParams(0.5)
     f = identity(params.sigma_a())
     with pytest.raises(RegimeError):
         supercritical_study(ExperimentConfig(params, InitialLaw.dirac(0.0),
-                                             FunctionalSeq.single(f), 3, 2, 0))
+                                             f, 3, 2, 0))
     zero_slope = BarParams(0.0)
     with pytest.raises(RegimeError):
         martingale_path(identity(zero_slope.sigma_a()), zero_slope,
@@ -305,11 +317,10 @@ def test_limit_variance_rejects_mismatched_scale():
     params = BarParams(0.5)
     f = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
     wrong = from_monomial([0.0, 0.0, 1.0], 2.0 * params.sigma_a())
-    assert limit_variance(FunctionalSeq.single(f), params).value == pytest.approx(80 / 21)
-    for fseq in (FunctionalSeq.single(wrong), FunctionalSeq.tree(wrong),
-                 FunctionalSeq.custom([f, wrong])):
+    assert limit_variance(f, params).value == pytest.approx(80 / 21)
+    for tree in (False, True):
         with pytest.raises(ConfigError, match="functional scale"):
-            limit_variance(fseq, params)
+            limit_variance(wrong, params, tree)
 
 
 def test_martingale_path_rejects_mismatched_scale():
@@ -324,9 +335,8 @@ def test_limit_variance_matches_simulation():
     for a in (0.3, 0.5, 0.6):
         params = BarParams(a)
         f = from_monomial([0.0, 0.5, 1.0], params.sigma_a())
-        fseq = FunctionalSeq.single(f)
-        series = limit_variance(fseq, params).value
-        cfg = ExperimentConfig(params, InitialLaw.stationary(), fseq, n, rows, 4)
+        series = limit_variance(f, params).value
+        cfg = ExperimentConfig(params, InitialLaw.stationary(), f, n, rows, 4)
         values = replicate(cfg)
         emp = values.var(ddof=1)
         centered = values - values.mean()
@@ -360,7 +370,7 @@ def test_supercritical_ratio():
     params = BarParams(a)
     f = from_monomial([0.2, 1.0, 0.1], params.sigma_a())
     res = supercritical_study(ExperimentConfig(
-        params, InitialLaw.stationary(), FunctionalSeq.single(f), n, rows, 91))
+        params, InitialLaw.stationary(), f, n, rows, 91))
     assert res.flags == ()
     want = 2.0 * a / (2.0 * a - 1.0)
     assert abs(res.ratio_median - want) < 0.1
