@@ -25,7 +25,6 @@ from .experiments import (
     CltResult,
     ExperimentConfig,
     SlopeResult,
-    SlopeSummary,
     SupercriticalResult,
     clt_study,
     h1,
@@ -33,7 +32,6 @@ from .experiments import (
     martingale_path,
     replicate,
     slope_study,
-    slope_summary,
     supercritical_study,
 )
 from .kernels import (

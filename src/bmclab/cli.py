@@ -35,7 +35,6 @@ from .experiments import (
     martingale_path,
     replicate,
     slope_study,
-    slope_summary,
     supercritical_study,
 )
 from .kernels import BarParams, check_assumptions
@@ -232,7 +231,12 @@ def _params_and_f(cfg: dict) -> tuple[BarParams, SpectralFn]:
 
 
 def _tree(cfg: dict) -> bool:
-    """Whether --shape asks for the whole-tree sum (no, for commands without it)."""
+    """Whether --shape or --target asks for the whole-tree sum (no, for
+    commands with neither)."""
+    if "target" in cfg:
+        if cfg["target"] not in ("Gn", "Tn"):
+            raise ConfigError(f"unknown target {cfg['target']!r}")
+        return cfg["target"] == "Tn"
     shape = cfg.get("shape", "single")
     if shape not in ("single", "tree"):
         raise ConfigError(f"--shape takes single or tree, got {shape!r}")
@@ -297,18 +301,16 @@ def _run_clt(cfg: dict, out_dir: str, threads: int,
     return [clt_path, stats_path]
 
 
-def _slope_plot(alphas, summaries) -> str:
-    by_alpha = {s.alpha: s for s in summaries}
+def _slope_plot(results) -> str:
     xs, means, lower, upper = [], [], [], []
-    for alpha in alphas:
-        summary = by_alpha.get(alpha)
-        if summary is None or math.isnan(summary.mean_slope):
+    for res in sorted(results, key=lambda res: res.alpha):
+        if math.isnan(res.mean_slope):
             continue
-        xs.append(alpha)
-        means.append(summary.mean_slope)
-        lower.append(summary.mean_slope - 2.0 * summary.sd_slope)
-        upper.append(summary.mean_slope + 2.0 * summary.sd_slope)
-    lo, hi = min(alphas), max(alphas)
+        xs.append(res.alpha)
+        means.append(res.mean_slope)
+        lower.append(res.mean_slope - 2.0 * res.sd_slope)
+        upper.append(res.mean_slope + 2.0 * res.sd_slope)
+    lo, hi = min(res.alpha for res in results), max(res.alpha for res in results)
     grid = [lo + (hi - lo) * i / 200.0 for i in range(201)]
     series = [
         Series(label="mean slope", x=tuple(xs), y=tuple(means), color="#000000"),
@@ -325,13 +327,13 @@ def _slope_plot(alphas, summaries) -> str:
 
 def _run_slopes(cfg: dict, out_dir: str, threads: int,
                 args: argparse.Namespace) -> list[str]:
-    alphas = cfg["alphas"]
+    target = cfg["target"]
     results = slope_study(
-        alphas,
+        cfg["alphas"],
         cfg["f"],
         n_max=cfg["n"],
         replicas=cfg["replicas"],
-        target=cfg["target"],
+        tree=_tree(cfg),
         n_min=cfg["n_min"],
         outer_repeats=cfg["outer_repeats"],
         master_seed=cfg["seed"],
@@ -344,24 +346,24 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
         path,
         ("alpha", "target", "n_min", "n_max", "slope", "stderr", "h1", "h2",
          "replicas", "outer_repeat"),
-        ((_g17(r.alpha), r.target, str(r.n_min), str(r.n_max), _cell(r.slope),
-          _cell(r.stderr), _g17(r.h1), _g17(r.h2), str(r.replicas),
-          str(r.outer_repeat)) for r in results),
+        ((_g17(r.alpha), target, str(cfg["n_min"]), str(cfg["n"]), _cell(slope),
+          _cell(stderr), _g17(h1(r.alpha)), _g17(h2(r.alpha)), str(cfg["replicas"]),
+          str(k))
+         for r in results for k, (slope, stderr) in enumerate(zip(r.slopes, r.stderrs))),
     )
     outputs = [path]
-    summaries = slope_summary(results)
-    for s in summaries:
-        # A grid point whose every repeat lacks a slope has no summary.
-        mean, sd = ((f"{s.mean_slope:.6f}", f"{s.sd_slope:.6f}")
-                    if not math.isnan(s.mean_slope) else ("skipped", "skipped"))
-        print(f"alpha={s.alpha:g} target={s.target} mean_slope={mean} sd={sd} "
-              f"h1={s.h1:.6f} h2={s.h2:.6f}")
-    flagged = [r for r in results if r.flags]
+    for r in results:
+        # A grid point whose every repeat lacks a slope has no mean.
+        mean, sd = ((f"{r.mean_slope:.6f}", f"{r.sd_slope:.6f}")
+                    if not math.isnan(r.mean_slope) else ("skipped", "skipped"))
+        print(f"alpha={r.alpha:g} target={target} mean_slope={mean} sd={sd} "
+              f"h1={h1(r.alpha):.6f} h2={h2(r.alpha):.6f}")
+    flagged = sum(1 for r in results for flags in r.flags if flags)
     if flagged:
-        print(f"flagged runs: {len(flagged)}")
+        print(f"flagged runs: {flagged}")
     if args.plot:
         svg_path = os.path.join(out_dir, "slopes.svg")
-        chart = _slope_plot(alphas, summaries)
+        chart = _slope_plot(results)
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(chart + "\n")
         outputs.append(svg_path)

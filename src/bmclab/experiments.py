@@ -83,31 +83,16 @@ class SupercriticalResult:
 
 @dataclass(frozen=True)
 class SlopeResult:
-    """One regression of log-variance against log population size."""
+    """The regressions of log-variance on log population size at one grid
+    slope, one per outer repetition, with the mean and spread of the slopes
+    that are defined (NaN when none is, 0 when one is)."""
 
     alpha: float
-    n_min: int
-    n_max: int
-    slope: float
-    stderr: float
-    replicas: int
-    target: str
-    outer_repeat: int
-    h1: float
-    h2: float
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SlopeSummary:
-    """Mean and spread of the fitted slope over outer repetitions."""
-
-    alpha: float
-    target: str
+    slopes: tuple[float, ...]
+    stderrs: tuple[float, ...]
+    flags: tuple[tuple[str, ...], ...]
     mean_slope: float
     sd_slope: float
-    h1: float
-    h2: float
 
 
 def h1(alpha: float) -> float:
@@ -193,7 +178,8 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     ratio of the (2a)^(-n)-rescaled centered sums, and the mean absolute
     martingale increment at each depth.  Replicas whose deepest-generation
     statistic is zero are left out of the median and flagged; when none is
-    left, the ratio is undefined and ComputationRejected is raised.  Both
+    left, the ratio is undefined and ComputationRejected is raised, as it is
+    when a statistic, the ratio or an increment overflows.  Both
     sums are taken, so cfg.tree is not read.
     """
     a = cfg.params.a
@@ -205,19 +191,22 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
 
     flags: list[str] = []
     scale = (2.0 * a) ** (-cfg.n)
-    gen_stat = scale * sums[:, cfg.n, 0]
-    tree_stat = scale * sums[:, :, 0].sum(axis=1)
-    usable = gen_stat != 0.0
-    if not np.all(usable):
-        flags.append(f"ratio-excluded:{int(np.sum(~usable))}")
-    if not np.any(usable):
-        raise ComputationRejected(
-            "every replica's deepest-generation statistic is zero, so the "
-            "ratio is undefined")
-    ratio_median = float(np.median(tree_stat[usable] / gen_stat[usable]))
-
-    paths = sums[:, :, 1] * (2.0 * a) ** (-np.arange(cfg.n + 1))
-    l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen_stat = scale * sums[:, cfg.n, 0]
+        tree_stat = scale * sums[:, :, 0].sum(axis=1)
+        usable = gen_stat != 0.0
+        if not np.all(usable):
+            flags.append(f"ratio-excluded:{int(np.sum(~usable))}")
+        if not np.any(usable):
+            raise ComputationRejected(
+                "every replica's deepest-generation statistic is zero, so the "
+                "ratio is undefined")
+        ratio_median = float(np.median(tree_stat[usable] / gen_stat[usable]))
+        paths = sums[:, :, 1] * (2.0 * a) ** (-np.arange(cfg.n + 1))
+        l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
+    if not (np.all(np.isfinite(gen_stat)) and np.all(np.isfinite(tree_stat))
+            and math.isfinite(ratio_median) and np.all(np.isfinite(l1_diffs))):
+        raise ComputationRejected("the supercritical statistics overflow double precision")
     return SupercriticalResult(
         ratio_median=ratio_median,
         martingale_l1_diffs=l1_diffs,
@@ -253,14 +242,7 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
     return path
 
 
-def _fit_loglog(sizes, variances) -> tuple[float, float]:
-    """Slope and stderr of log(variance) regressed on log(size)."""
-    xs = np.log(np.asarray(sizes, dtype=np.float64))
-    ys = np.log(np.asarray(variances, dtype=np.float64))
-    return fit_line(xs, ys)
-
-
-def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
+def slope_study(alphas, f, n_max: int, replicas: int, tree: bool = False,
                 n_min: int = DEFAULT_N_MIN, outer_repeats: int = 1,
                 master_seed: int = 0, sigma: float = 1.0,
                 nu: InitialLaw = InitialLaw.stationary(),
@@ -270,11 +252,12 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     Each outer repetition k simulates `replicas` trees to depth n_max from
     the keys below the key of (master_seed, k), with every grid slope alpha
     as one lane over the same normals.  Per slope it computes across
-    replicas the variance of the size-averaged sum of f over the target
-    population at every depth in [n_min, n_max], and regresses log-variance
-    on log-size.  f is a monomial coefficient vector rescaled per alpha.
-    Depths with zero or overflowing variance are flagged and omitted from
-    the regression.  Results are ordered by alpha, then by outer repetition.
+    replicas the variance of the size-averaged sum of f over the deepest
+    generation, or over the whole tree if tree, at every depth in
+    [n_min, n_max], and regresses log-variance on log-size.  f is a monomial
+    coefficient vector rescaled per alpha.  Depths with zero or overflowing
+    variance are flagged and omitted from the regression.  Returns one
+    SlopeResult per grid slope, in grid order.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -286,8 +269,6 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
         raise ConfigError(f"need n_max >= n_min + 3, got [{n_min}, {n_max}]")
     if replicas < 2:
         raise ConfigError("variance estimation needs at least 2 replicas")
-    if target not in ("Gn", "Tn"):
-        raise ConfigError(f"unknown target {target!r}")
     if outer_repeats < 1:
         raise ConfigError("outer_repeats must be positive")
     if len(alphas) * outer_repeats > SLOPE_RUNS_MAX:
@@ -299,32 +280,37 @@ def slope_study(alphas, f, n_max: int, replicas: int, target: str = "Gn",
     for alpha in alphas:
         params = BarParams(alpha, sigma)
         lanes.append((params, [from_monomial(f, params.sigma_a())]))
-    runs: list[list[SlopeResult]] = [[] for _ in alphas]
-    for outer, outer_key in enumerate(outer_keys):
+    fits: list[list[tuple[float, float, tuple[str, ...]]]] = [[] for _ in alphas]
+    for outer_key in outer_keys:
         keys = keys_for_replicas(int(outer_key), replicas, n_max, len(lanes))
         sums = generation_sums(lanes, nu, n_max, keys, threads=threads)
-        for i, alpha in enumerate(alphas):
-            runs[i].append(_fit_slope(alpha, sums[i, :, :, 0], n_min, n_max, target,
-                                      outer))
-    return [res for per_alpha in runs for res in per_alpha]
+        for i, per_repeat in enumerate(fits):
+            per_repeat.append(_fit_slope(sums[i, :, :, 0], n_min, n_max, tree))
+    results = []
+    for alpha, per_repeat in zip(alphas, fits):
+        slopes, stderrs, flags = zip(*per_repeat)
+        defined = np.array([s for s in slopes if not math.isnan(s)])
+        if len(defined) == 0:
+            mean = sd = math.nan
+        else:
+            mean = float(defined.mean())
+            sd = float(defined.std(ddof=1)) if len(defined) > 1 else 0.0
+        results.append(SlopeResult(alpha, slopes, stderrs, flags, mean, sd))
+    return results
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_slope(alpha: float, sums: np.ndarray, n_min: int, n_max: int,
-               target: str, outer: int) -> SlopeResult:
-    """One regression from the (replicas, n_max+1) generation sums of f."""
-    totals = np.cumsum(sums, axis=1)
+def _fit_slope(sums: np.ndarray, n_min: int, n_max: int,
+               tree: bool) -> tuple[float, float, tuple[str, ...]]:
+    """Slope, stderr and flags of one regression from the (replicas,
+    n_max+1) generation sums of f."""
+    populations = np.cumsum(sums, axis=1) if tree else sums
     flags: list[str] = []
     sizes: list[float] = []
     variances: list[float] = []
     for n in range(n_min, n_max + 1):
-        if target == "Gn":
-            size = 2.0**n
-            raw = sums[:, n]
-        else:
-            size = 2.0 ** (n + 1) - 1.0
-            raw = totals[:, n]
-        var = float((raw / size).var(ddof=1))
+        size = 2.0 ** (n + 1) - 1.0 if tree else 2.0**n
+        var = float((populations[:, n] / size).var(ddof=1))
         if not 0.0 < var < math.inf:
             flags.append(f"degenerate-variance:n={n}")
             continue
@@ -332,47 +318,6 @@ def _fit_slope(alpha: float, sums: np.ndarray, n_min: int, n_max: int,
         variances.append(var)
     if len(sizes) < 2:
         flags.append("insufficient-points")
-        slope, stderr = math.nan, math.nan
-    else:
-        slope, stderr = _fit_loglog(sizes, variances)
-    return SlopeResult(
-        alpha=alpha,
-        n_min=n_min,
-        n_max=n_max,
-        slope=slope,
-        stderr=stderr,
-        replicas=len(sums),
-        target=target,
-        outer_repeat=outer,
-        h1=h1(alpha),
-        h2=h2(alpha),
-        flags=tuple(flags),
-    )
-
-
-def slope_summary(results) -> list[SlopeSummary]:
-    """Mean and standard deviation of the slope per grid point.
-
-    Groups SlopeResults by (alpha, target) preserving first-seen order;
-    repeats with an undefined slope are dropped from the aggregation.
-    """
-    groups: dict[tuple[float, str], list[SlopeResult]] = {}
-    for res in results:
-        groups.setdefault((res.alpha, res.target), []).append(res)
-    out = []
-    for (alpha, target), group in groups.items():
-        slopes = np.array([g.slope for g in group if not math.isnan(g.slope)])
-        if len(slopes) == 0:
-            mean = sd = math.nan
-        else:
-            mean = float(slopes.mean())
-            sd = float(slopes.std(ddof=1)) if len(slopes) > 1 else 0.0
-        out.append(SlopeSummary(
-            alpha=alpha,
-            target=target,
-            mean_slope=mean,
-            sd_slope=sd,
-            h1=group[0].h1,
-            h2=group[0].h2,
-        ))
-    return out
+        return math.nan, math.nan, tuple(flags)
+    slope, stderr = fit_line(np.log(sizes), np.log(variances))
+    return slope, stderr, tuple(flags)

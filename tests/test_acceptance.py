@@ -26,7 +26,6 @@ from bmclab.experiments import (
     h1,
     h2,
     slope_study,
-    slope_summary,
     supercritical_study,
 )
 from bmclab.kernels import BarParams, check_assumptions, hermite_nodes
@@ -253,17 +252,17 @@ def test_criterion_6_phase_transition_slopes():
     for coeffs, name, target_fn in (([0.0, 1.0], "x", h1),
                                     ([0.0, 0.0, 1.0], "x^2", h2)):
         results = slope_study(alphas, coeffs, n_max=12, replicas=500,
-                              target="Gn", outer_repeats=20,
+                              tree=False, outer_repeats=20,
                               master_seed=97 if name == "x" else 98)
         worst = 0.0
-        for summary in slope_summary(results):
-            expected = target_fn(summary.alpha)
-            dev = abs(summary.mean_slope - expected)
+        for res in results:
+            expected = target_fn(res.alpha)
+            dev = abs(res.mean_slope - expected)
             worst = max(worst, dev)
             if dev > 0.15:
                 failures.append(
-                    f"f={name} alpha={summary.alpha:g}: mean slope "
-                    f"{summary.mean_slope:.3f} vs {expected:.3f} "
+                    f"f={name} alpha={res.alpha:g}: mean slope "
+                    f"{res.mean_slope:.3f} vs {expected:.3f} "
                     f"(dev {dev:.3f})")
         print(f"slopes f={name}: worst deviation {worst:.3f}")
     _finish(6, "phase-transition slopes", failures,

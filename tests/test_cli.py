@@ -554,8 +554,10 @@ def _run_tree_command(argv) -> tuple[int, str, list[str]]:
 # depth undefined, a tiny slope makes (2a)^-g overflow, a huge f makes a
 # depth's variance overflow, which leaves that depth out of the fit, and a
 # slope grid whose span is tiny next to the spacing of doubles at its values
-# once sent the plot's tick loop into a hang or an exception.  Most draws
-# are rejected at the boundary, and each of those must exit 2.
+# once sent the plot's tick loop into a hang or an exception.  The last three
+# overflow the supercritical statistics, their ratio or the martingale
+# increments, which must be rejected with exit 3 and no numpy warning.  Most
+# draws are rejected at the boundary, and each of those must exit 2.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example(command="supercritical", a=0.85, a2=0.5, sigma=1.0, f="1", n=4, replicas=5,
          n_min=0)
@@ -570,6 +572,12 @@ def _run_tree_command(argv) -> tuple[int, str, list[str]]:
          n_min=0)
 @example(command="slopes", a=5e-324, a2=3.5e-323, sigma=1.0, f="x", n=3, replicas=2,
          n_min=0)
+@example(command="supercritical", a=0.9, a2=0.5, sigma=1.0, f="0,1e307", n=4,
+         replicas=3, n_min=0)
+@example(command="supercritical", a=-0.9, a2=0.5, sigma=1.0, f="0,1e307", n=4,
+         replicas=3, n_min=0)
+@example(command="supercritical", a=0.75, a2=0.5, sigma=1.0, f="0,3e307", n=4,
+         replicas=3, n_min=0)
 @given(command=st.sampled_from(["supercritical", "slopes", "martingale"]), a=_slopes,
        a2=_slopes, sigma=_sigmas, f=_test_functions, n=st.integers(3, 6),
        replicas=st.integers(2, 6), n_min=st.integers(-3, 3))
@@ -678,6 +686,47 @@ def test_slopes_csv_and_plot(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "alpha=0.3" in printed
     assert "mean_slope=" in printed
+
+
+def test_slope_chart_is_drawn_in_alpha_order(tmp_path, capsys):
+    # The CSV and stdout keep the grid order; the mean-slope line and the
+    # band run left to right.
+    assert main(["slopes", "--alphas", "0.3,0.8,0.5", "--f", "x", "--n", "8",
+                 "--replicas", "20", "--outer-repeats", "2", "--seed", "3",
+                 "--plot", "--out", str(tmp_path)]) == 0
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("alpha=")]
+    assert printed == ["alpha=0.3", "alpha=0.8", "alpha=0.5"]
+    rows = _read(tmp_path / "slopes.csv").splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.3, 0.3, 0.8, 0.8, 0.5, 0.5]
+    svg = _read(tmp_path / "slopes.svg")
+    line = re.search(r'<polyline points="([^"]*)" fill="none" stroke="#000000"', svg)
+    band = re.search(r'<polygon points="([^"]*)"', svg)
+    xs = [float(point.split(",")[0]) for point in line.group(1).split()]
+    edge = [float(point.split(",")[0]) for point in band.group(1).split()]
+    assert len(xs) == 3 and xs == sorted(xs)
+    assert edge == xs + xs[::-1]
+
+
+def test_repeated_grid_slope_reports_its_own_spread(capsys):
+    # Both lanes of a repeated slope run on the same trees, so each line
+    # must be the line of that slope alone, not a spread over both copies.
+    base = ["slopes", "--n", "8", "--replicas", "20", "--outer-repeats", "3",
+            "--seed", "1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(base + ["--alphas", "0.5", "--out", tmp]) == 0
+        single = capsys.readouterr().out.splitlines()[0]
+        assert main(base + ["--alphas", "0.5,0.5", "--out", tmp]) == 0
+        repeated = capsys.readouterr().out.splitlines()[:2]
+    assert "sd=0.365812" in single
+    assert repeated == [single, single]
+
+
+def test_slopes_rejects_unknown_target(tmp_path, capsys):
+    assert main(["slopes", "--alphas", "0.5", "--n", "8", "--replicas", "4",
+                 "--target", "An", "--out", str(tmp_path)]) == 2
+    assert "unknown target 'An'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_undefined_results_exit_three_or_leave_empty_cells(tmp_path, capsys):

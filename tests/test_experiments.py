@@ -12,12 +12,11 @@ from bmclab.errors import ComputationRejected, ConfigError, RegimeError, Resourc
 from bmclab.experiments import (
     SLOPE_RUNS_MAX,
     ExperimentConfig,
-    _fit_loglog,
+    _fit_slope,
     clt_study,
     h1,
     h2,
     slope_study,
-    slope_summary,
     supercritical_study,
 )
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
@@ -66,11 +65,23 @@ def test_config_validation():
 
 
 def test_fit_loglog_recovers_exponent():
-    sizes = 2.0 ** np.arange(5, 13)
-    variances = 3.0 * sizes**-0.7
-    slope, stderr = _fit_loglog(sizes, variances)
+    # Two replicas at +-c per depth have a size-averaged variance of 2 c^2,
+    # here 3 size^-0.7.
+    depths = np.arange(13)
+    sizes = 2.0**depths
+    sums = np.outer([1.0, -1.0], sizes * np.sqrt(1.5 * sizes**-0.7))
+    slope, stderr, flags = _fit_slope(sums, 5, 12, False)
     assert slope == pytest.approx(-0.7, abs=1e-10)
     assert stderr == pytest.approx(0.0, abs=1e-10)
+    assert flags == ()
+    # The whole tree's sums are the differences of its totals.  Those round,
+    # and the stderr is the square root of the rounding in 1 - r^2.
+    sizes = 2.0 ** (depths + 1) - 1.0
+    totals = np.outer([1.0, -1.0], sizes * np.sqrt(1.5 * sizes**-0.7))
+    slope, stderr, flags = _fit_slope(np.diff(totals, prepend=0.0), 5, 12, True)
+    assert slope == pytest.approx(-0.7, abs=1e-10)
+    assert stderr == pytest.approx(0.0, abs=1e-7)
+    assert flags == ()
 
 
 def test_clt_study_subcritical():
@@ -160,58 +171,55 @@ def test_supercritical_study():
 def test_slope_study_locates_exponents():
     results = slope_study([0.3, 0.9], [0.0, 1.0], n_max=10, replicas=300,
                           master_seed=3)
-    by_alpha = {res.alpha: res for res in results}
-    assert abs(by_alpha[0.3].slope - h1(0.3)) < 0.15
-    assert abs(by_alpha[0.9].slope - h1(0.9)) < 0.15
+    assert [res.alpha for res in results] == [0.3, 0.9]
     for res in results:
-        assert res.flags == ()
-        assert res.stderr >= 0.0
-        assert res.h1 == h1(res.alpha)
-        assert res.h2 == h2(res.alpha)
-        assert (res.n_min, res.n_max, res.outer_repeat) == (5, 10, 0)
+        assert abs(res.slopes[0] - h1(res.alpha)) < 0.15
+        assert res.flags == ((),)
+        assert res.stderrs[0] >= 0.0
+        assert (res.mean_slope, res.sd_slope) == (res.slopes[0], 0.0)
 
 
 def test_slope_study_target_consistency():
     shared = dict(n_max=10, replicas=200, master_seed=9)
-    g_res = slope_study([0.4], [0.0, 1.0], target="Gn", **shared)[0]
-    t_res = slope_study([0.4], [0.0, 1.0], target="Tn", **shared)[0]
-    bound = 2.0 * (g_res.stderr + t_res.stderr)
-    assert abs(g_res.slope - t_res.slope) <= bound
+    g_res = slope_study([0.4], [0.0, 1.0], tree=False, **shared)[0]
+    t_res = slope_study([0.4], [0.0, 1.0], tree=True, **shared)[0]
+    bound = 2.0 * (g_res.stderrs[0] + t_res.stderrs[0])
+    assert abs(g_res.slopes[0] - t_res.slopes[0]) <= bound
 
 
 def test_slope_study_outer_repeats_and_summary():
     results = slope_study([0.5], [0.0, 1.0], n_max=9, replicas=100,
                           outer_repeats=3, master_seed=4)
-    assert [res.outer_repeat for res in results] == [0, 1, 2]
-    slopes = [res.slope for res in results]
-    assert len(set(slopes)) == 3
-    summaries = slope_summary(results)
-    assert len(summaries) == 1
-    summary = summaries[0]
-    assert min(slopes) <= summary.mean_slope <= max(slopes)
-    assert summary.sd_slope > 0.0
-    assert summary.h1 == h1(0.5)
+    assert len(results) == 1
+    res = results[0]
+    assert len(res.slopes) == len(res.stderrs) == len(res.flags) == 3
+    assert len(set(res.slopes)) == 3
+    assert min(res.slopes) <= res.mean_slope <= max(res.slopes)
+    assert res.sd_slope > 0.0
+    assert res.mean_slope == float(np.mean(res.slopes))
+    assert res.sd_slope == float(np.std(res.slopes, ddof=1))
 
 
 def test_slope_grid_shares_trees_across_alphas():
     # Outer repeat k draws its normals from master.split(k) whatever the
-    # grid, so each alpha's rows are the rows of that alpha run alone; rows
-    # stay alpha-major.
-    alphas = [0.3, 0.6, 0.8]
-    shared = dict(n_max=9, replicas=40, outer_repeats=2, master_seed=12, target="Tn")
+    # grid, so each alpha's record is the record of that alpha run alone;
+    # records stay in grid order, a repeated slope included.
+    alphas = [0.3, 0.6, 0.8, 0.6]
+    shared = dict(n_max=9, replicas=40, outer_repeats=2, master_seed=12, tree=True)
     grid = slope_study(alphas, [0.0, 1.0, 0.5], **shared)
-    assert [(res.alpha, res.outer_repeat) for res in grid] == [
-        (alpha, k) for alpha in alphas for k in range(2)]
-    for i, alpha in enumerate(alphas):
-        assert grid[2 * i:2 * i + 2] == slope_study([alpha], [0.0, 1.0, 0.5], **shared)
+    assert [res.alpha for res in grid] == alphas
+    for res, alpha in zip(grid, alphas):
+        assert len(res.slopes) == 2
+        assert [res] == slope_study([alpha], [0.0, 1.0, 0.5], **shared)
 
 
 def test_slope_study_degenerate_points():
     results = slope_study([0.5], [5.0], n_max=9, replicas=50, master_seed=0)
     res = results[0]
-    assert math.isnan(res.slope)
-    assert "insufficient-points" in res.flags
-    assert any(flag.startswith("degenerate-variance:") for flag in res.flags)
+    assert math.isnan(res.slopes[0])
+    assert math.isnan(res.mean_slope) and math.isnan(res.sd_slope)
+    assert "insufficient-points" in res.flags[0]
+    assert any(flag.startswith("degenerate-variance:") for flag in res.flags[0])
 
 
 def test_slope_study_validation():
@@ -221,8 +229,6 @@ def test_slope_study_validation():
         slope_study([0.5], [0.0, 1.0], n_max=7, n_min=5, replicas=50)
     with pytest.raises(ConfigError):
         slope_study([0.5], [0.0, 1.0], n_max=10, replicas=1)
-    with pytest.raises(ConfigError):
-        slope_study([0.5], [0.0, 1.0], n_max=10, replicas=50, target="An")
     with pytest.raises(ConfigError):
         slope_study([0.5], [0.0, 1.0], n_max=10, replicas=50, outer_repeats=0)
     # A negative depth would index the deepest generations from the end.
@@ -249,4 +255,4 @@ def test_thread_count_does_not_change_results():
     one = slope_study([0.6], [0.0, 1.0], n_max=9, replicas=64, master_seed=2)
     four = slope_study([0.6], [0.0, 1.0], n_max=9, replicas=64, master_seed=2,
                        threads=4)
-    assert one[0].slope == four[0].slope
+    assert one == four

@@ -43,6 +43,10 @@ CASES = {
     "slopes": ["slopes", "--alphas", "0.3,0.6", "--f", "x", "--n", "8",
                "--replicas", "40", "--outer-repeats", "2", "--seed", "3",
                "--plot"],
+    # The whole-tree slope fit.
+    "slopes-tree": ["slopes", "--alphas", "0.3,0.8", "--f", "0.3,1,0.5,0.2",
+                    "--target", "Tn", "--n", "7", "--n-min", "2", "--replicas", "30",
+                    "--outer-repeats", "3", "--seed", "7", "--plot"],
     "supercritical": ["supercritical", "--a", "0.85", "--n", "7",
                       "--replicas", "50", "--seed", "5"],
     "martingale": ["martingale", "--a", "0.85", "--n", "6", "--seed", "4"],
@@ -88,6 +92,10 @@ GOLDEN = {
     "slopes": {
         "slopes.csv": "e31d176b69ac4324403db4d4469a580a",
         "slopes.svg": "f36865d8fef310f7cde26545b5b16d22",
+    },
+    "slopes-tree": {
+        "slopes.csv": "55777417abe3364918b58c1d758eefdb",
+        "slopes.svg": "07c79ac5b3b8842c8d99b85ac3d12438",
     },
     "supercritical": {
         "supercritical.csv": "2b788f206627409b66305c302e040722",
