@@ -12,6 +12,7 @@ regime or degree cap), 4 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -474,6 +475,7 @@ def _add_common(sub: argparse.ArgumentParser, keys) -> None:
         sub.add_argument(_flag(key), dest=key, help=_OPTIONS[key][1])
 
 
+@functools.cache  # parse_args never mutates the parser, so calls share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmclab",

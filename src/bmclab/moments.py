@@ -8,8 +8,10 @@ pattern after lifting the shallower sum to the deeper generation.
 
 The enumerated_* variants compute the same quantities by brute force over
 all node pairs, using the common-ancestor covariance of the joint Gaussian
-and a recursion for bivariate Gaussian moments.  They are exponential in
-the depth and exist to cross-check the kernel formulas at small n.
+and a recursion for bivariate Gaussian moments.  Pairs are still enumerated
+one by one, but the Gaussian expectation is computed once per
+common-ancestor depth.  They are exponential in the depth and exist to
+cross-check the kernel formulas at small n.
 """
 
 from __future__ import annotations
@@ -150,10 +152,10 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     cg = as_monomial(g)
     mean_u, var_u = _node_mean_var(a, params.sigma, n, x)
     mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
-    terms = []
-    for i in range(1 << n):
-        for j in range(1 << m):
-            depth = common_ancestor_depth(n, i, m, j)
-            cov = _pair_cov(a, params.sigma, n, m, depth)
-            terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
-    return math.fsum(terms)
+    # Each depth 0..min(n, m) occurs and fixes the pair's term; terms go to fsum
+    # in pair order, because fsum's intermediate overflow depends on the order.
+    by_depth = {d: _gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v,
+                                         _pair_cov(a, params.sigma, n, m, d))
+                for d in range(min(n, m) + 1)}
+    return math.fsum(by_depth[common_ancestor_depth(n, i, m, j)]
+                     for i in range(1 << n) for j in range(1 << m))

@@ -8,6 +8,7 @@ dependency-free so chart output is byte-reproducible across environments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -50,7 +51,7 @@ def _tick_values(lo: float, hi: float, target: int = 6):
     too small for a nonzero double step gets the single tick lo."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi / 2 - lo / 2) / target * 2  # hi - lo may overflow, half of it cannot
     power = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
@@ -60,13 +61,14 @@ def _tick_values(lo: float, hi: float, target: int = 6):
         return [lo]
     ticks, value = [], math.ceil(lo / step) * step
     for _ in range(2 * target + 2):
-        if value > hi + 1e-9 * step:
+        if value > hi + 1e-9 * step or math.isinf(value):
             break
-        ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value >= lo:  # ceil(lo / step) * step can round to below lo
+            ticks.append(min(0.0 if abs(value) < 1e-12 * step else value, hi))
         if value + step == value:
             break
         value += step
-    return ticks
+    return ticks or [lo]
 
 
 def line_chart(series, *, title: str, x_label: str, y_label: str,
@@ -92,19 +94,21 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
 
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    x_pad = 0.05 * (x_hi - x_lo or 1.0)
-    y_pad = 0.05 * (y_hi - y_lo or 1.0)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    # Spans in halves, as in _tick_values: finite for any finite bounds.
+    x_pad = 0.1 * (x_hi / 2 - x_lo / 2 or 0.5)
+    y_pad = 0.1 * (y_hi / 2 - y_lo / 2 or 0.5)
+    top = sys.float_info.max
+    x_lo, x_hi = max(x_lo - x_pad, -top), min(x_hi + x_pad, top)
+    y_lo, y_hi = max(y_lo - y_pad, -top), min(y_hi + y_pad, top)
 
     plot_w = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + (y_hi / 2 - y / 2) / (y_hi / 2 - y_lo / 2) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

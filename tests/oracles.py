@@ -3,8 +3,9 @@
 Each is a direct transcription of its definition: the constant and
 coordinate functions in the Hermite basis, the scalar Philox4x32 block
 cipher, the transition densities of the symmetric Gaussian BAR relative to
-its invariant law, Gauss-Hermite expectations under a Gaussian law, and the
-offset sums of the limit variance.  The program itself needs none
+its invariant law, Gauss-Hermite expectations under a Gaussian law, the
+offset sums of the limit variance, and the enumerated cross moment with one
+Gaussian expectation per node pair.  The program itself needs none
 of them.
 """
 
@@ -15,7 +16,14 @@ import math
 import numpy as np
 
 from bmclab.kernels import CRITICAL, BarParams, classify_regime, hermite_nodes
-from bmclab.spectral import SpectralFn
+from bmclab.moments import (
+    _check_enum_depth,
+    _gaussian_pair_expect,
+    _node_mean_var,
+    _pair_cov,
+    common_ancestor_depth,
+)
+from bmclab.spectral import SpectralFn, as_monomial
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85
@@ -113,3 +121,26 @@ def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
     sigma2 = math.fsum(0.5**low * bracket(rows[high], rows[low], high - low)
                        for high in range(len(rows)) for low in range(high))
     return sigma1, sigma2
+
+
+def per_pair_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
+                          n: int, m: int, x: float) -> float:
+    """E_x of the product of the generation-n sum of f and the generation-m
+    sum of g, as the fsum of one Gaussian pair expectation per node pair.
+
+    moments.enumerated_cross_moment computes one expectation per
+    common-ancestor depth instead and must match this bit for bit.
+    """
+    a = params.a
+    _check_enum_depth(max(n, m))
+    cf = as_monomial(f)
+    cg = as_monomial(g)
+    mean_u, var_u = _node_mean_var(a, params.sigma, n, x)
+    mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
+    terms = []
+    for i in range(1 << n):
+        for j in range(1 << m):
+            depth = common_ancestor_depth(n, i, m, j)
+            cov = _pair_cov(a, params.sigma, n, m, depth)
+            terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
+    return math.fsum(terms)

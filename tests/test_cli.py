@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import bmclab.experiments as experiments
 import bmclab.treesim as treesim
-from bmclab.cli import THREADS_MAX, _parse_alphas, _parse_f, _parse_nu, main
+from bmclab.cli import THREADS_MAX, _build_parser, _parse_alphas, _parse_f, _parse_nu, main
 from bmclab.errors import ConfigError, ResourceCapError
 
 
@@ -81,6 +82,29 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["simulate", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_unchanged_by_early_exits(capsys, monkeypatch):
+    _build_parser.cache_clear()
+    argv = ["variance", "--a", "0.5", "--f", "x^2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["variance", "--a", "0.5", "--no-such-flag", "1"]) == 2
+    assert main(["--version"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["variance", "--help"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert built == []
 
 
 def test_simulate_writes_stats_and_manifest(tmp_path, capsys):

@@ -22,7 +22,7 @@ from bmclab.moments import (
 from bmclab.rng import derive_keys, seed_key
 from bmclab.spectral import from_monomial
 from bmclab.treesim import InitialLaw, generation_sums
-from oracles import constant, gaussian_expect, identity
+from oracles import constant, gaussian_expect, identity, per_pair_cross_moment
 
 A_GRID = (0.3, 1.0 / math.sqrt(2.0), 0.85)
 POLY_GRID = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
@@ -163,6 +163,28 @@ def test_exact_matches_enumeration():
                 ref = enumerated_cross_moment(funcs[1], funcs[0], params, n, m, x)
                 got = exact_cross_moment(funcs[1], funcs[0], params, n, m, x)
                 assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("a", (0.3, 1.0 / math.sqrt(2.0), 0.85, -0.6))
+def test_enumeration_matches_per_pair_reference_bitwise(a):
+    polys = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.3, 1.0, 0.5, 0.2])
+    for sigma in (1.0, 1.3):
+        params = BarParams(a, sigma=sigma)
+        funcs = [from_monomial(c, params.sigma_a()) for c in polys]
+        one = constant(1.0, params.sigma_a())
+        for x in (0.0, 1.0, -0.7):
+            for n in range(5):
+                for f in funcs:
+                    want = per_pair_cross_moment(f, one, params, n, 0, x)
+                    assert enumerated_mean(f, params, n, x).hex() == want.hex()
+                    want = per_pair_cross_moment(f, f, params, n, n, x)
+                    assert enumerated_second_moment(f, params, n, x).hex() == want.hex()
+                for m in range(5):
+                    for f in funcs:
+                        for g in funcs:
+                            want = per_pair_cross_moment(f, g, params, n, m, x)
+                            got = enumerated_cross_moment(f, g, params, n, m, x)
+                            assert got.hex() == want.hex(), (sigma, x, n, m)
 
 
 def test_monte_carlo_agreement():

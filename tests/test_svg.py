@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,17 +73,33 @@ def test_chart_deterministic():
     assert _chart(series) == _chart(series)
 
 
-# The one caller plots slopes in (0, 1) and fitted exponents of moderate
-# size, so spans stay far from overflowing.  The examples once hung or raised.
+# The examples once hung, raised, or gave a tick outside [lo, hi].
 @settings(derandomize=True, database=None, max_examples=500)
 @example(lo=0.5, hi=0.5000000000000001)  # the step is below half an ulp
 @example(lo=5e-324, hi=1e-323)  # the span over the tick target is zero
 @example(lo=5e-324, hi=3.5e-323)  # the power of ten underflows to zero
 @example(lo=1e300, hi=1e300)  # lo + 1 rounds back to lo
-@given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300))
+@example(lo=-1e308, hi=1e308)  # hi - lo overflows
+@example(lo=0.0, hi=sys.float_info.max)  # the tick after the last overflows
+@example(lo=7.823215723758565, hi=7.823215723758566)  # ceil(lo / step) * step < lo
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False))
 def test_ticks_bounded_and_finite(lo, hi):
     lo, hi = sorted((lo, hi))
     ticks = _tick_values(lo, hi)
-    assert len(ticks) <= 14
+    assert 1 <= len(ticks) <= 14
     assert all(math.isfinite(t) for t in ticks)
     assert ticks == sorted(set(ticks))
+    if lo < hi:
+        assert lo <= ticks[0] and ticks[-1] <= hi
+
+
+def test_chart_coordinates_finite_at_the_double_range():
+    top = sys.float_info.max
+    chart = _chart([Series(label="s", x=(-top, 0.0, top), y=(top, 1.0, -top),
+                           color="#000000")],
+                   band=Band(x=(-top, top), lower=(-top, -top), upper=(top, top)))
+    numbers = re.findall(r'="([-0-9., e+]+)"', chart)
+    coords = [float(v) for text in numbers for v in re.split(r"[ ,]", text)]
+    assert coords and all(math.isfinite(v) for v in coords)
+    assert "inf" not in chart and "nan" not in chart
