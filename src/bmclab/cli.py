@@ -2,11 +2,12 @@
 
 Each subcommand assembles its configuration from built-in defaults, an
 optional JSON config file, and command-line flags (later sources win),
-computes an 8-byte digest of the canonicalized configuration, runs the
-requested study, and persists CSV/SVG outputs next to a manifest that
-records the digest, seed, version, and wall time.  Exit codes: 0 success,
-2 configuration error or unusable path, 3 computation rejected (wrong
-regime or degree cap), 4 resource cap.
+computes an 8-byte digest of the canonicalized configuration, and runs the
+requested study.  A runner returns its output files, each a stream of text
+chunks, and its stdout lines; _dispatch alone writes the files, then prints
+the lines, then writes a manifest that records the digest, seed, version,
+and wall time.  Exit codes: 0 success, 2 configuration error or unusable
+path, 3 computation rejected (wrong regime or degree cap), 4 resource cap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .errors import ComputationRejected, ConfigError, ResourceCapError
@@ -201,28 +202,16 @@ def _config_digest(payload: dict) -> str:
                            digest_size=8).hexdigest()
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(chunks)
 
 
-def _write_manifest(out_dir: str, command: str, digest: str, seed,
-                    wall_time: float, outputs: list[str]) -> str:
-    path = os.path.join(out_dir, "manifest.json")
-    payload = {
-        "command": command,
-        "config_digest": digest,
-        "master_seed": seed,
-        "version": __version__,
-        "wall_time_s": round(wall_time, 3),
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _csv(header, rows):
+    """A CSV file's lines, yielded one row at a time."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
 
 
 def _params_and_f(cfg: dict) -> tuple[BarParams, SpectralFn]:
@@ -251,55 +240,48 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
                             tree=_tree(cfg))
 
 
-def _run_simulate(cfg: dict, out_dir: str, threads: int,
-                  args: argparse.Namespace) -> list[str]:
+# A runner's outputs: each file's name and text chunks, and the stdout lines.
+_Outputs = tuple[dict[str, Iterable[str]], list]
+
+
+def _run_simulate(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     ecfg = _experiment_config(cfg)
     values = replicate(ecfg, threads=threads)
-    path = os.path.join(out_dir, "stats.csv")
-    _write_csv(path, ("replica", "statistic"),
-               ((str(i), _g17(v)) for i, v in enumerate(values)))
-    print(f"wrote {path} ({ecfg.replicas} replicas, depth {ecfg.n})")
-    return [path]
+    rows = ((str(i), _g17(v)) for i, v in enumerate(values))
+    return {"stats.csv": _csv(("replica", "statistic"), rows)}, [
+        lambda paths: f"wrote {paths['stats.csv']} "
+                      f"({ecfg.replicas} replicas, depth {ecfg.n})"]
 
 
-def _run_variance(cfg: dict, out_dir: str, threads: int,
-                  args: argparse.Namespace) -> list[str]:
+def _run_variance(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     params, f = _params_and_f(cfg)
     report = limit_variance(f, params, _tree(cfg))
-    print(f"regime = {report.regime}")
-    print(f"value = {_g17(report.value)}")
-    print(f"sigma1 = {_g17(report.sigma1)}")
-    print(f"sigma2 = {_g17(report.sigma2)}")
-    return []
+    return {}, [f"regime = {report.regime}", f"value = {_g17(report.value)}",
+                f"sigma1 = {_g17(report.sigma1)}", f"sigma2 = {_g17(report.sigma2)}"]
 
 
-def _run_clt(cfg: dict, out_dir: str, threads: int,
-             args: argparse.Namespace) -> list[str]:
+def _run_clt(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     ecfg = _experiment_config(cfg)
     res = clt_study(ecfg, threads=threads)
     # Undefined values (a point-mass limit's KS distance, the skewness and
     # kurtosis of a sample that cancels against its mean) are empty cells.
     ks = _cell(res.ks_distance)
-    clt_path = os.path.join(out_dir, "clt.csv")
-    _write_csv(
-        clt_path,
-        ("n", "empirical_variance", "series_variance", "ks_distance",
-         "ks_threshold", "mean", "skewness", "kurtosis"),
-        [(str(res.n), _g17(res.empirical_variance), _g17(res.series_variance),
-          ks, _g17(res.ks_threshold), _g17(res.moments.mean),
-          _cell(res.moments.skewness), _cell(res.moments.kurtosis))],
-    )
-    stats_path = os.path.join(out_dir, "stats.csv")
-    _write_csv(stats_path, ("replica", "statistic"),
-               ((str(i), _g17(v)) for i, v in enumerate(res.values)))
-    print(f"regime = {res.regime}")
-    print(f"empirical_variance = {_g17(res.empirical_variance)}")
-    print(f"series_variance = {_g17(res.series_variance)}")
-    print(f"ks_distance = {ks or 'skipped'} "
-          f"(5% threshold {_g17(res.ks_threshold)})")
-    for flag in res.flags:
-        print(f"flag: {flag}")
-    return [clt_path, stats_path]
+    files = {
+        "clt.csv": _csv(
+            ("n", "empirical_variance", "series_variance", "ks_distance",
+             "ks_threshold", "mean", "skewness", "kurtosis"),
+            [(str(res.n), _g17(res.empirical_variance), _g17(res.series_variance),
+              ks, _g17(res.ks_threshold), _g17(res.moments.mean),
+              _cell(res.moments.skewness), _cell(res.moments.kurtosis))]),
+        "stats.csv": _csv(("replica", "statistic"),
+                          ((str(i), _g17(v)) for i, v in enumerate(res.values))),
+    }
+    return files, [
+        f"regime = {res.regime}",
+        f"empirical_variance = {_g17(res.empirical_variance)}",
+        f"series_variance = {_g17(res.series_variance)}",
+        f"ks_distance = {ks or 'skipped'} (5% threshold {_g17(res.ks_threshold)})",
+        *(f"flag: {flag}" for flag in res.flags)]
 
 
 def _slope_plot(results) -> str:
@@ -326,8 +308,7 @@ def _slope_plot(results) -> str:
                       band=band)
 
 
-def _run_slopes(cfg: dict, out_dir: str, threads: int,
-                args: argparse.Namespace) -> list[str]:
+def _run_slopes(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     target = cfg["target"]
     results = slope_study(
         cfg["alphas"],
@@ -342,74 +323,53 @@ def _run_slopes(cfg: dict, out_dir: str, threads: int,
         nu=cfg["nu"],
         threads=threads,
     )
-    path = os.path.join(out_dir, "slopes.csv")
-    _write_csv(
-        path,
+    files = {"slopes.csv": _csv(
         ("alpha", "target", "n_min", "n_max", "slope", "stderr", "h1", "h2",
          "replicas", "outer_repeat"),
         ((_g17(r.alpha), target, str(cfg["n_min"]), str(cfg["n"]), _cell(slope),
           _cell(stderr), _g17(h1(r.alpha)), _g17(h2(r.alpha)), str(cfg["replicas"]),
           str(k))
-         for r in results for k, (slope, stderr) in enumerate(zip(r.slopes, r.stderrs))),
-    )
-    outputs = [path]
+         for r in results for k, (slope, stderr) in enumerate(zip(r.slopes, r.stderrs))))}
+    lines = []
     for r in results:
         # A grid point whose every repeat lacks a slope has no mean.
         mean, sd = ((f"{r.mean_slope:.6f}", f"{r.sd_slope:.6f}")
                     if not math.isnan(r.mean_slope) else ("skipped", "skipped"))
-        print(f"alpha={r.alpha:g} target={target} mean_slope={mean} sd={sd} "
-              f"h1={h1(r.alpha):.6f} h2={h2(r.alpha):.6f}")
+        lines.append(f"alpha={r.alpha:g} target={target} mean_slope={mean} sd={sd} "
+                     f"h1={h1(r.alpha):.6f} h2={h2(r.alpha):.6f}")
     flagged = sum(1 for r in results for flags in r.flags if flags)
     if flagged:
-        print(f"flagged runs: {flagged}")
+        lines.append(f"flagged runs: {flagged}")
     if args.plot:
-        svg_path = os.path.join(out_dir, "slopes.svg")
-        chart = _slope_plot(results)
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(chart + "\n")
-        outputs.append(svg_path)
-    return outputs
+        files["slopes.svg"] = [_slope_plot(results) + "\n"]
+    return files, lines
 
 
-def _run_supercritical(cfg: dict, out_dir: str, threads: int,
-                       args: argparse.Namespace) -> list[str]:
+def _run_supercritical(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     ecfg = _experiment_config(cfg)
     res = supercritical_study(ecfg, threads=threads)
-    path = os.path.join(out_dir, "supercritical.csv")
-    _write_csv(path, ("level", "martingale_l1_diff"),
-               ((str(g), _g17(v)) for g, v in enumerate(res.martingale_l1_diffs)))
+    rows = ((str(g), _g17(v)) for g, v in enumerate(res.martingale_l1_diffs))
     a = ecfg.params.a
-    print(f"ratio_median = {_g17(res.ratio_median)}")
-    print(f"ratio_limit = {_g17(2.0 * a / (2.0 * a - 1.0))}")
-    for flag in res.flags:
-        print(f"flag: {flag}")
-    return [path]
+    return {"supercritical.csv": _csv(("level", "martingale_l1_diff"), rows)}, [
+        f"ratio_median = {_g17(res.ratio_median)}",
+        f"ratio_limit = {_g17(2.0 * a / (2.0 * a - 1.0))}",
+        *(f"flag: {flag}" for flag in res.flags)]
 
 
-def _run_martingale(cfg: dict, out_dir: str, threads: int,
-                    args: argparse.Namespace) -> list[str]:
+def _run_martingale(cfg: dict, threads: int, args: argparse.Namespace) -> _Outputs:
     params, f = _params_and_f(cfg)
     n = cfg["n"]
     path_values = martingale_path(f, params, cfg["nu"], n, cfg["seed"])
-    path = os.path.join(out_dir, "martingale.csv")
-    _write_csv(path, ("level", "value"),
-               ((str(g), _g17(v)) for g, v in enumerate(path_values)))
-    print(f"martingale value at depth {n}: {_g17(path_values[-1])}")
-    return [path]
+    rows = ((str(g), _g17(v)) for g, v in enumerate(path_values))
+    return {"martingale.csv": _csv(("level", "value"), rows)}, [
+        f"martingale value at depth {n}: {_g17(path_values[-1])}"]
 
 
-def _run_check_assumptions(cfg: dict, out_dir: str, threads: int,
-                           args: argparse.Namespace) -> list[str]:
-    report = check_assumptions(cfg["a"])
-    text = json.dumps(report.as_json_dict(), indent=2)
-    print(text)
-    if args.out is None:
-        return []
-    path = os.path.join(out_dir, "assumptions.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-    return [path]
+def _run_check_assumptions(cfg: dict, threads: int,
+                           args: argparse.Namespace) -> _Outputs:
+    text = json.dumps(check_assumptions(cfg["a"]).as_json_dict(), indent=2)
+    files = {} if args.out is None else {"assumptions.json": [text + "\n"]}
+    return files, [text]
 
 
 @dataclass(frozen=True)
@@ -417,14 +377,17 @@ class _Command:
     """One subcommand: its help line, option defaults and runner.
 
     A default of None marks a required option.  The runner takes the merged
-    config, the output directory, the thread count and the parsed flags, and
-    returns the paths it wrote.  switches are extra store-true flags that
-    steer the run without entering the config or its digest.
+    config, the thread count and the parsed flags, and returns its outputs
+    without writing or printing: a dict from each file name to its text
+    chunks (CSV rows come from a generator, so large files stay streamed),
+    and the stdout lines.  A line that names a written file is a function
+    of the dict from file names to paths.  switches are extra store-true
+    flags that steer the run without entering the config or its digest.
     """
 
     help: str
     defaults: dict
-    run: Callable[[dict, str, int, argparse.Namespace], list[str]]
+    run: Callable[[dict, int, argparse.Namespace], _Outputs]
     switches: tuple[tuple[str, str], ...] = ()
 
 
@@ -520,19 +483,25 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     digest = _config_digest(record)
     if args.dump_config:
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(record))
-            fh.write("\n")
+        _write(args.dump_config, [_canonical_json(record) + "\n"])
         print(f"config written to {args.dump_config} (digest {digest})")
 
     start = time.perf_counter()
-    outputs = spec.run(cfg, out_dir, threads, args)
+    files, lines = spec.run(cfg, threads, args)
+    paths = {name: os.path.join(out_dir, name) for name in files}
+    for name, chunks in files.items():
+        _write(paths[name], chunks)
     wall = time.perf_counter() - start
 
-    if outputs:
-        manifest = _write_manifest(out_dir, command, digest, cfg.get("seed"),
-                                   wall, outputs)
-        print(f"manifest: {manifest}")
+    for line in lines:
+        print(line if isinstance(line, str) else line(paths))
+    if files:
+        manifest = {"command": command, "config_digest": digest,
+                    "master_seed": cfg.get("seed"), "version": __version__,
+                    "wall_time_s": round(wall, 3), "outputs": sorted(files)}
+        path = os.path.join(out_dir, "manifest.json")
+        _write(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+        print(f"manifest: {path}")
     return 0
 
 

@@ -260,6 +260,8 @@ def slope_study(alphas, f, n_max: int, replicas: int, tree: bool = False,
     SlopeResult per grid slope, in grid order.
     """
     alphas = [float(alpha) for alpha in alphas]
+    if not alphas:
+        raise ConfigError("the slope grid alphas needs at least one slope")
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"grid slopes must lie in (0, 1), got {alpha}")

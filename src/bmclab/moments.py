@@ -11,7 +11,8 @@ all node pairs, using the common-ancestor covariance of the joint Gaussian
 and a recursion for bivariate Gaussian moments.  Pairs are still enumerated
 one by one, but the Gaussian expectation is computed once per
 common-ancestor depth.  They are exponential in the depth and exist to
-cross-check the kernel formulas at small n.
+cross-check the kernel formulas at small n.  A moment that is not
+a finite double raises ComputationRejected.
 """
 
 from __future__ import annotations
@@ -20,16 +21,28 @@ import math
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import ComputationRejected, ResourceCapError
 from .kernels import BarParams
 from .spectral import SpectralFn, apply_kernel, as_monomial, pair_expect, product
 
 ENUM_DEPTH_MAX = 4
 
 
+def _finite_fsum(terms) -> float:
+    """math.fsum of the terms, rejected unless the sum is finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a power or partial sum overflows; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ComputationRejected("the moment overflows double precision")
+    return total
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """E_x of the sum of f over generation n: 2^n Q^n f(x)."""
-    return 2.0**n * apply_kernel(f, params.a, steps=n)(x)
+    return _finite_fsum([2.0**n * apply_kernel(f, params.a, steps=n)(x)])
 
 
 def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -37,6 +50,7 @@ def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> f
     return exact_cross_moment(f, f, params, n, n, x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                        n: int, m: int, x: float) -> float:
     """E_x of the product of the generation-n sum of f and generation-m sum of g.
@@ -56,7 +70,7 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
         fk = apply_kernel(f, a, steps=n - m + k)
         branch = pair_expect(gk, fk, a)
         terms.append(2.0 ** (n + k) * apply_kernel(branch, a, steps=m - k - 1)(x))
-    return math.fsum(terms)
+    return _finite_fsum(terms)
 
 
 def _check_enum_depth(n: int) -> None:
@@ -68,9 +82,7 @@ def _check_enum_depth(n: int) -> None:
 
 
 def _node_mean_var(a: float, sigma: float, gen: int, x: float) -> tuple[float, float]:
-    mean = a**gen * x
-    var = sigma**2 * sum(a ** (2 * (gen - j)) for j in range(1, gen + 1))
-    return mean, var
+    return a**gen * x, _pair_cov(a, sigma, gen, gen, gen)
 
 
 def common_ancestor_depth(n: int, i: int, m: int, j: int) -> int:
@@ -117,24 +129,19 @@ def _gaussian_pair_expect(cf: np.ndarray, cg: np.ndarray,
         for j, cj in enumerate(cg):
             if ci == 0.0 or cj == 0.0:
                 continue
-            raw = math.fsum(
+            raw = _finite_fsum(
                 math.comb(i, p) * math.comb(j, q)
                 * mean1 ** (i - p) * mean2 ** (j - q)
                 * _centered_pair_moment(p, q, var1, var2, cov, memo)
                 for p in range(i + 1) for q in range(j + 1))
             terms.append(ci * cj * raw)
-    return math.fsum(terms)
+    return _finite_fsum(terms)
 
 
 def enumerated_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """Brute-force mean of the generation-n sum of f (small n only)."""
-    a = params.a
-    _check_enum_depth(n)
-    cf = as_monomial(f)
-    mean, var = _node_mean_var(a, params.sigma, n, x)
-    one = np.ones(1)
-    per_node = _gaussian_pair_expect(cf, one, mean, var, 0.0, 1.0, 0.0)
-    return 2.0**n * per_node
+    one = SpectralFn(f.sigma_a, np.ones(1))
+    return enumerated_cross_moment(f, one, params, n, 0, x)
 
 
 def enumerated_second_moment(f: SpectralFn, params: BarParams, n: int,
@@ -143,6 +150,7 @@ def enumerated_second_moment(f: SpectralFn, params: BarParams, n: int,
     return enumerated_cross_moment(f, f, params, n, n, x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                             n: int, m: int, x: float) -> float:
     """Brute-force E_x of the product of two generation sums (small n, m only)."""
@@ -157,5 +165,5 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     by_depth = {d: _gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v,
                                          _pair_cov(a, params.sigma, n, m, d))
                 for d in range(min(n, m) + 1)}
-    return math.fsum(by_depth[common_ancestor_depth(n, i, m, j)]
-                     for i in range(1 << n) for j in range(1 << m))
+    return _finite_fsum(by_depth[common_ancestor_depth(n, i, m, j)]
+                        for i in range(1 << n) for j in range(1 << m))

@@ -55,8 +55,8 @@ class SpectralFn:
         if not (np.isfinite(self.sigma_a) and self.sigma_a > 0.0):
             raise ConfigError("sigma_a must be finite and positive")
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ConfigError("coefficients must be a finite 1-d array")
+        if c.ndim != 1 or len(c) == 0 or not np.all(np.isfinite(c)):
+            raise ConfigError("coefficients must be a nonempty finite 1-d array")
         if len(c) > DEGREE_CAP + 1:
             tail = c[DEGREE_CAP + 1 :]
             if np.any(np.abs(tail) * np.sqrt(_FACTORIALS[-1]) >= TRIM_EPS):
@@ -96,8 +96,8 @@ def from_monomial(poly, sigma_a: float) -> SpectralFn:
     and then expanded over He_n(u).
     """
     p = np.atleast_1d(np.asarray(poly, dtype=np.float64))
-    if p.ndim != 1 or not np.all(np.isfinite(p)):
-        raise ConfigError("monomial coefficients must be a finite 1-d array")
+    if p.ndim != 1 or len(p) == 0 or not np.all(np.isfinite(p)):
+        raise ConfigError("monomial coefficients must be a nonempty finite 1-d array")
     while len(p) > 1 and p[-1] == 0.0:
         p = p[:-1]
     if len(p) - 1 > DEGREE_CAP:

@@ -81,3 +81,22 @@ def test_every_src_name_has_a_program_caller():
     orphans = sorted(name for name, node in defs + methods
                      if used[node.name] == _references(node)[node.name])
     assert orphans == sorted(_OUTSIDE_CALLERS)
+
+
+def test_one_helper_writes_every_cli_output():
+    # Runners return their files and lines; _dispatch joins the names to the
+    # output directory and writes them, all through one helper.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    opens = sorted(fn.name for fn in functions for sub in ast.walk(fn)
+                   if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "open")
+    assert opens == ["_load_config_file", "_write"]
+    assert sum(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == "open" for sub in ast.walk(tree)) == 2
+    runners = [fn for fn in functions if fn.name.startswith("_run_")]
+    assert len(runners) == 7
+    joins = [fn.name for fn in runners for sub in ast.walk(fn)
+             if isinstance(sub, ast.Attribute) and sub.attr == "join"
+             and isinstance(sub.value, ast.Attribute) and sub.value.attr == "path"]
+    assert joins == []

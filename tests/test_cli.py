@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 
 import bmclab.experiments as experiments
 import bmclab.treesim as treesim
-from bmclab.cli import THREADS_MAX, _build_parser, _parse_alphas, _parse_f, _parse_nu, main
+from bmclab.cli import (
+    _COMMANDS,
+    THREADS_MAX,
+    _build_parser,
+    _parse_alphas,
+    _parse_f,
+    _parse_nu,
+    main,
+)
 from bmclab.errors import ConfigError, ResourceCapError
 
 
@@ -802,3 +810,85 @@ def test_supercritical_and_martingale_outputs(tmp_path, capsys):
     assert lines[0] == "level,value"
     assert len(lines) == 8
     capsys.readouterr()
+
+
+# The required options of each command that reads f, as a config file.
+_F_CONFIGS = {
+    "simulate": {"a": 0.5, "n": 3, "replicas": 3},
+    "variance": {"a": 0.5},
+    "clt": {"a": 0.5, "n": 3, "replicas": 3},
+    "supercritical": {"a": 0.85, "n": 3, "replicas": 3},
+    "martingale": {"a": 0.85, "n": 3},
+    "slopes": {"alphas": [0.5], "n": 8, "replicas": 4},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_F_CONFIGS))
+def test_empty_coefficient_list_exits_two(command, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_F_CONFIGS[command], "f": []}), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "nonempty" in err
+
+
+def test_empty_slope_grid_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_F_CONFIGS["slopes"], "alphas": []}),
+                        encoding="utf-8")
+    assert main(["slopes", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "slope grid alphas" in capsys.readouterr().err
+
+
+# One small run per command, with and without each switch or --out that
+# changes what it writes.
+_CONTRACT_RUNS = {
+    "simulate": ["simulate", "--a", "0.5", "--n", "3", "--replicas", "3", "--out", "o"],
+    "variance": ["variance", "--a", "0.5", "--out", "o"],
+    "clt": ["clt", "--a", "0.5", "--n", "4", "--replicas", "10", "--out", "o"],
+    "slopes": ["slopes", "--alphas", "0.3,0.6", "--n", "8", "--replicas", "4",
+               "--out", "o"],
+    "slopes --plot": ["slopes", "--alphas", "0.3,0.6", "--n", "8", "--replicas", "4",
+                      "--plot", "--out", "o"],
+    "supercritical": ["supercritical", "--a", "0.85", "--n", "4", "--replicas", "5",
+                      "--out", "o"],
+    "martingale": ["martingale", "--a", "0.85", "--n", "4", "--out", "o"],
+    "check-assumptions": ["check-assumptions", "--a", "0.5"],
+    "check-assumptions --out": ["check-assumptions", "--a", "0.5", "--out", "o"],
+}
+
+
+def test_contract_runs_cover_every_command():
+    assert {argv[0] for argv in _CONTRACT_RUNS.values()} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("label", list(_CONTRACT_RUNS))
+def test_out_holds_exactly_the_manifest_outputs(label, tmp_path, monkeypatch, capsys):
+    # Every path is relative to the working directory, so tmp_path holds
+    # whatever the run writes.
+    monkeypatch.chdir(tmp_path)
+    assert main(_CONTRACT_RUNS[label]) == 0
+    out = capsys.readouterr().out
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                     if p.is_file())
+    if label in ("variance", "check-assumptions"):
+        assert written == [] and "manifest:" not in out
+        return
+    manifest = json.loads(_read(tmp_path / "o" / "manifest.json"))
+    assert manifest["outputs"]
+    assert written == sorted(os.path.join("o", name)
+                             for name in [*manifest["outputs"], "manifest.json"])
+    assert out.endswith(f"manifest: {os.path.join('o', 'manifest.json')}\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check-assumptions", "--a", "0.5"], "assumptions.json"),
+    (["simulate", "--a", "0.5", "--n", "3", "--replicas", "3"], "stats.csv"),
+    (["clt", "--a", "0.5", "--n", "4", "--replicas", "10"], "stats.csv"),
+])
+def test_failed_write_prints_nothing(argv, name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / "manifest.json").exists()

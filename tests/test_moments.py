@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from bmclab.errors import ResourceCapError
+from bmclab.errors import ComputationRejected, ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import (
     _gaussian_pair_expect,
@@ -220,3 +220,15 @@ def test_guards():
         enumerated_mean(f, params, 5, 0.0)
     with pytest.raises(ResourceCapError):
         enumerated_cross_moment(f, f, params, 5, 2, 0.0)
+
+
+@pytest.mark.parametrize("moment", [exact_mean, exact_second_moment,
+                                    enumerated_mean, enumerated_second_moment])
+def test_moments_that_overflow_are_rejected(moment):
+    # (1e120)^3 overflows: the closed forms would return inf and nan with numpy
+    # warnings, and the enumeration would raise a bare OverflowError.
+    params = BarParams(0.5)
+    f = from_monomial([0.0, 0.0, 0.0, 1.0], params.sigma_a())
+    with pytest.raises(ComputationRejected, match="overflows"):
+        moment(f, params, 2, 1e120)
+    assert math.isfinite(moment(f, params, 2, 1e30))

@@ -327,6 +327,14 @@ def test_degree_cap_and_scale_errors():
         SpectralFn(sigma_a=-1.0, coeffs=np.array([1.0]))
 
 
+def test_empty_coefficient_arrays_are_rejected():
+    # An empty array would make a degree -1 function that cannot be evaluated.
+    with pytest.raises(ConfigError, match="nonempty"):
+        SpectralFn(sigma_a=1.0, coeffs=np.array([]))
+    with pytest.raises(ConfigError, match="nonempty"):
+        from_monomial([], sigma_a=1.0)
+
+
 def test_trimming_keeps_degree_honest():
     f = SpectralFn(sigma_a=1.0, coeffs=np.array([1.0, 2.0, 0.0, 0.0]))
     assert f.degree == 1
