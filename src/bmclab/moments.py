@@ -29,7 +29,7 @@ ENUM_DEPTH_MAX = 4
 
 
 def _finite_fsum(terms) -> float:
-    """math.fsum of the terms, rejected unless the sum is finite."""
+    """math.fsum of the terms (an iterable, maybe lazy), rejected unless finite."""
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # a power or partial sum overflows; inf - inf
@@ -42,7 +42,7 @@ def _finite_fsum(terms) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """E_x of the sum of f over generation n: 2^n Q^n f(x)."""
-    return _finite_fsum([2.0**n * apply_kernel(f, params.a, steps=n)(x)])
+    return _finite_fsum(2.0**n * v for v in [apply_kernel(f, params.a, steps=n)(x)])
 
 
 def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -64,13 +64,13 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
         f, g = g, f
         n, m = m, n
     lifted = product(g, apply_kernel(f, a, steps=n - m))
-    terms = [2.0**n * apply_kernel(lifted, a, steps=m)(x)]
+    terms = [(n, apply_kernel(lifted, a, steps=m)(x))]
     for k in range(m):
         gk = apply_kernel(g, a, steps=k)
         fk = apply_kernel(f, a, steps=n - m + k)
         branch = pair_expect(gk, fk, a)
-        terms.append(2.0 ** (n + k) * apply_kernel(branch, a, steps=m - k - 1)(x))
-    return _finite_fsum(terms)
+        terms.append((n + k, apply_kernel(branch, a, steps=m - k - 1)(x)))
+    return _finite_fsum(2.0**p * v for p, v in terms)
 
 
 def _check_enum_depth(n: int) -> None:

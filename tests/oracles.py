@@ -4,8 +4,9 @@ Each is a direct transcription of its definition: the constant and
 coordinate functions in the Hermite basis, the scalar Philox4x32 block
 cipher, the transition densities of the symmetric Gaussian BAR relative to
 its invariant law, Gauss-Hermite expectations under a Gaussian law, the
-offset sums of the limit variance, and the enumerated cross moment with one
-Gaussian expectation per node pair.  The program itself needs none
+offset sums of the limit variance, the enumerated cross moment with one
+Gaussian expectation per node pair, and the assumption checker's quadrature
+sums with the order^3 inner sum taken term by term.  The program itself needs none
 of them.
 """
 
@@ -15,7 +16,13 @@ import math
 
 import numpy as np
 
-from bmclab.kernels import CRITICAL, BarParams, classify_regime, hermite_nodes
+from bmclab.kernels import (
+    CRITICAL,
+    BarParams,
+    classify_regime,
+    density_row_norm,
+    hermite_nodes,
+)
 from bmclab.moments import (
     _check_enum_depth,
     _gaussian_pair_expect,
@@ -144,3 +151,31 @@ def per_pair_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
             cov = _pair_cov(a, params.sigma, n, m, depth)
             terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
     return math.fsum(terms)
+
+
+@np.errstate(over="ignore")
+def direct_quadrature_sums(a: float, order: int) -> tuple[float, float, float]:
+    """Gauss-Hermite sums of the three norm integrals of the assumption checker.
+
+    The kernel step of h on the two-level grid sums h(a*mids[i, j] + rt2*t_k)
+    over k directly, two outer rows at a time.  kernels._quadrature_sums
+    factors that sum into a matrix product and must agree with this to
+    rounding.
+    """
+    sa = math.sqrt(1.0 / (1.0 - a * a))
+    rt2 = math.sqrt(2.0)
+    t, w = hermite_nodes(order)
+    wn = w / math.sqrt(math.pi)
+    xs = sa * rt2 * t
+    h_xs = density_row_norm(xs, a)
+    i1 = float(np.dot(wn, h_xs**4))
+    mids = a * xs[:, None] + rt2 * t[None, :]
+    qh_xs = np.dot(density_row_norm(mids, a), wn)
+    i2 = float(np.dot(wn, qh_xs**4))
+    qh_mids = np.empty_like(mids)
+    for i in range(0, order, 2):
+        deep = a * mids[i:i + 2, :, None] + rt2 * t[None, None, :]
+        qh_mids[i:i + 2] = np.dot(density_row_norm(deep, a), wn)
+    q_qh_sq = np.dot(qh_mids**2, wn)
+    i3 = float(np.dot(wn, (q_qh_sq * qh_xs) ** 2))
+    return i1, i2, i3

@@ -51,6 +51,10 @@ CASES = {
                       "--replicas", "50", "--seed", "5"],
     "martingale": ["martingale", "--a", "0.85", "--n", "6", "--seed", "4"],
     "check-assumptions": ["check-assumptions", "--a", "0.75"],
+    # Raises near-threshold:hilsch2 and quadrature-slow-convergence:hilsch2.
+    "check-assumptions-near-threshold": ["check-assumptions", "--a", "0.7239"],
+    # All three norms diverge, and the quadrature sums must grow with the order.
+    "check-assumptions-divergent": ["check-assumptions", "--a", "0.9"],
 }
 
 VARIANCE_F = ["--f", "0.3,1,0.5,0.2"]
@@ -68,6 +72,12 @@ STDOUT_CASES = {
 GOLDEN = {
     "check-assumptions": {
         "assumptions.json": "db21a197d7cd846475d486ca65fc8b23",
+    },
+    "check-assumptions-divergent": {
+        "assumptions.json": "cfca4f13a2e6e14d17ff4017b19f65a1",
+    },
+    "check-assumptions-near-threshold": {
+        "assumptions.json": "7ff3d616cd2da55374ca167845eba091",
     },
     "clt-critical": {
         "clt.csv": "c76c4add6e21eed5f7f49cb31e0376e3",

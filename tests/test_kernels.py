@@ -4,19 +4,35 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from bmclab import kernels
 from bmclab.errors import ConfigError
 from bmclab.kernels import (
+    _CROSS_CHECK_ORDERS,
+    _SLAB_ROWS,
     CRITICAL,
     SUBCRITICAL,
     SUPERCRITICAL,
     BarParams,
+    _quadrature_sums,
     check_assumptions,
     classify_regime,
     density_row_norm,
 )
 from bmclab.rng import derive_keys, seed_key
 from bmclab.treesim import _advance
-from oracles import gaussian_expect, pair_density, transition_density
+from oracles import (
+    direct_quadrature_sums,
+    gaussian_expect,
+    pair_density,
+    transition_density,
+)
+
+# The slopes whose reports raise flags, divergent slopes, the critical slope,
+# the ends of (-1, 1) and a grid across it.
+CROSS_CHECK_SLOPES = sorted(
+    {0.5772, -0.5772, 0.7239, -0.7239, 0.7596, -0.7596, 0.9, 0.999, -0.999,
+     2.0**-0.5, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 5e-324, 0.0,
+     *np.linspace(-0.98, 0.98, 25).tolist()})
 
 
 def test_params_validation():
@@ -196,3 +212,24 @@ def test_assumption_report_details():
 def test_quadrature_cross_check_confirms_finite_norms():
     r = check_assumptions(0.3)
     assert not any(f.startswith("quadrature") for f in r.flags)
+
+
+@pytest.mark.parametrize("a", CROSS_CHECK_SLOPES)
+def test_factored_quadrature_sums_match_the_direct_sum(a, monkeypatch):
+    # The factored k-sum and the term-by-term sum differ only by rounding.
+    for order in _CROSS_CHECK_ORDERS:
+        got = _quadrature_sums(a, order)
+        want = direct_quadrature_sums(a, order)
+        for g, w in zip(got, want):
+            if math.isfinite(w):
+                assert abs(g - w) <= 1e-12 * abs(w)
+            else:
+                assert g == w
+    report = check_assumptions(a).as_json_dict()
+    monkeypatch.setattr(kernels, "_quadrature_sums", direct_quadrature_sums)
+    assert report == check_assumptions(a).as_json_dict()
+
+
+def test_cross_check_products_stay_single_threaded():
+    # OpenBLAS uses one thread at or below M*N*K = 65536 * 4 multiply-adds.
+    assert _SLAB_ROWS * max(_CROSS_CHECK_ORDERS) ** 2 <= 1 << 18

@@ -232,3 +232,18 @@ def test_moments_that_overflow_are_rejected(moment):
     with pytest.raises(ComputationRejected, match="overflows"):
         moment(f, params, 2, 1e120)
     assert math.isfinite(moment(f, params, 2, 1e30))
+
+
+@pytest.mark.parametrize("moment", [
+    lambda f, params, n: exact_mean(f, params, n, 0.0),
+    lambda f, params, n: exact_second_moment(f, params, n, 0.0),
+    lambda f, params, n: exact_cross_moment(f, f, params, n, 3, 0.0),
+], ids=["exact_mean", "exact_second_moment", "exact_cross_moment"])
+def test_moments_past_the_largest_power_of_two_are_rejected(moment):
+    # 2.0**1100 overflows before any kernel value is formed; the depth-1023
+    # mean of the constant 1 is 2^1023, the largest power of two a double holds.
+    params = BarParams(0.5)
+    one = constant(1.0, params.sigma_a())
+    with pytest.raises(ComputationRejected, match="overflows"):
+        moment(one, params, 1100)
+    assert exact_mean(one, params, 1023, 0.0) == 2.0**1023
