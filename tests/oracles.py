@@ -6,8 +6,8 @@ cipher, the transition densities of the symmetric Gaussian BAR relative to
 its invariant law, Gauss-Hermite expectations under a Gaussian law, the
 offset sums of the limit variance, the enumerated cross moment with one
 Gaussian expectation per node pair, and the assumption checker's quadrature
-sums with the order^3 inner sum taken term by term.  The program itself needs none
-of them.
+sums with the order^3 inner sum taken term by term.  The program itself
+needs none of them.
 """
 
 from __future__ import annotations
