@@ -17,13 +17,15 @@ a finite double raises ComputationRejected.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from .errors import ComputationRejected, ResourceCapError
 from .kernels import BarParams
-from .spectral import SpectralFn, apply_kernel, as_monomial, pair_expect, product
+from .spectral import SpectralFn, as_monomial, check_scale, hermemul
 
 ENUM_DEPTH_MAX = 4
 
@@ -39,10 +41,9 @@ def _finite_fsum(terms) -> float:
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
     """E_x of the sum of f over generation n: 2^n Q^n f(x)."""
-    return _finite_fsum(2.0**n * v for v in [apply_kernel(f, params.a, steps=n)(x)])
+    return exact_cross_moment(f, SpectralFn(f.sigma_a, np.ones(1)), params, n, 0, x)
 
 
 def exact_second_moment(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -57,20 +58,23 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
 
     With n >= m, g times Q^(n-m) f is pushed down m generations, and each
     split generation k < m adds the branching correction 2^(n+k) Q^(m-k-1)
-    applied to the child-pair expectation of Q^k g and Q^(n-m+k) f.
+    applied to the child-pair expectation of Q^(k+1) g and Q^(n-m+k+1) f.
+    Row r below is Q^r g times Q^(n-m+r) f; the last one needs no push.
     """
-    a = params.a
+    for fn in (f, g):
+        check_scale(fn, params.sigma_a())
     if n < m:
         f, g = g, f
         n, m = m, n
-    lifted = product(g, apply_kernel(f, a, steps=n - m))
-    terms = [(n, apply_kernel(lifted, a, steps=m)(x))]
-    for k in range(m):
-        gk = apply_kernel(g, a, steps=k)
-        fk = apply_kernel(f, a, steps=n - m + k)
-        branch = pair_expect(gk, fk, a)
-        terms.append((n + k, apply_kernel(branch, a, steps=m - k - 1)(x)))
-    return _finite_fsum(2.0**p * v for p, v in terms)
+    steps = np.arange(m + 1)[:, None]
+    gs = g.coeffs * params.a ** (steps * np.arange(len(g.coeffs)))
+    fs = f.coeffs * params.a ** ((n - m + steps) * np.arange(len(f.coeffs)))
+    pairs = hermemul(gs[:-1], fs[:-1])
+    pushed = pairs * params.a ** ((m - steps[:-1]) * np.arange(pairs.shape[1]))
+    u = x / f.sigma_a
+    values = np.append(hermite_e.hermeval(u, pushed.T),
+                       hermite_e.hermeval(u, gs[-1]) * hermite_e.hermeval(u, fs[-1]))
+    return _finite_fsum(np.ldexp(values, n + np.maximum(steps[:, 0] - 1, 0)))
 
 
 def _check_enum_depth(n: int) -> None:
@@ -94,6 +98,13 @@ def common_ancestor_depth(n: int, i: int, m: int, j: int) -> int:
     """
     d = min(n, m)
     return d - ((i >> (n - d)) ^ (j >> (m - d))).bit_length()
+
+
+@functools.cache
+def _pair_depths(n: int, m: int) -> tuple[int, ...]:
+    """common_ancestor_depth of every node pair in pair order (n, m <= ENUM_DEPTH_MAX)."""
+    return tuple(common_ancestor_depth(n, i, m, j)
+                 for i in range(1 << n) for j in range(1 << m))
 
 
 def _pair_cov(a: float, sigma: float, gen_u: int, gen_v: int, depth: int) -> float:
@@ -162,8 +173,7 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
     # Each depth 0..min(n, m) occurs and fixes the pair's term; terms go to fsum
     # in pair order, because fsum's intermediate overflow depends on the order.
-    by_depth = {d: _gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v,
-                                         _pair_cov(a, params.sigma, n, m, d))
-                for d in range(min(n, m) + 1)}
-    return _finite_fsum(by_depth[common_ancestor_depth(n, i, m, j)]
-                        for i in range(1 << n) for j in range(1 << m))
+    by_depth = [_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v,
+                                      _pair_cov(a, params.sigma, n, m, d))
+                for d in range(min(n, m) + 1)]
+    return _finite_fsum(map(by_depth.__getitem__, _pair_depths(n, m)))

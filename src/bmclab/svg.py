@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import ConfigError
 
@@ -115,7 +115,7 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
 
     for tick in _tick_values(x_lo, x_hi):
@@ -158,12 +158,12 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
     out.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" '
                f'y="{HEIGHT - 8:.1f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12">'
-               f'{escape(x_label)}</text>')
+               f'{escape(x_label, quote=False)}</text>')
     cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
     out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 {cx:.1f} {cy:.1f})">'
-               f'{escape(y_label)}</text>')
+               f'{escape(y_label, quote=False)}</text>')
 
     legend_y = _MARGIN_TOP + 10
     legend_x = _MARGIN_LEFT + plot_w - 150
@@ -174,7 +174,7 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
                    f'stroke="{s.color}" stroke-width="1.8"{dash}/>')
         out.append(f'<text x="{legend_x + 30:.1f}" y="{legend_y + 4:.1f}" '
                    f'font-family="sans-serif" font-size="11">'
-                   f'{escape(s.label)}</text>')
+                   f'{escape(s.label, quote=False)}</text>')
         legend_y += 16
 
     out.append("</svg>")

@@ -4,10 +4,12 @@ Each is a direct transcription of its definition: the constant and
 coordinate functions in the Hermite basis, the scalar Philox4x32 block
 cipher, the transition densities of the symmetric Gaussian BAR relative to
 its invariant law, Gauss-Hermite expectations under a Gaussian law, the
-offset sums of the limit variance, the enumerated cross moment with one
-Gaussian expectation per node pair, and the assumption checker's quadrature
-sums with the order^3 inner sum taken term by term.  The program itself
-needs none of them.
+offset sums of the limit variance, the closed-form moments built one
+SpectralFn at a time with numpy's Hermite product, the absolute series that
+bounds their rounding, numpy's He-to-monomial conversion, the enumerated
+cross moment with one Gaussian expectation per node pair, and the
+assumption checker's quadrature sums with the order^3 inner sum taken term
+by term.  The program itself needs none of them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from bmclab.kernels import (
     CRITICAL,
@@ -30,7 +33,7 @@ from bmclab.moments import (
     _pair_cov,
     common_ancestor_depth,
 )
-from bmclab.spectral import SpectralFn, as_monomial
+from bmclab.spectral import SpectralFn, apply_kernel, as_monomial
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85
@@ -128,6 +131,69 @@ def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
     sigma2 = math.fsum(0.5**low * bracket(rows[high], rows[low], high - low)
                        for high in range(len(rows)) for low in range(high))
     return sigma1, sigma2
+
+
+def absolute_series(coeffs, u):
+    """sum |c_n| He+_n(|u|), with He+_{n+1}(t) = t He+_n(t) + n He+_{n-1}(t):
+    it bounds every partial sum either summation order forms."""
+    t = np.abs(u)
+    total = np.full_like(u, abs(coeffs[0]))
+    prev, cur = np.ones_like(u), t.copy()
+    for n in range(1, len(coeffs)):
+        total += abs(coeffs[n]) * cur
+        prev, cur = cur, t * cur + n * prev
+    return total
+
+
+def reference_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
+                           n: int, m: int, x: float, absolute: bool = False) -> float:
+    """E_x of the product of the generation-n sum of f and the generation-m
+    sum of g, one SpectralFn per kernel step and numpy's hermemul per product.
+
+    With n >= m, g times Q^(n-m) f is pushed down m generations, and each
+    split generation k < m adds 2^(n+k) Q^(m-k-1) of the child-pair product
+    of Q^(k+1) g and Q^(n-m+k+1) f.  With absolute=True the slope, every
+    coefficient and x enter in absolute value and each function is summed as
+    its absolute series: the size of the terms that rounding acts on.
+    """
+    a = abs(params.a) if absolute else params.a
+    if absolute:
+        f, g = (SpectralFn(h.sigma_a, np.abs(h.coeffs)) for h in (f, g))
+
+    def value(h):
+        if absolute:
+            return float(absolute_series(h.coeffs, np.float64(x) / h.sigma_a))
+        return h(x)
+
+    def times(h1, h2):
+        return SpectralFn(h1.sigma_a, hermite_e.hermemul(h1.coeffs, h2.coeffs))
+
+    if n < m:
+        f, g = g, f
+        n, m = m, n
+    lifted = times(g, apply_kernel(f, a, steps=n - m))
+    terms = [(n, value(apply_kernel(lifted, a, steps=m)))]
+    for k in range(m):
+        gk = apply_kernel(g, a, steps=k)
+        fk = apply_kernel(f, a, steps=n - m + k)
+        branch = times(apply_kernel(gk, a, 1), apply_kernel(fk, a, 1))
+        terms.append((n + k, value(apply_kernel(branch, a, steps=m - k - 1))))
+    return math.fsum(2.0**p * v for p, v in terms)
+
+
+def reference_mean(f: SpectralFn, params: BarParams, n: int, x: float,
+                   absolute: bool = False) -> float:
+    """E_x of the sum of f over generation n, 2^n Q^n f(x), as the cross
+    moment with the constant 1 at generation 0 (the product with 1 is exact)."""
+    return reference_cross_moment(f, constant(1.0, f.sigma_a), params, n, 0, x, absolute)
+
+
+def reference_monomial(f: SpectralFn) -> np.ndarray:
+    """Monomial coefficients in x by numpy's herme2poly, padded to len(coeffs)."""
+    in_u = np.zeros(len(f.coeffs))
+    converted = hermite_e.herme2poly(f.coeffs)
+    in_u[:len(converted)] = converted
+    return in_u * f.sigma_a ** -np.arange(len(in_u))
 
 
 def per_pair_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,

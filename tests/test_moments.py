@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from bmclab.errors import ComputationRejected, ResourceCapError
+from bmclab.errors import ComputationRejected, ConfigError, ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import (
+    ENUM_DEPTH_MAX,
     _gaussian_pair_expect,
+    _pair_depths,
+    common_ancestor_depth,
     enumerated_cross_moment,
     enumerated_mean,
     enumerated_second_moment,
@@ -22,7 +25,14 @@ from bmclab.moments import (
 from bmclab.rng import derive_keys, seed_key
 from bmclab.spectral import from_monomial
 from bmclab.treesim import InitialLaw, generation_sums
-from oracles import constant, gaussian_expect, identity, per_pair_cross_moment
+from oracles import (
+    constant,
+    gaussian_expect,
+    identity,
+    per_pair_cross_moment,
+    reference_cross_moment,
+    reference_mean,
+)
 
 A_GRID = (0.3, 1.0 / math.sqrt(2.0), 0.85)
 POLY_GRID = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
@@ -185,6 +195,88 @@ def test_enumeration_matches_per_pair_reference_bitwise(a):
                             want = per_pair_cross_moment(f, g, params, n, m, x)
                             got = enumerated_cross_moment(f, g, params, n, m, x)
                             assert got.hex() == want.hex(), (sigma, x, n, m)
+
+
+REFERENCE_POLYS = ([1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+                   [0.3, 1.0, 0.5, 0.2])
+
+
+@pytest.mark.parametrize("a", (0.3, 1.0 / math.sqrt(2.0), 0.85, -0.6, 0.99))
+def test_exact_moments_match_the_spectral_reference(a):
+    # The closed forms on coefficient arrays round differently from the
+    # reference built one SpectralFn at a time.  Each gap is bounded by 1e-12
+    # times the same sum over absolute values: at a = 0.99 (sigma_a ~ 7.1)
+    # the Hermite basis cancels, and a true zero reads about 1e-7 from terms
+    # of about 1e5 on both sides.  Both sides swap (f, n) and (g, m) when
+    # n < m, so those cases are checked as that swap, bit for bit.
+    params = BarParams(a)
+    funcs = [from_monomial(c, params.sigma_a()) for c in REFERENCE_POLYS]
+    for x in (0.0, 1.0, -0.7, 3.0):
+        for n in range(9):
+            for f in funcs:
+                gap = exact_mean(f, params, n, x) - reference_mean(f, params, n, x)
+                scale = reference_mean(f, params, n, x, absolute=True)
+                assert abs(gap) <= 1e-12 * scale, (x, n)
+            for m in range(9):
+                for f in funcs:
+                    for g in funcs:
+                        got = exact_cross_moment(f, g, params, n, m, x)
+                        if n < m:
+                            swapped = exact_cross_moment(g, f, params, m, n, x)
+                            assert got.hex() == swapped.hex()
+                            continue
+                        want = reference_cross_moment(f, g, params, n, m, x)
+                        if abs(got - want) <= 1e-13 * abs(want):
+                            continue  # the absolute scale is never below |want|
+                        scale = reference_cross_moment(f, g, params, n, m, x, absolute=True)
+                        assert abs(got - want) <= 1e-12 * scale, (x, n, m)
+
+
+@pytest.mark.parametrize("moment", [
+    lambda f, g, params: exact_mean(f, params, 2, 1.0),
+    lambda f, g, params: exact_second_moment(f, params, 2, 1.0),
+    lambda f, g, params: exact_cross_moment(f, g, params, 2, 1, 1.0),
+    lambda f, g, params: exact_cross_moment(g, f, params, 2, 1, 1.0),
+], ids=["exact_mean", "exact_second_moment", "cross_f", "cross_g"])
+def test_exact_moments_reject_a_function_off_the_stationary_scale(moment):
+    # x^2 expanded at sigma_a = 1 while BarParams(0.5) has sigma_a = 1.1547:
+    # the closed forms used to read its coefficients at the wrong scale and
+    # return 4.0 for a mean the enumeration puts at 5.25.
+    params = BarParams(0.5, 1.0)
+    off = from_monomial([0.0, 0.0, 1.0], 1.0)
+    on = from_monomial([0.0, 0.0, 1.0], params.sigma_a())
+    with pytest.raises(ConfigError, match="stationary scale"):
+        moment(off, on, params)
+    assert moment(on, on, params) == pytest.approx(moment(on, on, params), rel=0)
+    assert exact_mean(on, params, 2, 1.0) == pytest.approx(5.25, rel=1e-14)
+    assert exact_second_moment(on, params, 2, 1.0) == pytest.approx(42.0625, rel=1e-14)
+    assert exact_cross_moment(on, on, params, 2, 1, 1.0) == pytest.approx(16.125, rel=1e-14)
+    assert enumerated_mean(off, params, 2, 1.0) == pytest.approx(5.25, rel=1e-14)
+    assert enumerated_cross_moment(off, off, params, 2, 1, 1.0) == pytest.approx(
+        16.125, rel=1e-14)
+
+
+def test_pair_depths_follow_common_ancestor_depth():
+    for n in range(ENUM_DEPTH_MAX + 1):
+        for m in range(ENUM_DEPTH_MAX + 1):
+            want = [common_ancestor_depth(n, i, m, j)
+                    for i in range(1 << n) for j in range(1 << m)]
+            assert list(_pair_depths(n, m)) == want
+
+
+def test_pair_depth_cache_stays_bounded():
+    # Depths past the cap are rejected before the cache is read, so it holds
+    # at most one tuple per (n, m) with n, m <= ENUM_DEPTH_MAX.
+    params = BarParams(0.5)
+    f = identity(params.sigma_a())
+    for n in range(ENUM_DEPTH_MAX + 3):
+        for m in range(ENUM_DEPTH_MAX + 3):
+            if max(n, m) > ENUM_DEPTH_MAX:
+                with pytest.raises(ResourceCapError):
+                    enumerated_cross_moment(f, f, params, n, m, 0.0)
+            else:
+                enumerated_cross_moment(f, f, params, n, m, 0.0)
+    assert _pair_depths.cache_info().currsize <= (ENUM_DEPTH_MAX + 1) ** 2
 
 
 def test_monte_carlo_agreement():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
+import bmclab
 from bmclab.errors import ConfigError, DegreeCapError
 from bmclab.kernels import hermite_nodes
 from bmclab.spectral import (
+    _he_to_monomial,
+    _linearization,
+    hermemul,
     DEGREE_CAP,
     TRIM_EPS,
     SpectralFn,
@@ -21,7 +29,9 @@ from bmclab.spectral import (
     project_linear,
     stationary_inner,
 )
-from oracles import constant, gaussian_expect, identity
+from oracles import absolute_series, constant, gaussian_expect, identity, reference_monomial
+
+SRC = Path(bmclab.__file__).resolve().parent
 
 
 def basis(n, sigma_a):
@@ -42,18 +52,6 @@ def recurrence_values(coeffs, u):
     for n in range(1, len(coeffs)):
         total += coeffs[n] * cur
         prev, cur = cur, u * cur - n * prev
-    return total
-
-
-def absolute_series(coeffs, u):
-    """sum |c_n| He+_n(|u|), with He+_{n+1}(t) = t He+_n(t) + n He+_{n-1}(t):
-    it bounds every partial sum either summation order forms."""
-    t = np.abs(u)
-    total = np.full_like(u, abs(coeffs[0]))
-    prev, cur = np.ones_like(u), t.copy()
-    for n in range(1, len(coeffs)):
-        total += abs(coeffs[n]) * cur
-        prev, cur = cur, t * cur + n * prev
     return total
 
 
@@ -122,6 +120,107 @@ def test_from_monomial_pointwise():
         assert np.max(np.abs(got - want)) < 1e-12 * scale
         back = as_monomial(f)
         assert np.allclose(back, poly, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_as_monomial_matches_herme2poly():
+    # One product with the cached He-to-monomial matrix rounds differently from
+    # numpy's herme2poly; both stay within 4 (degree + 1)^2 ulps of the
+    # absolute coefficients sum_n |c_n| |[u^k] He_n| / sigma_a^k.
+    rng = np.random.default_rng(12)
+    for degree in list(range(13)) + [DEGREE_CAP]:
+        magnitudes = np.zeros((degree + 1, degree + 1))
+        for n in range(degree + 1):
+            magnitudes[: n + 1, n] = np.abs(hermite_e.herme2poly(np.eye(n + 1)[n]))
+        for _ in range(4):
+            sigma_a = float(rng.uniform(0.3, 3.0))
+            f = random_fn(rng, degree, sigma_a)
+            got = as_monomial(f)
+            want = reference_monomial(f)
+            scale = magnitudes @ np.abs(f.coeffs) * sigma_a ** -np.arange(degree + 1)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4.0 * (degree + 1) ** 2 * _EPS * scale), degree
+
+
+def test_hermemul_matches_numpy_row_by_row():
+    # Rows of a batch are independent products; each stays within
+    # 4 (degree + 1)^2 ulps of the product of the absolute series.
+    rng = np.random.default_rng(13)
+    for l1, l2 in ((1, 1), (1, 5), (4, 1), (3, 5), (7, 7), (33, 33), (2, DEGREE_CAP)):
+        c1 = rng.normal(size=(3, l1))
+        c2 = rng.normal(size=(3, l2))
+        got = hermemul(c1, c2)
+        assert got.shape == (3, l1 + l2 - 1)
+        for row, a, b in zip(got, c1, c2):
+            scale = hermite_e.hermemul(np.abs(a), np.abs(b))
+            tol = 4.0 * (l1 + l2 - 1) ** 2 * _EPS * scale
+            assert np.all(np.abs(row - hermite_e.hermemul(a, b)) <= tol), (l1, l2)
+            assert np.array_equal(hermemul(a, b), row)
+    assert hermemul(np.zeros((0, 3)), np.zeros((0, 2))).shape == (0, 4)
+    with pytest.raises(DegreeCapError):
+        hermemul(np.ones(DEGREE_CAP), np.ones(3))
+
+
+def test_one_hermite_product_in_the_package():
+    # product and the closed-form moments share spectral.hermemul; nothing in
+    # the package calls numpy's hermemul beside it.
+    for path in SRC.glob("*.py"):
+        assert "hermite_e.hermemul" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_spectral_caches_stay_bounded():
+    # The tables are keyed by a degree the cap bounds (or by nothing), so no
+    # input grows them: at most DEGREE_CAP + 1 He-to-monomial matrices, about
+    # 0.75 MB together, and one 65 x 65 pair of linearization tables.
+    rng = np.random.default_rng(14)
+    for degree in range(DEGREE_CAP + 1):
+        as_monomial(random_fn(rng, degree, 1.3))
+        product(random_fn(rng, degree // 2, 1.3), random_fn(rng, degree - degree // 2, 1.3))
+    with pytest.raises(DegreeCapError):
+        from_monomial(np.ones(DEGREE_CAP + 2), 1.3)
+    assert _he_to_monomial.cache_info().currsize <= DEGREE_CAP + 1
+    assert _linearization.cache_info().currsize == 1
+    matrices = sum(_he_to_monomial(d).nbytes for d in range(DEGREE_CAP + 1))
+    assert matrices + sum(t.nbytes for t in _linearization()) < 1 << 20
+
+
+_IDLE_CPU = """
+import resource, sys, time
+import numpy as np
+from bmclab import moments
+from bmclab.kernels import BarParams
+from bmclab.spectral import DEGREE_CAP, SpectralFn, as_monomial, hermemul
+
+rng = np.random.default_rng(0)
+for l1 in range(1, DEGREE_CAP + 2):
+    hermemul(rng.normal(size=(2, l1)), rng.normal(size=(2, DEGREE_CAP + 2 - l1)))
+as_monomial(SpectralFn(1.0, rng.normal(size=DEGREE_CAP + 1)))
+params = BarParams(0.5)
+f = SpectralFn(params.sigma_a(), rng.normal(size=21))
+moments.exact_cross_moment(f, f, params, 300, 300, 0.3)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+before = usage.ru_utime + usage.ru_stime
+time.sleep(0.2)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_utime + usage.ru_stime - before)
+"""
+
+
+def test_products_stay_under_the_openblas_thread_cutoff():
+    # OpenBLAS runs a product of more than M*N*K = 2^18 multiply-adds on a
+    # second thread, which then spins for about 130 ms of CPU.  hermemul takes
+    # l1 x k x l2 (k = min(l1, l2)) and then (l1 * l2) x (l1 + l2 - 1) per row
+    # of a batch, and as_monomial one (DEGREE_CAP + 1)^2 matrix-vector product.
+    sizes = [(l1, l2) for l1 in range(1, DEGREE_CAP + 2)
+             for l2 in range(1, DEGREE_CAP + 3 - l1)]
+    assert max(max(l1 * min(l1, l2) * l2, l1 * l2 * (l1 + l2 - 1))
+               for l1, l2 in sizes) <= 1 << 18
+    assert (DEGREE_CAP + 1) ** 2 <= 1 << 18
+    # A fresh process that runs the largest products, and a cross moment with
+    # 300 rows of degree-20 products, uses no CPU while it then sleeps 200 ms.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _IDLE_CPU], env=env, check=True,
+                         capture_output=True, text=True)
+    assert float(out.stdout) < 0.05
 
 
 def test_orthogonality_weights():

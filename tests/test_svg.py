@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bmclab
 from bmclab.errors import ConfigError
 from bmclab.svg import Band, Series, _tick_values, line_chart
 
@@ -44,6 +48,27 @@ def test_chart_escapes_labels():
                    title='q "quote" <tag>')
     assert "a&lt;b&gt;&amp;c" in chart
     assert "<tag>" not in chart
+
+
+def test_chart_escapes_text_as_xml_character_data():
+    # &, < and > become entities and quotes stay as typed, the bytes that
+    # xml.sax.saxutils.escape gave, so the golden slopes.svg digests hold.
+    chart = line_chart([Series(label="a<b & c>", x=(0, 1), y=(0, 1), color="#000000")],
+                       title="a<b & c>", x_label='say "x"', y_label="it's y", band=None)
+    assert chart.count(">a&lt;b &amp; c&gt;</text>") == 2
+    assert '>say "x"</text>' in chart
+    assert ">it's y</text>" in chart
+
+
+def test_cli_import_leaves_out_xml_and_urllib():
+    # The chart escape needs neither; xml.sax pulled in urllib.request, about
+    # 19 ms of start-up for every command.
+    src = Path(bmclab.__file__).resolve().parent.parent
+    code = ("import sys, bmclab.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def test_chart_band_and_nan_points():
