@@ -14,16 +14,16 @@ import bmclab
 from bmclab.errors import ConfigError, DegreeCapError
 from bmclab.kernels import hermite_nodes
 from bmclab.spectral import (
-    _he_to_monomial,
-    _linearization,
-    hermemul,
     DEGREE_CAP,
     TRIM_EPS,
     SpectralFn,
+    _he_to_monomial,
+    _linearization,
     apply_kernel,
     as_monomial,
     center,
     from_monomial,
+    hermemul,
     pair_expect,
     product,
     project_linear,
