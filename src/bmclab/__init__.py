@@ -58,7 +58,6 @@ from .spectral import (
     as_monomial,
     center,
     from_monomial,
-    pair_expect,
     product,
     project_linear,
     stationary_inner,

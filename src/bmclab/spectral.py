@@ -8,8 +8,8 @@ diagonally on the scaled probabilists' Hermite polynomials
     basis_n(x) = He_n(x / sigma_a),      eigenvalue a^n.
 
 A SpectralFn stores finitely many coefficients in that basis, which makes
-kernel application, stationary inner products, centering, and the two-child
-product expectation exact up to rounding.  The basis satisfies
+kernel application, stationary inner products, products and centering exact
+up to rounding.  The basis satisfies
 <basis_m, basis_n> = n! * 1{m=n} under the invariant law.
 """
 
@@ -191,11 +191,3 @@ def project_linear(f: SpectralFn) -> SpectralFn:
         c[1] = f.coeffs[1]
     return SpectralFn(sigma_a=f.sigma_a, coeffs=c)
 
-
-def pair_expect(f: SpectralFn, g: SpectralFn, a: float) -> SpectralFn:
-    """Expected product over the two children, as a function of the parent.
-
-    For the symmetric kernel the children are conditionally independent, so
-    this is (Kf)(Kg) with K the one-step lineage chain.
-    """
-    return product(apply_kernel(f, a, 1), apply_kernel(g, a, 1))

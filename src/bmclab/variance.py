@@ -46,12 +46,12 @@ def limit_variance(f: SpectralFn, params: BarParams,
     """Limit variance of the fluctuation statistic at or below the critical slope.
 
     Centered functions f, g at depth gap d are coupled by
-    B(f, g, d) = sum_n w_n f_n g_n lambda_n^d.  Below the critical slope
-    lambda_n = a^n and w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2); at
-    the critical slope only degree one survives, with w_1 = a^2 and
-    lambda_1 = 2^(-1/2).  For the function f_l at offset l from the deepest
-    generation, sigma1 = sum_l 2^-l B(f_l, f_l, 0) and
-    sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).  The generation sum
+    B(f, g, d) = sum_n w_n f_n g_n lambda_n^d, with lambda_n = a^n in both
+    regimes, so lambda_1 keeps the sign of the slope.  Below the critical
+    slope w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2); at the critical
+    slope only degree one survives, with w_1 = a^2.  For the function f_l at
+    offset l from the deepest generation, sigma1 = sum_l 2^-l B(f_l, f_l, 0)
+    and sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).  The generation sum
     (tree=False) puts f at offset 0 only, so sigma1 = sum_n w_n f_n^2 and
     sigma2 = 0.  The whole-tree sum (tree=True) repeats f at every offset,
     so both sums are geometric: sigma1 = 2 sum_n w_n f_n^2 and
@@ -66,14 +66,11 @@ def limit_variance(f: SpectralFn, params: BarParams,
             "use the supercritical study")
     length = len(f.coeffs) if regime == SUBCRITICAL else min(len(f.coeffs), 2)
     coeffs = f.coeffs[1:length]
+    lam = np.power(float(a), np.arange(1, length))
+    weights = lam * lam
     if regime == SUBCRITICAL:
-        lam = np.power(float(a), np.arange(1, length))
-        factorials = np.array([math.factorial(n) for n in range(1, length)],
-                              dtype=np.float64)
-        weights = factorials * (1.0 - lam * lam) / (1.0 - 2.0 * lam * lam)
-    else:
-        lam = np.full(length - 1, math.sqrt(0.5))
-        weights = np.full(length - 1, a * a)
+        factorials = np.array([math.factorial(n) for n in range(1, length)], dtype=np.float64)
+        weights = factorials * (1.0 - weights) / (1.0 - 2.0 * weights)
 
     # math.fsum raises OverflowError when the terms overflow, or ValueError
     # for inf - inf.

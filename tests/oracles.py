@@ -4,12 +4,13 @@ Each is a direct transcription of its definition: the constant and
 coordinate functions in the Hermite basis, the scalar Philox4x32 block
 cipher, the transition densities of the symmetric Gaussian BAR relative to
 its invariant law, Gauss-Hermite expectations under a Gaussian law, the
-offset sums of the limit variance, the closed-form moments built one
-SpectralFn at a time with numpy's Hermite product, the absolute series that
-bounds their rounding, numpy's He-to-monomial conversion, the enumerated
-cross moment with one Gaussian expectation per node pair, and the
-assumption checker's quadrature sums with the order^3 inner sum taken term
-by term.  The program itself needs none of them.
+offset sums of the limit variance, the finite-depth variance summed over
+node pairs, the closed-form moments built one SpectralFn at a time with
+numpy's Hermite product, the absolute series that bounds their rounding,
+numpy's He-to-monomial conversion, the enumerated cross moment with one
+Gaussian expectation per node pair, and the assumption checker's
+quadrature sums with the order^3 inner sum taken term by term.  The
+program itself needs none of them.
 """
 
 from __future__ import annotations
@@ -104,10 +105,9 @@ def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
     coupled by B(f, g, d) = sum_n w_n f_n g_n lambda_n^d, and
     sigma1 = sum_l 2^-l B(f_l, f_l, 0),
     sigma2 = sum_{l<k} 2^-l B(f_k, f_l, k - l).
-    Below the critical slope lambda_n = a^n and
+    In both regimes lambda_n = a^n.  Below the critical slope
     w_n = n! (1 - lambda_n^2) / (1 - 2 lambda_n^2) for n >= 1; at the
-    critical slope only degree one counts, with w_1 = a^2 and
-    lambda_1 = 2^(-1/2).
+    critical slope only degree one counts, with w_1 = a^2.
     """
     critical = classify_regime(a) == CRITICAL
     top = 2 if critical else max(len(c) for c in coeff_rows)
@@ -116,11 +116,10 @@ def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
         kept = np.asarray(c, dtype=np.float64)[1:top]
         row[: len(kept)] = kept
     degrees = np.arange(1, top)
+    lam = np.power(float(a), degrees)
     if critical:
-        lam = np.full(top - 1, math.sqrt(0.5))
         weights = np.full(top - 1, a * a)
     else:
-        lam = np.power(float(a), degrees)
         factorials = np.array([math.factorial(n) for n in degrees], dtype=np.float64)
         weights = factorials * (1.0 - lam**2) / (1.0 - 2.0 * lam**2)
 
@@ -131,6 +130,31 @@ def offset_sums(coeff_rows, a: float) -> tuple[float, float]:
     sigma2 = math.fsum(0.5**low * bracket(rows[high], rows[low], high - low)
                        for high in range(len(rows)) for low in range(high))
     return sigma1, sigma2
+
+
+def pair_count_variance(f: SpectralFn, a: float, n: int, tree: bool) -> float:
+    """Variance of the normalized statistic at depth n for a stationary root,
+    summed over node pairs.
+
+    Nodes u, v at depths i, j whose deepest common ancestor is at depth g
+    have Cov(f(X_u), f(X_v)) = sum_{k>=1} k! c_k^2 a^(k (i + j - 2g))
+    (Mehler's formula).  There are 2^max(i,j) ordered pairs with
+    g = min(i, j), one node the other's ancestor, and 2^(i+j-g-1) with
+    g < min(i, j).  The statistic sums f over generation n, or over
+    generations 0..n if tree, and is divided by sqrt(2^n), or by
+    sqrt(n 2^n) at the critical slope.
+    """
+    degrees = np.arange(1, len(f.coeffs))
+    modes = np.array([math.factorial(k) for k in degrees], dtype=np.float64)
+    modes *= f.coeffs[1:] ** 2
+    cov = np.power(float(a), np.outer(np.arange(2 * n + 1), degrees)) @ modes
+    depths = np.arange(n + 1) if tree else np.array([n])
+    cells = np.meshgrid(depths, depths, np.arange(n + 1), indexing="ij")
+    i, j, g = (axis[cells[2] <= np.minimum(cells[0], cells[1])] for axis in cells)
+    pairs = np.where(g == np.minimum(i, j), np.ldexp(1.0, np.maximum(i, j)),
+                     np.ldexp(1.0, i + j - g - 1))
+    scale = 2.0**n * (n if classify_regime(a) == CRITICAL else 1)
+    return math.fsum(pairs * cov[i + j - 2 * g]) / scale
 
 
 def absolute_series(coeffs, u):

@@ -63,6 +63,9 @@ STDOUT_CASES = {
     "variance-critical-single": ["variance", "--a", CRITICAL_A, *VARIANCE_F],
     "variance-critical-tree": ["variance", "--a", CRITICAL_A, "--sigma", "0.7",
                                "--shape", "tree", *VARIANCE_F],
+    # The depth-gap coupling a^d keeps the sign of the slope.
+    "variance-critical-tree-negative": ["variance", "--a=-0.7071067811865476",
+                                        "--shape", "tree", *VARIANCE_F],
     "variance-subcritical-single": ["variance", "--a", "0.5", "--sigma", "1.3",
                                     *VARIANCE_F],
     "variance-subcritical-tree": ["variance", "--a", "-0.6", "--shape", "tree",
@@ -115,6 +118,9 @@ GOLDEN = {
     },
     "variance-critical-tree": {
         "stdout": "509d294964aee425c2992db33b194ba0",
+    },
+    "variance-critical-tree-negative": {
+        "stdout": "67f8491e91ce2ec437a749ebb0edc9ba",
     },
     "variance-subcritical-single": {
         "stdout": "7e7c10f7e916925239ea22210103c515",

@@ -24,7 +24,6 @@ from bmclab.spectral import (
     center,
     from_monomial,
     hermemul,
-    pair_expect,
     product,
     project_linear,
     stationary_inner,
@@ -373,19 +372,21 @@ def test_projectors_pinned():
 
 
 def test_pair_expect():
+    # The two children are conditionally independent given the parent, so
+    # their expected product is the product of the one-step kernel actions.
     sigma_a = 1.0
     a = 0.5
     x = identity(sigma_a)
-    got = pair_expect(x, x, a)
+    got = product(apply_kernel(x, a), apply_kernel(x, a))
     want = from_monomial([0, 0, 0.25], sigma_a)
     assert np.allclose(got.coeffs, want.coeffs)
     g = from_monomial([0.0, 1.0, 0.5], sigma_a)
-    assert np.allclose(
-        pair_expect(constant(1.0, sigma_a), g, a).coeffs, apply_kernel(g, a, 1).coeffs
-    )
+    one = constant(1.0, sigma_a)
+    got = product(apply_kernel(one, a), apply_kernel(g, a))
+    assert np.allclose(got.coeffs, apply_kernel(g, a).coeffs)
     # Two-child product expectation never exceeds the one-step mean of f^2.
     f = from_monomial([0.3, -1.0, 0.2, 0.1], sigma_a)
-    lhs = pair_expect(f, f, a)
+    lhs = product(apply_kernel(f, a), apply_kernel(f, a))
     rhs = apply_kernel(product(f, f), a, 1)
     xs = np.linspace(-5.0, 5.0, 21)
     assert np.all(lhs.evaluate(xs) <= rhs.evaluate(xs) + 1e-12)

@@ -17,7 +17,7 @@ from bmclab.rng import derive_keys, seed_key
 from bmclab.spectral import SpectralFn, from_monomial, project_linear
 from bmclab.treesim import InitialLaw, generation_sums
 from bmclab.variance import limit_variance
-from oracles import constant, identity, offset_sums
+from oracles import constant, identity, offset_sums, pair_count_variance
 
 A_CRIT = 1.0 / math.sqrt(2.0)
 
@@ -173,6 +173,19 @@ def test_critical_matches_offset_sums(a, coeffs, tree):
     assert report.sigma1 == pytest.approx(sigma1, **tol)
     assert report.sigma2 == pytest.approx(sigma2, **tol)
     assert report.value == pytest.approx(sigma1 + 2.0 * sigma2, **tol)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, A_CRIT, -A_CRIT])
+@pytest.mark.parametrize("tree", [False, True])
+@pytest.mark.parametrize("poly", [[0.0, 1.0], [0.3, 1.0, 0.5, 0.2]])
+def test_limit_matches_pair_counts(a, tree, poly):
+    # The finite-depth variance approaches its limit as c/n at the critical
+    # slope and geometrically below it; 2 V(2n) - V(n) cancels the c/n.
+    params = BarParams(a)
+    f = from_monomial(poly, params.sigma_a())
+    extrapolated = (2.0 * pair_count_variance(f, a, 80, tree)
+                    - pair_count_variance(f, a, 40, tree))
+    assert limit_variance(f, params, tree).value == pytest.approx(extrapolated, rel=1e-6)
 
 
 def test_quadratic_scaling():
