@@ -69,11 +69,12 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     steps = np.arange(m + 1)[:, None]
     gs = g.coeffs * params.a ** (steps * np.arange(len(g.coeffs)))
     fs = f.coeffs * params.a ** ((n - m + steps) * np.arange(len(f.coeffs)))
-    pairs = hermemul(gs[:-1], fs[:-1])
-    pushed = pairs * params.a ** ((m - steps[:-1]) * np.arange(pairs.shape[1]))
     u = x / f.sigma_a
-    values = np.append(hermite_e.hermeval(u, pushed.T),
-                       hermite_e.hermeval(u, gs[-1]) * hermite_e.hermeval(u, fs[-1]))
+    values = [hermite_e.hermeval(u, gs[-1]) * hermite_e.hermeval(u, fs[-1])]
+    if m:  # no split generation, so no child-pair product, when m = 0
+        pairs = hermemul(gs[:-1], fs[:-1])
+        pushed = pairs * params.a ** ((m - steps[:-1]) * np.arange(pairs.shape[1]))
+        values = np.append(hermite_e.hermeval(u, pushed.T), values)
     return _finite_fsum(np.ldexp(values, n + np.maximum(steps[:, 0] - 1, 0)))
 
 

@@ -8,9 +8,10 @@ with the parent position as the counter, which makes every simulation a pure
 function of (config, seed) regardless of chunking or thread count.
 
 generation_sums is the one simulation engine: it advances a batch of
-replicas in one buffer per piece of work, as wide as the deepest generation
-and refilled in place, and keeps only per-generation sums of the test
-functions.  A single replica is a batch of one key.  It runs several lanes
+replicas in a buffer as wide as the deepest generation, refilled in place,
+and keeps only per-generation sums of the test functions.  The calling
+thread owns one buffer per thread and lends it to one piece of work after
+another.  A single replica is a batch of one key.  It runs several lanes
 over one key set: a lane is one BarParams with its test functions, and every
 lane applies its own affine step to the same normals (common random
 numbers), so each lane's bits are those of a call with that lane alone.
@@ -19,6 +20,7 @@ numbers), so each lane's bits are those of a call with that lane alone.
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,8 +32,8 @@ from .rng import batch_normal_pairs, derive_keys
 N_MAX = 22
 
 # Chunks of lanes x replicas are sized so one chunk's tree buffer holds at
-# most this many doubles (one row at depth 22); the chunk grid depends only
-# on (replicas, n, lanes), never on threads.
+# most this many doubles (one row at depth 21; a chunk at depth 22 is one
+# row); the chunk grid depends only on (replicas, n, lanes), never threads.
 CHUNK_VALUES = 1 << 21
 
 TILE_VALUES = 1 << 15  # parents per tile of one generation step
@@ -141,7 +143,9 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
     g of replica r.  Every lane simulates replica r from the same normals,
     so lane l is bit for bit the output of a call with lanes[l] alone.  Work
     runs in fixed (lane group, replica chunk) pieces; the thread count never
-    changes results.
+    changes results.  The calling thread allocates one tree buffer per
+    concurrent piece and each piece borrows one; worker threads allocate no
+    tree, only tile temporaries and _sum_funcs' row for rows over 2^16.
     """
     if n < 0:
         raise ConfigError("tree depth must be nonnegative")
@@ -165,18 +169,27 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
              for l0 in range(0, len(lanes), group)
              for lo in range(0, rows, chunk_rows)]
 
+    workers = min(max(threads, 1), len(spans))
+    free = queue.SimpleQueue()  # flat tree buffers, as large as the largest span
+    for _ in range(workers):
+        free.put(np.empty(max((l1 - l0) * (hi - lo) for l0, l1, lo, hi in spans) << n))
+
     def work(span):
         l0, l1, lo, hi = span
         part, sums = lanes[l0:l1], out[l0:l1, lo:hi]
-        tree = np.empty((l1 - l0, hi - lo, 1 << n))
-        tree[:, :, :1] = _root_values(nu, part, keys[lo:hi])
-        _sum_funcs(tree[:, :, :1], part, sums[:, :, 0])
-        for g in range(n):
-            _advance(tree, 1 << g, part, derive_keys(keys[lo:hi], g + 1),
-                     sums[:, :, g + 1])
+        buf = free.get()
+        try:
+            tree = buf[:(l1 - l0) * (hi - lo) << n].reshape(l1 - l0, hi - lo, 1 << n)
+            tree[:, :, :1] = _root_values(nu, part, keys[lo:hi])
+            _sum_funcs(tree[:, :, :1], part, sums[:, :, 0])
+            for g in range(n):
+                _advance(tree, 1 << g, part, derive_keys(keys[lo:hi], g + 1),
+                         sums[:, :, g + 1])
+        finally:
+            free.put(buf)
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, spans))
     else:
         for span in spans:

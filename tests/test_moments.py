@@ -23,7 +23,7 @@ from bmclab.moments import (
     exact_second_moment,
 )
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import from_monomial
+from bmclab.spectral import apply_kernel, from_monomial
 from bmclab.treesim import InitialLaw, generation_sums
 from oracles import (
     constant,
@@ -135,6 +135,21 @@ def test_cross_moment_reductions():
             swapped, rel=1e-12)
     assert exact_cross_moment(f, f, params, 3, 3, 0.8) == pytest.approx(
         exact_second_moment(f, params, 3, 0.8), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.6, -0.85])
+def test_cross_moment_with_the_root_is_the_pushed_product(a):
+    # At m = 0 there is no split generation: the moment is 2^n Q^n f(x) g(x),
+    # bit for bit, with no child-pair product.
+    params = BarParams(a)
+    sig = params.sigma_a()
+    f = from_monomial([0.1, 1.0, 0.3, -0.2], sig)
+    g = from_monomial([0.5, 0.7], sig)
+    for n in range(5):
+        for x in (-1.3, 0.0, 0.8):
+            want = math.ldexp(apply_kernel(f, a, n).evaluate(x) * g.evaluate(x), n)
+            assert exact_cross_moment(f, g, params, n, 0, x) == want
+            assert exact_cross_moment(g, f, params, 0, n, x) == want
 
 
 def test_variance_nonnegative_and_cauchy_schwarz():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -185,6 +187,46 @@ def test_one_tree_buffer_bounds_peak_memory():
         if not tracing:
             tracemalloc.stop()
     assert peak < 4.5 * (1 << n) * 8, peak / ((1 << n) * 8)
+
+
+def test_calling_thread_owns_the_tree_buffers(monkeypatch):
+    # Chunks of 3 rows at depth 10 make 9 spans, the last of one row.  Worker
+    # threads that allocate their own trees keep the freed memory in their
+    # malloc arenas, so only the calling thread may allocate a tree-sized
+    # array of doubles, and no more of them than spans can run at once.
+    n, threads = 10, 2
+    params = BarParams(0.7)
+    funcs = [identity(params.sigma_a())]
+    monkeypatch.setattr(treesim, "CHUNK_VALUES", 3 << n)
+    empty, allocs = np.empty, []
+
+    def recording(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype == np.float64 and out.size >= 1 << n:
+            allocs.append((threading.get_ident(), out.size))
+        return out
+
+    monkeypatch.setattr(np, "empty", recording)
+    generation_sums([(params, funcs)], InitialLaw.dirac(0.0), n, _keys(5, 25),
+                    threads=threads)
+    assert allocs
+    assert {ident for ident, _ in allocs} == {threading.get_ident()}
+    assert len(allocs) <= min(threads, 9), allocs
+
+
+def test_borrowed_tree_buffers_survive_thread_switches(monkeypatch):
+    # Eight workers on a short switch interval lend 2-row buffers across 20
+    # spans of three lanes; two spans filling one buffer would change bits.
+    lanes, keys = _lanes(), _keys(31, 40)
+    baseline = generation_sums(lanes, InitialLaw.stationary(), 8, keys)
+    monkeypatch.setattr(treesim, "CHUNK_VALUES", 6 << 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = generation_sums(lanes, InitialLaw.stationary(), 8, keys, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded, baseline)
 
 
 def test_same_stream_same_tree():
