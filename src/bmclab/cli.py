@@ -42,14 +42,10 @@ from .experiments import (
 from .kernels import BarParams, check_assumptions
 from .spectral import SpectralFn, from_monomial
 from .svg import Band, Series, line_chart
-from .treesim import InitialLaw
+from .treesim import THREADS_MAX, InitialLaw
 from .variance import limit_variance
 
 _MAX_MONOMIAL_POWER = 8
-
-# Each worker thread holds one chunk's tree buffer of 16 MiB (32 MiB at depth
-# 22), so the cap keeps the buffers near SUMS_BYTES_MAX, 1 GiB.
-THREADS_MAX = 64
 
 
 def _g17(value) -> str:

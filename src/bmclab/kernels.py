@@ -114,8 +114,6 @@ class AssumptionReport:
 @lru_cache(maxsize=None)
 def hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's cached, read-only Gauss-Hermite rule for weight exp(-t^2)."""
-    if order < 1:
-        raise ValueError("quadrature order must be at least 1")
     nodes, weights = hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False

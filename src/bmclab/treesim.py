@@ -10,17 +10,17 @@ function of (config, seed) regardless of chunking or thread count.
 generation_sums is the one simulation engine: it advances a batch of
 replicas in a buffer as wide as the deepest generation, refilled in place,
 and keeps only per-generation sums of the test functions.  The calling
-thread owns one buffer per thread and lends it to one piece of work after
-another.  A single replica is a batch of one key.  It runs several lanes
-over one key set: a lane is one BarParams with its test functions, and every
-lane applies its own affine step to the same normals (common random
-numbers), so each lane's bits are those of a call with that lane alone.
+thread allocates one buffer per worker, a tree and an evaluation row, and
+each worker runs its fixed share of the pieces of work in it.  A single
+replica is a batch of one key.  It runs several lanes over one key set: a
+lane is one BarParams with its test functions, and every lane applies its
+own affine step to the same normals (common random numbers), so each lane's
+bits are those of a call with that lane alone.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,6 +35,10 @@ N_MAX = 22
 # most this many doubles (one row at depth 21; a chunk at depth 22 is one
 # row); the chunk grid depends only on (replicas, n, lanes), never threads.
 CHUNK_VALUES = 1 << 21
+
+# Each worker holds one chunk's tree buffer plus one 2^n row of doubles: at
+# most 32 MiB to depth 21 and 64 MiB at depth 22, so 4 GiB at this cap.
+THREADS_MAX = 64
 
 TILE_VALUES = 1 << 15  # parents per tile of one generation step
 
@@ -94,7 +98,7 @@ def _root_values(nu: InitialLaw, lanes, keys: np.ndarray) -> np.ndarray:
 
 
 def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
-             sums: np.ndarray) -> None:
+             sums: np.ndarray, row: np.ndarray) -> None:
     """Expand the parents tree[l, :, :width] into their children
     tree[l, :, :2*width] in place: children 2c and 2c+1 come from parent c and
     counter c of the row's key, with lane l's slope and noise scale.  Tiles of
@@ -102,7 +106,7 @@ def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
     keep the Philox words in cache and draw each normal once for all lanes, by
     counter, so tiles change no bit.  Column tiles run right to left and read
     their parents before writing children over them.  sums[l, r, j] gets the
-    sum of lane l's funcs[j] over child row r."""
+    sum of lane l's funcs[j] over child row r, evaluated through `row`."""
     rows = tree.shape[1]
     cols, step = min(width, TILE_VALUES), max(1, TILE_VALUES // width)
     for lo in range(0, rows, step):
@@ -114,20 +118,21 @@ def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
                 av = params.a * tree[l, lo:hi, c:d]
                 tree[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
                 tree[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
-        _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi])
+        _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi], row)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sum_funcs(values: np.ndarray, lanes, sums: np.ndarray) -> None:
-    """sums[l, r, j] = sum of lane l's funcs[j] over row r of values[l]; rows
-    over 2*TILE_VALUES are evaluated in slices into one reused row (same bits)."""
+def _sum_funcs(values: np.ndarray, lanes, sums: np.ndarray, row: np.ndarray) -> None:
+    """sums[l, r, j] = sum of lane l's funcs[j] over row r of values[l]; a row
+    over 2*TILE_VALUES comes alone and is evaluated in slices into `row`, a
+    buffer of at least its width (same bits)."""
     width, span = values.shape[2], 2 * TILE_VALUES
-    buf = np.empty(values.shape[1:]) if width > span else None
     for l, (_, funcs) in enumerate(lanes):
         for j, f in enumerate(funcs):
-            if buf is None:
+            if width <= span:
                 sums[l, :, j] = np.sum(f.evaluate(values[l]), axis=1)
                 continue
+            buf = row[None, :width]
             for c in range(0, width, span):
                 buf[:, c:c + span] = f.evaluate(values[l, :, c:c + span])
             sums[l, :, j] = np.sum(buf, axis=1)
@@ -143,9 +148,9 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
     g of replica r.  Every lane simulates replica r from the same normals,
     so lane l is bit for bit the output of a call with lanes[l] alone.  Work
     runs in fixed (lane group, replica chunk) pieces; the thread count never
-    changes results.  The calling thread allocates one tree buffer per
-    concurrent piece and each piece borrows one; worker threads allocate no
-    tree, only tile temporaries and _sum_funcs' row for rows over 2^16.
+    changes results.  The calling thread allocates one buffer per worker,
+    holding the largest piece's tree and one 2^n evaluation row; worker w
+    runs pieces w, w + workers, ... in it and allocates only tile temporaries.
     """
     if n < 0:
         raise ConfigError("tree depth must be nonnegative")
@@ -170,28 +175,23 @@ def generation_sums(lanes, nu: InitialLaw, n: int, replica_keys: np.ndarray,
              for lo in range(0, rows, chunk_rows)]
 
     workers = min(max(threads, 1), len(spans))
-    free = queue.SimpleQueue()  # flat tree buffers, as large as the largest span
-    for _ in range(workers):
-        free.put(np.empty(max((l1 - l0) * (hi - lo) for l0, l1, lo, hi in spans) << n))
+    tree_size = max((l1 - l0) * (hi - lo) for l0, l1, lo, hi in spans) << n
+    bufs = [np.empty(tree_size + (1 << n)) for _ in range(workers)]
 
-    def work(span):
-        l0, l1, lo, hi = span
-        part, sums = lanes[l0:l1], out[l0:l1, lo:hi]
-        buf = free.get()
-        try:
-            tree = buf[:(l1 - l0) * (hi - lo) << n].reshape(l1 - l0, hi - lo, 1 << n)
+    def work(w):
+        row = bufs[w][tree_size:]
+        for l0, l1, lo, hi in spans[w::workers]:
+            part, sums = lanes[l0:l1], out[l0:l1, lo:hi]
+            tree = bufs[w][:(l1 - l0) * (hi - lo) << n].reshape(l1 - l0, hi - lo, 1 << n)
             tree[:, :, :1] = _root_values(nu, part, keys[lo:hi])
-            _sum_funcs(tree[:, :, :1], part, sums[:, :, 0])
+            _sum_funcs(tree[:, :, :1], part, sums[:, :, 0], row)
             for g in range(n):
                 _advance(tree, 1 << g, part, derive_keys(keys[lo:hi], g + 1),
-                         sums[:, :, g + 1])
-        finally:
-            free.put(buf)
+                         sums[:, :, g + 1], row)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, spans))
+            list(pool.map(work, range(workers)))
     else:
-        for span in spans:
-            work(span)
+        work(0)
     return out

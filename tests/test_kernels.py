@@ -67,7 +67,7 @@ def _children(x, params, seed, count):
     """count child pairs below trait x: one step of the engine's _advance."""
     keys = np.array([seed_key(seed)], dtype=np.uint64)
     tree = np.full((1, 1, 2 * count), float(x))
-    _advance(tree, count, [(params, [])], keys, np.empty((1, 1, 0)))
+    _advance(tree, count, [(params, [])], keys, np.empty((1, 1, 0)), None)
     return tree[0, 0, 0::2], tree[0, 0, 1::2]
 
 
@@ -77,7 +77,7 @@ def _lineage(x, n, params, seed, count):
     tree = np.full((1, count, 2), float(x))
     for g in range(n):
         _advance(tree, 1, [(params, [])], derive_keys(keys, g + 1),
-                 np.empty((1, count, 0)))
+                 np.empty((1, count, 0)), None)
     return tree[0, :, 0]
 
 

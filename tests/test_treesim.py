@@ -27,7 +27,7 @@ def _advance1(parents, params, keys):
     rows, width = parents.shape
     tree = np.empty((1, rows, 2 * width))
     tree[0, :, :width] = parents
-    treesim._advance(tree, width, [(params, [])], keys, np.empty((1, rows, 0)))
+    treesim._advance(tree, width, [(params, [])], keys, np.empty((1, rows, 0)), None)
     return tree[0]
 
 
@@ -189,15 +189,19 @@ def test_one_tree_buffer_bounds_peak_memory():
     assert peak < 4.5 * (1 << n) * 8, peak / ((1 << n) * 8)
 
 
-def test_calling_thread_owns_the_tree_buffers(monkeypatch):
+@pytest.mark.parametrize("tile", [treesim.TILE_VALUES, 16], ids=["default", "16"])
+def test_calling_thread_owns_the_tree_buffers(monkeypatch, tile):
     # Chunks of 3 rows at depth 10 make 9 spans, the last of one row.  Worker
     # threads that allocate their own trees keep the freed memory in their
     # malloc arenas, so only the calling thread may allocate a tree-sized
-    # array of doubles, and no more of them than spans can run at once.
+    # array of doubles, and no more of them than spans can run at once.  At
+    # 16-value tiles the rows wider than 32 values are evaluated in slices,
+    # into a row the calling thread lent too.
     n, threads = 10, 2
     params = BarParams(0.7)
     funcs = [identity(params.sigma_a())]
     monkeypatch.setattr(treesim, "CHUNK_VALUES", 3 << n)
+    monkeypatch.setattr(treesim, "TILE_VALUES", tile)
     empty, allocs = np.empty, []
 
     def recording(*args, **kwargs):
