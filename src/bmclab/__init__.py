@@ -9,9 +9,21 @@ moment formulas, and drives the phase-transition slope experiment.
 
 from __future__ import annotations
 
+import os
 import types
 
 __version__ = "0.1.0"
+
+# numpy and scipy.special each load an OpenBLAS that would start a helper
+# thread spinning ~0.1 s of CPU; nothing here uses it.  A caller's own setting
+# wins, and the caller's environment is given back.
+_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    from . import experiments  # numpy, and scipy.special through rng
+finally:
+    if _blas_threads is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 from .errors import (
     BmcLabError,

@@ -216,7 +216,10 @@ def test_products_stay_under_the_openblas_thread_cutoff():
     assert (DEGREE_CAP + 1) ** 2 <= 1 << 18
     # A fresh process that runs the largest products, and a cross moment with
     # 300 rows of degree-20 products, uses no CPU while it then sleeps 200 ms.
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    # numpy loads first, with no OPENBLAS_NUM_THREADS, so its OpenBLAS keeps
+    # its helper threads and only the product sizes keep them idle.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC.parent)
     out = subprocess.run([sys.executable, "-c", _IDLE_CPU], env=env, check=True,
                          capture_output=True, text=True)
     assert float(out.stdout) < 0.05
