@@ -67,7 +67,6 @@ from .rng import derive_keys, seed_key
 from .spectral import (
     SpectralFn,
     apply_kernel,
-    as_monomial,
     center,
     from_monomial,
     product,

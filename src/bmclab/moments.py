@@ -7,12 +7,12 @@ generation, and the cross moment of two generations follows the same
 pattern after lifting the shallower sum to the deeper generation.
 
 The enumerated_* variants compute the same quantities by brute force over
-all node pairs, using the common-ancestor covariance of the joint Gaussian
-and a recursion for bivariate Gaussian moments.  Pairs are still enumerated
-one by one, but the Gaussian expectation is computed once per
-common-ancestor depth.  They are exponential in the depth and exist to
-cross-check the kernel formulas at small n.  A moment that is not
-a finite double raises ComputationRejected.
+all node pairs: each pair is jointly Gaussian with the covariance of its
+common ancestor, and a tensor Gauss-Hermite rule in the Cholesky factors
+integrates f times g exactly.  Pairs are still enumerated one by one, but
+the expectation is computed once per common-ancestor depth.  They are
+exponential in the depth and exist to cross-check the kernel formulas at
+small n.  A moment that is not a finite double raises ComputationRejected.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import ComputationRejected, ResourceCapError
-from .kernels import BarParams
-from .spectral import SpectralFn, as_monomial, check_scale, hermemul
+from .kernels import BarParams, hermite_nodes
+from .spectral import SpectralFn, check_scale, hermemul
 
 ENUM_DEPTH_MAX = 4
 
@@ -112,42 +112,29 @@ def _pair_cov(a: float, sigma: float, gen_u: int, gen_v: int, depth: int) -> flo
     return sigma**2 * sum(a ** (gen_u + gen_v - 2 * j) for j in range(1, depth + 1))
 
 
-def _centered_pair_moment(p: int, q: int, var1: float, var2: float, cov: float,
-                          memo: dict) -> float:
-    """E[A^p B^q] for a centered bivariate Gaussian, by integration by parts."""
-    if p < 0 or q < 0:
-        return 0.0
-    if p == 0 and q == 0:
-        return 1.0
-    key = (p, q)
-    if key in memo:
-        return memo[key]
-    if p > 0:
-        value = (p - 1) * var1 * _centered_pair_moment(p - 2, q, var1, var2, cov, memo)
-        value += q * cov * _centered_pair_moment(p - 1, q - 1, var1, var2, cov, memo)
-    else:
-        value = (q - 1) * var2 * _centered_pair_moment(0, q - 2, var1, var2, cov, memo)
-    memo[key] = value
-    return value
+def _pair_expects(f: SpectralFn, g: SpectralFn, params: BarParams,
+                  n: int, m: int, depths, x: float) -> list[float]:
+    """E_x[f(X_u) g(X_v)] for u at generation n and v at m, per common-ancestor depth.
 
-
-def _gaussian_pair_expect(cf: np.ndarray, cg: np.ndarray,
-                          mean1: float, var1: float,
-                          mean2: float, var2: float, cov: float) -> float:
-    """E[f(X) g(Y)] for monomial coefficient vectors and jointly Gaussian (X, Y)."""
-    memo: dict = {}
-    terms = []
-    for i, ci in enumerate(cf):
-        for j, cj in enumerate(cg):
-            if ci == 0.0 or cj == 0.0:
-                continue
-            raw = _finite_fsum(
-                math.comb(i, p) * math.comb(j, q)
-                * mean1 ** (i - p) * mean2 ** (j - q)
-                * _centered_pair_moment(p, q, var1, var2, cov, memo)
-                for p in range(i + 1) for q in range(j + 1))
-            terms.append(ci * cj * raw)
-    return _finite_fsum(terms)
+    (X_u, X_v) is its means plus the Cholesky factor of its covariance times
+    two standard normals, so the tensor Gauss-Hermite rule of order
+    (deg f + deg g) // 2 + 1 integrates the polynomial exactly.  Each depth's
+    products are summed by fsum, correctly rounded: a one-depth call gives the
+    bits of a batched one, and terms that cancel exactly (an odd integrand at
+    x = 0) sum to 0.
+    """
+    t, w = hermite_nodes((f.degree + g.degree) // 2 + 1)
+    z = math.sqrt(2.0) * t
+    w = w / math.sqrt(math.pi)
+    mean_u, var_u = _node_mean_var(params.a, params.sigma, n, x)
+    mean_v, var_v = _node_mean_var(params.a, params.sigma, m, x)
+    sd_u = math.sqrt(var_u)
+    covs = [_pair_cov(params.a, params.sigma, n, m, d) for d in depths]
+    lo = np.array([cov / sd_u if cov else 0.0 for cov in covs])[:, None, None]
+    hi = np.sqrt(np.maximum(var_v - lo * lo, 0.0))
+    fx = w * f.evaluate(mean_u + sd_u * z)
+    terms = fx[:, None] * g.evaluate(mean_v + lo * z[:, None] + hi * z) * w
+    return [_finite_fsum(depth) for depth in terms.reshape(len(covs), -1).tolist()]
 
 
 def enumerated_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -166,15 +153,8 @@ def enumerated_second_moment(f: SpectralFn, params: BarParams, n: int,
 def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                             n: int, m: int, x: float) -> float:
     """Brute-force E_x of the product of two generation sums (small n, m only)."""
-    a = params.a
     _check_enum_depth(max(n, m))
-    cf = as_monomial(f)
-    cg = as_monomial(g)
-    mean_u, var_u = _node_mean_var(a, params.sigma, n, x)
-    mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
     # Each depth 0..min(n, m) occurs and fixes the pair's term; terms go to fsum
     # in pair order, because fsum's intermediate overflow depends on the order.
-    by_depth = [_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v,
-                                      _pair_cov(a, params.sigma, n, m, d))
-                for d in range(min(n, m) + 1)]
+    by_depth = _pair_expects(f, g, params, n, m, range(min(n, m) + 1), x)
     return _finite_fsum(map(by_depth.__getitem__, _pair_depths(n, m)))

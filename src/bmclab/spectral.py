@@ -114,18 +114,6 @@ def from_monomial(poly, sigma_a: float) -> SpectralFn:
     return SpectralFn(sigma_a=sigma_a, coeffs=hermite_e.poly2herme(scaled))
 
 
-@functools.cache
-def _he_to_monomial(degree: int) -> np.ndarray:
-    """Column n holds the monomial coefficients of He_n, for n <= degree <= DEGREE_CAP."""
-    return np.stack([np.pad(hermite_e.herme2poly(np.eye(n + 1)[n]), (0, degree - n))
-                     for n in range(degree + 1)], axis=1)
-
-
-def as_monomial(f: SpectralFn) -> np.ndarray:
-    """Monomial coefficients in x (low degree first); exact basis change."""
-    return _he_to_monomial(f.degree) @ f.coeffs * f.sigma_a ** -np.arange(f.degree + 1)
-
-
 def apply_kernel(f: SpectralFn, a: float, steps: int = 1) -> SpectralFn:
     """k-step action of the lineage chain: coefficient n picks up a^(k n)."""
     if not (-1.0 < a < 1.0):

@@ -8,7 +8,7 @@ offset sums of the limit variance, the finite-depth variance summed over
 node pairs, the closed-form moments built one SpectralFn at a time with
 numpy's Hermite product, the absolute series that bounds their rounding,
 numpy's He-to-monomial conversion, the enumerated cross moment with one
-Gaussian expectation per node pair, and the assumption checker's
+Gauss-Hermite pair expectation per node pair, and the assumption checker's
 quadrature sums with the order^3 inner sum taken term by term.  The
 program itself needs none of them.
 """
@@ -27,14 +27,8 @@ from bmclab.kernels import (
     density_row_norm,
     hermite_nodes,
 )
-from bmclab.moments import (
-    _check_enum_depth,
-    _gaussian_pair_expect,
-    _node_mean_var,
-    _pair_cov,
-    common_ancestor_depth,
-)
-from bmclab.spectral import SpectralFn, apply_kernel, as_monomial
+from bmclab.moments import _check_enum_depth, _pair_expects, common_ancestor_depth
+from bmclab.spectral import SpectralFn, apply_kernel
 
 _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85
@@ -223,23 +217,14 @@ def reference_monomial(f: SpectralFn) -> np.ndarray:
 def per_pair_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                           n: int, m: int, x: float) -> float:
     """E_x of the product of the generation-n sum of f and the generation-m
-    sum of g, as the fsum of one Gaussian pair expectation per node pair.
+    sum of g, as the fsum of one moments._pair_expects call per node pair.
 
-    moments.enumerated_cross_moment computes one expectation per
-    common-ancestor depth instead and must match this bit for bit.
+    moments.enumerated_cross_moment makes one call for all common-ancestor
+    depths instead and must match this bit for bit.
     """
-    a = params.a
     _check_enum_depth(max(n, m))
-    cf = as_monomial(f)
-    cg = as_monomial(g)
-    mean_u, var_u = _node_mean_var(a, params.sigma, n, x)
-    mean_v, var_v = _node_mean_var(a, params.sigma, m, x)
-    terms = []
-    for i in range(1 << n):
-        for j in range(1 << m):
-            depth = common_ancestor_depth(n, i, m, j)
-            cov = _pair_cov(a, params.sigma, n, m, depth)
-            terms.append(_gaussian_pair_expect(cf, cg, mean_u, var_u, mean_v, var_v, cov))
+    terms = [_pair_expects(f, g, params, n, m, [common_ancestor_depth(n, i, m, j)], x)[0]
+             for i in range(1 << n) for j in range(1 << m)]
     return math.fsum(terms)
 
 

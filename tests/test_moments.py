@@ -12,8 +12,10 @@ from bmclab.errors import ComputationRejected, ConfigError, ResourceCapError
 from bmclab.kernels import BarParams
 from bmclab.moments import (
     ENUM_DEPTH_MAX,
-    _gaussian_pair_expect,
+    _node_mean_var,
+    _pair_cov,
     _pair_depths,
+    _pair_expects,
     common_ancestor_depth,
     enumerated_cross_moment,
     enumerated_mean,
@@ -23,7 +25,7 @@ from bmclab.moments import (
     exact_second_moment,
 )
 from bmclab.rng import derive_keys, seed_key
-from bmclab.spectral import apply_kernel, from_monomial
+from bmclab.spectral import SpectralFn, apply_kernel, from_monomial
 from bmclab.treesim import InitialLaw, generation_sums
 from oracles import (
     constant,
@@ -66,19 +68,28 @@ def _quad_pair_expect(cf, cg, mean1, var1, mean2, var2, cov):
 
 
 def test_gaussian_pair_expect_against_quadrature():
+    # A cubic times a quadratic has degree sum 5 = 2 * order - 1 for the rule of
+    # order 3 that _pair_expects picks: the highest degree that rule is exact for.
     rng = np.random.default_rng(4)
     for _ in range(6):
+        params = BarParams(rng.uniform(-0.95, 0.95), rng.uniform(0.5, 1.5))
         cf = rng.normal(size=4)
         cg = rng.normal(size=3)
-        mean1, mean2 = rng.normal(size=2)
-        var1, var2 = rng.uniform(0.3, 2.0, size=2)
-        cov = rng.uniform(-0.9, 0.9) * math.sqrt(var1 * var2)
-        got = _gaussian_pair_expect(cf, cg, mean1, var1, mean2, var2, cov)
-        want = _quad_pair_expect(cf, cg, mean1, var1, mean2, var2, cov)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-    got = _gaussian_pair_expect(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
-                                0.0, 1.0, 0.0, 1.0, 1.0)
-    assert got == pytest.approx(3.0, rel=1e-12)
+        f, g = (from_monomial(c, params.sigma_a()) for c in (cf, cg))
+        x = rng.normal()
+        n, m = rng.integers(0, ENUM_DEPTH_MAX + 1, size=2)
+        depths = range(min(n, m) + 1)
+        got = _pair_expects(f, g, params, n, m, depths, x)
+        mean1, var1 = _node_mean_var(params.a, params.sigma, n, x)
+        mean2, var2 = _node_mean_var(params.a, params.sigma, m, x)
+        for d in depths:
+            cov = _pair_cov(params.a, params.sigma, n, m, d)
+            want = _quad_pair_expect(cf, cg, mean1, var1, mean2, var2, cov)
+            assert got[d] == pytest.approx(want, rel=1e-10, abs=1e-10)
+    # One node with itself at a = 0, sigma = 1: E[X^4] = 3 for X ~ N(0, 1).
+    square = from_monomial([0.0, 0.0, 1.0], 1.0)
+    got = _pair_expects(square, square, BarParams(0.0), 1, 1, [1], 0.0)
+    assert got[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_mean_closed_forms():
@@ -338,6 +349,16 @@ def test_moments_that_overflow_are_rejected(moment):
     with pytest.raises(ComputationRejected, match="overflows"):
         moment(f, params, 2, 1e120)
     assert math.isfinite(moment(f, params, 2, 1e30))
+
+
+def test_enumeration_rejects_an_integrand_that_overflows_both_ways():
+    # f(X_u) g(X_v) is +inf at some quadrature nodes and -inf at others: the
+    # per-depth sum is rejected like the moment, not left to fsum's ValueError.
+    params = BarParams(0.5)
+    f = SpectralFn(params.sigma_a(), np.array([0.0, 0.0, 0.0, 1e307]))
+    g = SpectralFn(params.sigma_a(), np.array([0.0, 1e307]))
+    with pytest.raises(ComputationRejected, match="overflows"):
+        enumerated_cross_moment(f, g, params, 2, 2, 0.0)
 
 
 @pytest.mark.parametrize("moment", [

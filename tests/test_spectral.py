@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -12,15 +13,14 @@ from numpy.polynomial import hermite_e
 
 import bmclab
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.kernels import hermite_nodes
+from bmclab.kernels import _CROSS_CHECK_ORDERS, BarParams, check_assumptions, hermite_nodes
+from bmclab.moments import enumerated_cross_moment
 from bmclab.spectral import (
     DEGREE_CAP,
     TRIM_EPS,
     SpectralFn,
-    _he_to_monomial,
     _linearization,
     apply_kernel,
-    as_monomial,
     center,
     from_monomial,
     hermemul,
@@ -117,27 +117,8 @@ def test_from_monomial_pointwise():
         got = f.evaluate(xs)
         scale = np.max(np.abs(want)) + 1.0
         assert np.max(np.abs(got - want)) < 1e-12 * scale
-        back = as_monomial(f)
+        back = reference_monomial(f)
         assert np.allclose(back, poly, rtol=0.0, atol=1e-10 * scale)
-
-
-def test_as_monomial_matches_herme2poly():
-    # One product with the cached He-to-monomial matrix rounds differently from
-    # numpy's herme2poly; both stay within 4 (degree + 1)^2 ulps of the
-    # absolute coefficients sum_n |c_n| |[u^k] He_n| / sigma_a^k.
-    rng = np.random.default_rng(12)
-    for degree in list(range(13)) + [DEGREE_CAP]:
-        magnitudes = np.zeros((degree + 1, degree + 1))
-        for n in range(degree + 1):
-            magnitudes[: n + 1, n] = np.abs(hermite_e.herme2poly(np.eye(n + 1)[n]))
-        for _ in range(4):
-            sigma_a = float(rng.uniform(0.3, 3.0))
-            f = random_fn(rng, degree, sigma_a)
-            got = as_monomial(f)
-            want = reference_monomial(f)
-            scale = magnitudes @ np.abs(f.coeffs) * sigma_a ** -np.arange(degree + 1)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= 4.0 * (degree + 1) ** 2 * _EPS * scale), degree
 
 
 def test_hermemul_matches_numpy_row_by_row():
@@ -166,34 +147,56 @@ def test_one_hermite_product_in_the_package():
         assert "hermite_e.hermemul" not in path.read_text(encoding="utf-8"), path.name
 
 
+def test_monomials_only_at_the_input_boundary():
+    # Values and moments are computed in the He basis: from_monomial is the
+    # one conversion from monomials, and nothing converts back.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert [name for name, text in sources.items() if "herme2poly" in text] == []
+    assert [name for name, text in sources.items() if "poly2herme" in text] == ["spectral"]
+    assert sources["spectral"].count("poly2herme") == 1
+    assert "poly2herme" in inspect.getsource(from_monomial)
+
+
 def test_spectral_caches_stay_bounded():
     # The tables are keyed by a degree the cap bounds (or by nothing), so no
-    # input grows them: at most DEGREE_CAP + 1 He-to-monomial matrices, about
-    # 0.75 MB together, and one 65 x 65 pair of linearization tables.
+    # input grows them: one 65 x 65 pair of linearization tables, and beside
+    # the assumption checker's three orders one Gauss-Hermite rule per
+    # enumeration order (deg f + deg g) // 2 + 1 <= DEGREE_CAP + 1.
     rng = np.random.default_rng(14)
+    hermite_nodes.cache_clear()
+    check_assumptions(0.5)
+    params = BarParams(0.5, 1.3)
     for degree in range(DEGREE_CAP + 1):
-        as_monomial(random_fn(rng, degree, 1.3))
+        f = random_fn(rng, degree, params.sigma_a())
+        assert math.isfinite(enumerated_cross_moment(f, f, params, 1, 1, 0.3))
         product(random_fn(rng, degree // 2, 1.3), random_fn(rng, degree - degree // 2, 1.3))
     with pytest.raises(DegreeCapError):
         from_monomial(np.ones(DEGREE_CAP + 2), 1.3)
-    assert _he_to_monomial.cache_info().currsize <= DEGREE_CAP + 1
+    assert hermite_nodes.cache_info().currsize <= DEGREE_CAP + 1 + len(_CROSS_CHECK_ORDERS)
     assert _linearization.cache_info().currsize == 1
-    matrices = sum(_he_to_monomial(d).nbytes for d in range(DEGREE_CAP + 1))
-    assert matrices + sum(t.nbytes for t in _linearization()) < 1 << 20
+    rules = sum(hermite_nodes(k)[0].nbytes * 2 for k in range(1, DEGREE_CAP + 2))
+    assert rules + sum(t.nbytes for t in _linearization()) < 1 << 20
 
 
 _IDLE_CPU = """
 import resource, sys, time
 import numpy as np
 from bmclab import moments
-from bmclab.kernels import BarParams
-from bmclab.spectral import DEGREE_CAP, SpectralFn, as_monomial, hermemul
+from bmclab.kernels import BarParams, hermite_nodes
+from bmclab.spectral import DEGREE_CAP, SpectralFn, hermemul
 
+# numpy's hermgauss wakes the helper for one spin at order 65, where its
+# eigenvalue solve leaves LAPACK's unblocked path, as it does at the assumption
+# checker's order 128.  The rule is cached, so it is taken first and the spin
+# let pass: the window below measures the products.
+hermite_nodes(DEGREE_CAP + 1)
+time.sleep(0.5)
 rng = np.random.default_rng(0)
 for l1 in range(1, DEGREE_CAP + 2):
     hermemul(rng.normal(size=(2, l1)), rng.normal(size=(2, DEGREE_CAP + 2 - l1)))
-as_monomial(SpectralFn(1.0, rng.normal(size=DEGREE_CAP + 1)))
 params = BarParams(0.5)
+f = SpectralFn(params.sigma_a(), rng.normal(size=DEGREE_CAP + 1))
+moments.enumerated_cross_moment(f, f, params, 2, 2, 0.3)
 f = SpectralFn(params.sigma_a(), rng.normal(size=21))
 moments.exact_cross_moment(f, f, params, 300, 300, 0.3)
 usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -208,14 +211,16 @@ def test_products_stay_under_the_openblas_thread_cutoff():
     # OpenBLAS runs a product of more than M*N*K = 2^18 multiply-adds on a
     # second thread, which then spins for about 130 ms of CPU.  hermemul takes
     # l1 x k x l2 (k = min(l1, l2)) and then (l1 * l2) x (l1 + l2 - 1) per row
-    # of a batch, and as_monomial one (DEGREE_CAP + 1)^2 matrix-vector product.
+    # of a batch.  The enumeration takes no matrix product: at degree 64 x 64
+    # its rule of order 65 gives 65^2 elementwise products per depth, summed
+    # by math.fsum.
     sizes = [(l1, l2) for l1 in range(1, DEGREE_CAP + 2)
              for l2 in range(1, DEGREE_CAP + 3 - l1)]
     assert max(max(l1 * min(l1, l2) * l2, l1 * l2 * (l1 + l2 - 1))
                for l1, l2 in sizes) <= 1 << 18
-    assert (DEGREE_CAP + 1) ** 2 <= 1 << 18
-    # A fresh process that runs the largest products, and a cross moment with
-    # 300 rows of degree-20 products, uses no CPU while it then sleeps 200 ms.
+    # A fresh process that runs the largest products, an enumeration at degree
+    # 64 x 64, and a cross moment with 300 rows of degree-20 products, uses no
+    # CPU while it then sleeps 200 ms.
     # numpy loads first, with no OPENBLAS_NUM_THREADS, so its OpenBLAS keeps
     # its helper threads and only the product sizes keep them idle.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
