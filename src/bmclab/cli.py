@@ -81,17 +81,15 @@ def _parse_f(value, name: str = "--f") -> list[float]:
     if isinstance(value, (list, tuple)):
         return [_as_float(c, name) for c in value]
     text = str(value).strip()
-    if text == "1":
-        return [1.0]
     if text == "x":
         return [0.0, 1.0]
-    match = re.fullmatch(r"x\^(\d+)", text)
+    match = re.fullmatch(r"x\^0*(\d+)", text)
     if match:
-        power = int(match.group(1))
-        if not 1 <= power <= _MAX_MONOMIAL_POWER:
+        # Compared as text: int() rejects a string of more than 4300 digits.
+        if match.group(1) not in [str(p) for p in range(1, _MAX_MONOMIAL_POWER + 1)]:
             raise ConfigError(
                 f"monomial powers are limited to 1..{_MAX_MONOMIAL_POWER}")
-        return [0.0] * power + [1.0]
+        return [0.0] * int(match.group(1)) + [1.0]
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
@@ -175,7 +173,7 @@ def _load_config_file(path: str, command: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

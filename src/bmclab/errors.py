@@ -7,6 +7,8 @@ that is rejected on mathematical grounds, and resource caps.
 
 from __future__ import annotations
 
+import math
+
 
 class BmcLabError(Exception):
     """Base class for all package errors."""
@@ -30,3 +32,14 @@ class DegreeCapError(ComputationRejected):
 
 class ResourceCapError(BmcLabError):
     """The request exceeds a hard memory or enumeration limit."""
+
+
+def finite_fsum(terms, message: str) -> float:
+    """math.fsum of the terms (an iterable, maybe lazy), rejected unless finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a power or partial sum overflows; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ComputationRejected(message)
+    return total

@@ -11,7 +11,7 @@ N(0, sigma_a^2), sigma_a = sigma/sqrt(1-a^2).
 The module also houses the numeric checker for the integrability conditions
 the limit theorems rest on; these reduce symbolically to sign conditions on
 Gaussian envelope exponents, which quadrature then cross-checks.  Its cached
-Gauss-Hermite rules also serve the moment enumeration in `moments`.
+Gauss-Hermite rules also serve the exact and enumerated moments in `moments`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Exact generation-sum moments for the symmetric kernel.
 
 For M_n(f), the sum of f over generation n started from a point x, the
-first two moments reduce to iterated one-step kernels: the mean is
-2^n Q^n f(x), the second moment adds one branching correction per split
-generation, and the cross moment of two generations follows the same
-pattern after lifting the shallower sum to the deeper generation.
+first two moments split over the depth of each node pair's deepest common
+ancestor: the pairs at depth d add Q^d of the product of the two functions
+pushed down to it.  The closed forms count those pairs in closed form, push
+by the diagonal Mehler action and take Q^d under the ancestor's 1-D law.
 
 The enumerated_* variants compute the same quantities by brute force over
 all node pairs: each pair is jointly Gaussian with the covariance of its
@@ -23,22 +23,11 @@ import math
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .errors import ComputationRejected, ResourceCapError
+from .errors import ResourceCapError, finite_fsum
 from .kernels import BarParams, hermite_nodes
-from .spectral import SpectralFn, check_scale, hermemul
+from .spectral import SpectralFn, check_scale
 
 ENUM_DEPTH_MAX = 4
-
-
-def _finite_fsum(terms) -> float:
-    """math.fsum of the terms (an iterable, maybe lazy), rejected unless finite."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # a power or partial sum overflows; inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise ComputationRejected("the moment overflows double precision")
-    return total
 
 
 def exact_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -56,10 +45,13 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
                        n: int, m: int, x: float) -> float:
     """E_x of the product of the generation-n sum of f and generation-m sum of g.
 
-    With n >= m, g times Q^(n-m) f is pushed down m generations, and each
-    split generation k < m adds the branching correction 2^(n+k) Q^(m-k-1)
-    applied to the child-pair expectation of Q^(k+1) g and Q^(n-m+k+1) f.
-    Row r below is Q^r g times Q^(n-m+r) f; the last one needs no push.
+    With n >= m, the node pairs whose deepest common ancestor is at depth d
+    add T_d = Q^d[(Q^(m-d) g) (Q^(n-d) f)](x), times 2^n at d = m and
+    2^(n+m-d-1) below it.  Row r below is depth m - r.  T_0 is the product of
+    the two values at x.  For d >= 1, Q^d is the mean under the ancestor's law
+    N(a^d x, sigma_a^2 (1 - a^(2d))), which the Gauss-Hermite rule of order
+    (deg f + deg g) // 2 + 1 takes exactly; each depth is summed by fsum,
+    correctly rounded, so an odd integrand at x = 0 gives exactly 0.
     """
     for fn in (f, g):
         check_scale(fn, params.sigma_a())
@@ -71,11 +63,17 @@ def exact_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     fs = f.coeffs * params.a ** ((n - m + steps) * np.arange(len(f.coeffs)))
     u = x / f.sigma_a
     values = [hermite_e.hermeval(u, gs[-1]) * hermite_e.hermeval(u, fs[-1])]
-    if m:  # no split generation, so no child-pair product, when m = 0
-        pairs = hermemul(gs[:-1], fs[:-1])
-        pushed = pairs * params.a ** ((m - steps[:-1]) * np.arange(pairs.shape[1]))
-        values = np.append(hermite_e.hermeval(u, pushed.T), values)
-    return _finite_fsum(np.ldexp(values, n + np.maximum(steps[:, 0] - 1, 0)))
+    if m:  # no common ancestor below the root when m = 0
+        t, w = hermite_nodes((f.degree + g.degree) // 2 + 1)
+        push = params.a ** (m - steps[:-1, 0])
+        nodes = push * u + np.sqrt(1.0 - push * push) * (math.sqrt(2.0) * t[:, None])
+        terms = (w[:, None] / math.sqrt(math.pi)
+                 * hermite_e.hermeval(nodes, gs[:-1].T, tensor=False)
+                 * hermite_e.hermeval(nodes, fs[:-1].T, tensor=False))
+        values = [finite_fsum(depth, "the moment overflows double precision")
+                  for depth in terms.T.tolist()] + values
+    return finite_fsum(np.ldexp(values, n + np.maximum(steps[:, 0] - 1, 0)),
+                       "the moment overflows double precision")
 
 
 def _check_enum_depth(n: int) -> None:
@@ -134,7 +132,8 @@ def _pair_expects(f: SpectralFn, g: SpectralFn, params: BarParams,
     hi = np.sqrt(np.maximum(var_v - lo * lo, 0.0))
     fx = w * f.evaluate(mean_u + sd_u * z)
     terms = fx[:, None] * g.evaluate(mean_v + lo * z[:, None] + hi * z) * w
-    return [_finite_fsum(depth) for depth in terms.reshape(len(covs), -1).tolist()]
+    return [finite_fsum(depth, "the moment overflows double precision")
+            for depth in terms.reshape(len(covs), -1).tolist()]
 
 
 def enumerated_mean(f: SpectralFn, params: BarParams, n: int, x: float) -> float:
@@ -157,4 +156,5 @@ def enumerated_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     # Each depth 0..min(n, m) occurs and fixes the pair's term; terms go to fsum
     # in pair order, because fsum's intermediate overflow depends on the order.
     by_depth = _pair_expects(f, g, params, n, m, range(min(n, m) + 1), x)
-    return _finite_fsum(map(by_depth.__getitem__, _pair_depths(n, m)))
+    return finite_fsum(map(by_depth.__getitem__, _pair_depths(n, m)),
+                       "the moment overflows double precision")

@@ -15,8 +15,6 @@ up to rounding.  The basis satisfies
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,36 +131,10 @@ def stationary_inner(f: SpectralFn, g: SpectralFn) -> float:
     return float(np.dot(_FACTORIALS[:k], f.coeffs[:k] * g.coeffs[:k]))
 
 
-@functools.cache
-def _linearization() -> tuple[np.ndarray, np.ndarray]:
-    """Hankel indices p + t and binomials C(p + t, t), for p, t <= DEGREE_CAP."""
-    hankel = np.add.outer(np.arange(DEGREE_CAP + 1), np.arange(DEGREE_CAP + 1))
-    return hankel, np.vectorize(math.comb, otypes=[float])(hankel, hankel[0])
-
-
-def hermemul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """He-series product over the last axis, leading axes broadcast.
-
-    He_(p+t) He_(q+t) holds C(p+t, t) C(q+t, t) t! He_(p+q): one matrix product
-    sums over t, a second adds entry (p, q) into degree p + q.  Under the cap each
-    takes at most 33 * 33 * 65 < 2^18 multiply-adds, OpenBLAS's one-thread cutoff.
-    """
-    l1, l2 = c1.shape[-1], c2.shape[-1]
-    if l1 + l2 - 2 > DEGREE_CAP:
-        raise DegreeCapError(f"product degree {l1 + l2 - 2} exceeds the cap {DEGREE_CAP}")
-    k = min(l1, l2)
-    hankel, binomials = _linearization()
-    u, v = (np.concatenate((c, np.zeros(c.shape[:-1] + (k - 1,))), axis=-1)
-            [..., hankel[:c.shape[-1], :k]] * binomials[:c.shape[-1], :k] for c in (c1, c2))
-    pairs = (u * _FACTORIALS[:k]) @ np.swapaxes(v, -1, -2)
-    on_degree = hankel[:l1, :l2].reshape(-1, 1) == np.arange(l1 + l2 - 1)
-    return (pairs.reshape(pairs.shape[:-2] + (1, l1 * l2)) @ on_degree)[..., 0, :]
-
-
 def product(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     """Pointwise product, expanded back into the basis."""
     check_scale(g, f.sigma_a)
-    return SpectralFn(sigma_a=f.sigma_a, coeffs=hermemul(f.coeffs, g.coeffs))
+    return SpectralFn(sigma_a=f.sigma_a, coeffs=hermite_e.hermemul(f.coeffs, g.coeffs))
 
 
 def center(f: SpectralFn) -> SpectralFn:

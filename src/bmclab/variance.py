@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationRejected, RegimeError
+from .errors import RegimeError, finite_fsum
 from .kernels import SUBCRITICAL, SUPERCRITICAL, BarParams, classify_regime
 from .spectral import SpectralFn, check_scale
 
@@ -72,19 +72,12 @@ def limit_variance(f: SpectralFn, params: BarParams,
         factorials = np.array([math.factorial(n) for n in range(1, length)], dtype=np.float64)
         weights = factorials * (1.0 - weights) / (1.0 - 2.0 * weights)
 
-    # math.fsum raises OverflowError when the terms overflow, or ValueError
-    # for inf - inf.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagonal = weights * coeffs**2
-            if tree:
-                sigma1 = 2.0 * math.fsum(diagonal)
-                sigma2 = 2.0 * math.fsum(diagonal * lam / (1.0 - lam))
-            else:
-                sigma1, sigma2 = math.fsum(diagonal), 0.0
-    except (OverflowError, ValueError):
-        raise ComputationRejected(f"the {regime} limit variance is not finite") from None
-    value = sigma1 + 2.0 * sigma2
-    if not math.isfinite(value):
-        raise ComputationRejected(f"the {regime} limit variance is not finite")
+    message = f"the {regime} limit variance is not finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = weights * coeffs**2
+        sigma1, sigma2 = finite_fsum(diagonal, message), 0.0
+        if tree:
+            sigma1 = 2.0 * sigma1
+            sigma2 = 2.0 * finite_fsum(diagonal * lam / (1.0 - lam), message)
+    value = finite_fsum((sigma1, 2.0 * sigma2), message)
     return VarianceReport(value=value, sigma1=sigma1, sigma2=sigma2, regime=regime)

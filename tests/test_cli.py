@@ -832,6 +832,28 @@ def test_empty_coefficient_list_exits_two(command, tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "nonempty" in err
 
 
+# Python's int() takes at most 4300 digits, and json nests about 1000 deep.
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["simulate"], '{"a": 0.5, "n": %s, "replicas": 3}' % _HUGE),
+    (["variance"], '{"a": 0.5, "f": [0, %s]}' % _HUGE),
+    (["variance"], "[" * 100_000 + "]" * 100_000),
+    (["variance", "--a", "0.5", "--f", "x^" + _HUGE], None),
+], ids=["long-integer", "long-coefficient", "deep-nesting", "long-power"])
+def test_inputs_past_the_parser_limits_exit_two(argv, text, tmp_path, capsys):
+    if text is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        argv = argv + ["--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if text is None:
+        assert "1..8" in err
+
+
 def test_empty_slope_grid_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_F_CONFIGS["slopes"], "alphas": []}),

@@ -201,6 +201,23 @@ def test_exact_matches_enumeration():
                 assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
 
+@pytest.mark.parametrize("degree", [33, 64])
+def test_exact_matches_enumeration_past_the_product_cap(degree):
+    # Degree sums 66 and 128 exceed the cap of one SpectralFn product; the
+    # closed forms take their expectations on the rule the enumeration uses,
+    # so they accept every pair it accepts.  c_j ~ N(0, 1)/sqrt(j!) keeps
+    # each degree's share of the moment of order one.
+    rng = np.random.default_rng(degree)
+    params = BarParams(0.5, 1.3)
+    scale = np.array([1.0 / math.sqrt(math.factorial(j)) for j in range(degree + 1)])
+    f, g = (SpectralFn(params.sigma_a(), rng.normal(size=degree + 1) * scale)
+            for _ in range(2))
+    for n, m in ((1, 1), (3, 2), (4, 4)):
+        want = enumerated_cross_moment(f, g, params, n, m, 0.3)
+        got = exact_cross_moment(f, g, params, n, m, 0.3)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, m)
+
+
 @pytest.mark.parametrize("a", (0.3, 1.0 / math.sqrt(2.0), 0.85, -0.6))
 def test_enumeration_matches_per_pair_reference_bitwise(a):
     polys = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.3, 1.0, 0.5, 0.2])

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import os
@@ -13,17 +14,21 @@ from numpy.polynomial import hermite_e
 
 import bmclab
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.kernels import _CROSS_CHECK_ORDERS, BarParams, check_assumptions, hermite_nodes
-from bmclab.moments import enumerated_cross_moment
+from bmclab.kernels import (
+    _CROSS_CHECK_ORDERS,
+    BarParams,
+    _quadrature_sums,
+    check_assumptions,
+    hermite_nodes,
+)
+from bmclab.moments import enumerated_cross_moment, exact_cross_moment
 from bmclab.spectral import (
     DEGREE_CAP,
     TRIM_EPS,
     SpectralFn,
-    _linearization,
     apply_kernel,
     center,
     from_monomial,
-    hermemul,
     product,
     project_linear,
     stationary_inner,
@@ -66,7 +71,7 @@ _EPS = np.finfo(np.float64).eps
 
 def product_scale(f, g, u):
     """Absolute series of f, g and their product at u = x / sigma_a: it bounds
-    every sum that hermemul and either evaluation form."""
+    every sum that product and either evaluation form."""
     abs_fg = hermite_e.hermemul(np.abs(f.coeffs), np.abs(g.coeffs))
     return (absolute_series(abs_fg, u)
             + absolute_series(f.coeffs, u) * absolute_series(g.coeffs, u))
@@ -121,30 +126,13 @@ def test_from_monomial_pointwise():
         assert np.allclose(back, poly, rtol=0.0, atol=1e-10 * scale)
 
 
-def test_hermemul_matches_numpy_row_by_row():
-    # Rows of a batch are independent products; each stays within
-    # 4 (degree + 1)^2 ulps of the product of the absolute series.
-    rng = np.random.default_rng(13)
-    for l1, l2 in ((1, 1), (1, 5), (4, 1), (3, 5), (7, 7), (33, 33), (2, DEGREE_CAP)):
-        c1 = rng.normal(size=(3, l1))
-        c2 = rng.normal(size=(3, l2))
-        got = hermemul(c1, c2)
-        assert got.shape == (3, l1 + l2 - 1)
-        for row, a, b in zip(got, c1, c2):
-            scale = hermite_e.hermemul(np.abs(a), np.abs(b))
-            tol = 4.0 * (l1 + l2 - 1) ** 2 * _EPS * scale
-            assert np.all(np.abs(row - hermite_e.hermemul(a, b)) <= tol), (l1, l2)
-            assert np.array_equal(hermemul(a, b), row)
-    assert hermemul(np.zeros((0, 3)), np.zeros((0, 2))).shape == (0, 4)
-    with pytest.raises(DegreeCapError):
-        hermemul(np.ones(DEGREE_CAP), np.ones(3))
-
-
 def test_one_hermite_product_in_the_package():
-    # product and the closed-form moments share spectral.hermemul; nothing in
-    # the package calls numpy's hermemul beside it.
-    for path in SRC.glob("*.py"):
-        assert "hermite_e.hermemul" not in path.read_text(encoding="utf-8"), path.name
+    # spectral.product is the one He-series product; the closed-form moments
+    # take Gaussian expectations on kernels.hermite_nodes instead.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert [name for name, text in sources.items() if "hermemul" in text] == ["spectral"]
+    assert sources["spectral"].count("hermemul") == 1
+    assert "hermite_e.hermemul" in inspect.getsource(product)
 
 
 def test_monomials_only_at_the_input_boundary():
@@ -158,10 +146,9 @@ def test_monomials_only_at_the_input_boundary():
 
 
 def test_spectral_caches_stay_bounded():
-    # The tables are keyed by a degree the cap bounds (or by nothing), so no
-    # input grows them: one 65 x 65 pair of linearization tables, and beside
-    # the assumption checker's three orders one Gauss-Hermite rule per
-    # enumeration order (deg f + deg g) // 2 + 1 <= DEGREE_CAP + 1.
+    # The rules are keyed by an order the cap bounds, so no input grows the
+    # cache: beside the assumption checker's three orders, one Gauss-Hermite
+    # rule per moment order (deg f + deg g) // 2 + 1 <= DEGREE_CAP + 1.
     rng = np.random.default_rng(14)
     hermite_nodes.cache_clear()
     check_assumptions(0.5)
@@ -169,13 +156,13 @@ def test_spectral_caches_stay_bounded():
     for degree in range(DEGREE_CAP + 1):
         f = random_fn(rng, degree, params.sigma_a())
         assert math.isfinite(enumerated_cross_moment(f, f, params, 1, 1, 0.3))
+        assert math.isfinite(exact_cross_moment(f, f, params, 1, 1, 0.3))
         product(random_fn(rng, degree // 2, 1.3), random_fn(rng, degree - degree // 2, 1.3))
     with pytest.raises(DegreeCapError):
         from_monomial(np.ones(DEGREE_CAP + 2), 1.3)
     assert hermite_nodes.cache_info().currsize <= DEGREE_CAP + 1 + len(_CROSS_CHECK_ORDERS)
-    assert _linearization.cache_info().currsize == 1
     rules = sum(hermite_nodes(k)[0].nbytes * 2 for k in range(1, DEGREE_CAP + 2))
-    assert rules + sum(t.nbytes for t in _linearization()) < 1 << 20
+    assert rules < 1 << 20
 
 
 _IDLE_CPU = """
@@ -183,20 +170,19 @@ import resource, sys, time
 import numpy as np
 from bmclab import moments
 from bmclab.kernels import BarParams, hermite_nodes
-from bmclab.spectral import DEGREE_CAP, SpectralFn, hermemul
+from bmclab.spectral import DEGREE_CAP, SpectralFn
 
 # numpy's hermgauss wakes the helper for one spin at order 65, where its
 # eigenvalue solve leaves LAPACK's unblocked path, as it does at the assumption
 # checker's order 128.  The rule is cached, so it is taken first and the spin
-# let pass: the window below measures the products.
+# let pass: the window below measures the moments.
 hermite_nodes(DEGREE_CAP + 1)
 time.sleep(0.5)
 rng = np.random.default_rng(0)
-for l1 in range(1, DEGREE_CAP + 2):
-    hermemul(rng.normal(size=(2, l1)), rng.normal(size=(2, DEGREE_CAP + 2 - l1)))
 params = BarParams(0.5)
 f = SpectralFn(params.sigma_a(), rng.normal(size=DEGREE_CAP + 1))
 moments.enumerated_cross_moment(f, f, params, 2, 2, 0.3)
+moments.exact_cross_moment(f, f, params, 2, 2, 0.3)
 f = SpectralFn(params.sigma_a(), rng.normal(size=21))
 moments.exact_cross_moment(f, f, params, 300, 300, 0.3)
 usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -209,20 +195,21 @@ print(usage.ru_utime + usage.ru_stime - before)
 
 def test_products_stay_under_the_openblas_thread_cutoff():
     # OpenBLAS runs a product of more than M*N*K = 2^18 multiply-adds on a
-    # second thread, which then spins for about 130 ms of CPU.  hermemul takes
-    # l1 x k x l2 (k = min(l1, l2)) and then (l1 * l2) x (l1 + l2 - 1) per row
-    # of a batch.  The enumeration takes no matrix product: at degree 64 x 64
-    # its rule of order 65 gives 65^2 elementwise products per depth, summed
-    # by math.fsum.
-    sizes = [(l1, l2) for l1 in range(1, DEGREE_CAP + 2)
-             for l2 in range(1, DEGREE_CAP + 3 - l1)]
-    assert max(max(l1 * min(l1, l2) * l2, l1 * l2 * (l1 + l2 - 1))
-               for l1, l2 in sizes) <= 1 << 18
-    # A fresh process that runs the largest products, an enumeration at degree
-    # 64 x 64, and a cross moment with 300 rows of degree-20 products, uses no
-    # CPU while it then sleeps 200 ms.
+    # second thread, which then spins for about 130 ms of CPU.  The only matrix
+    # product in the package is the assumption checker's slab line, whose size
+    # test_kernels pins; the moments take none: at degree 64 x 64 their rule
+    # of order 65 gives elementwise products, summed by math.fsum.
+    products = [(path.stem, ast.unparse(node)) for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)]
+    assert products == [("kernels", "left[i:i + _SLAB_ROWS] @ right")]
+    assert products[0][1] in inspect.getsource(_quadrature_sums)
+    # A fresh process that runs an enumeration and a cross moment at degree
+    # 64 x 64, and a cross moment with 300 rows of degree-20 functions, uses
+    # no CPU while it then sleeps 200 ms.
     # numpy loads first, with no OPENBLAS_NUM_THREADS, so its OpenBLAS keeps
-    # its helper threads and only the product sizes keep them idle.
+    # its helper threads and only the absence of large products keeps them idle.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC.parent)
     out = subprocess.run([sys.executable, "-c", _IDLE_CPU], env=env, check=True,
@@ -429,6 +416,8 @@ def test_degree_cap_and_scale_errors():
     big = basis(40, 1.0)
     with pytest.raises(DegreeCapError):
         product(big, big)
+    with pytest.raises(DegreeCapError):
+        product(basis(DEGREE_CAP - 1, 1.0), basis(2, 1.0))
     with pytest.raises(ConfigError):
         stationary_inner(basis(1, 1.0), basis(1, 2.0))
     with pytest.raises(ConfigError):
