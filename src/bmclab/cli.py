@@ -57,19 +57,24 @@ def _cell(value) -> str:
     return "" if math.isnan(value) else _g17(value)
 
 
+def _shown(value) -> str:
+    """The repr of a rejected value for its error line, cut to 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _as_float(value, name: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"option {name} needs a number, got {value!r}") from None
+        raise ConfigError(f"option {name} needs a number, got {_shown(value)}") from None
 
 
 def _as_int(value, name: str) -> int:
     try:
-        out = int(str(value), 10)
+        return int(str(value), 10)
     except (TypeError, ValueError):
-        raise ConfigError(f"option {name} needs an integer, got {value!r}") from None
-    return out
+        raise ConfigError(f"option {name} needs an integer, got {_shown(value)}") from None
 
 
 def _as_str(value, name: str) -> str:
@@ -94,7 +99,7 @@ def _parse_f(value, name: str = "--f") -> list[float]:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(
-            f"{name} takes x, x^p, 1, or a coefficient list, got {value!r}") from None
+            f"{name} takes x, x^p, 1, or a coefficient list, got {_shown(value)}") from None
 
 
 def _parse_nu(value, name: str = "--nu") -> InitialLaw:
@@ -111,7 +116,7 @@ def _parse_nu(value, name: str = "--nu") -> InitialLaw:
         return InitialLaw.gaussian(_as_float(parts[0], f"{name} gaussian mean"),
                                    _as_float(parts[1], f"{name} gaussian var"))
     raise ConfigError(
-        f"{name} takes stationary, dirac:X, or gaussian:MEAN,VAR, got {value!r}")
+        f"{name} takes stationary, dirac:X, or gaussian:MEAN,VAR, got {_shown(value)}")
 
 
 def _nu_text(nu: InitialLaw) -> str:
@@ -142,7 +147,7 @@ def _parse_alphas(value, name: str = "--alphas") -> list[float]:
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"{name} takes a grid or comma list, got {value!r}") from None
+        raise ConfigError(f"{name} takes a grid or comma list, got {_shown(value)}") from None
 
 
 # Every config key: the parser that turns a flag or config-file value into

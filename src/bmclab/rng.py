@@ -62,43 +62,35 @@ def derive_keys(key, indices) -> np.ndarray:
 def _philox_words(keys: np.ndarray, count: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Run Philox4x32-10 over counter blocks start..start+count-1 for each key.
 
-    Returns two (len(keys), count) uint64 arrays, the high and low output
-    words of each block assembled as 64-bit integers.  Counters must stay
-    below 2^32 (N_MAX keeps them below 2^21): three counter words are then
-    zero and round 1 is one multiply.
+    Returns two (len(keys), count) uint64 arrays, the output words hi = c0:c1
+    and lo = c2:c3, which are also the round state: with p0 = c0*M0 and
+    p1 = c2*M1, a round sets hi = (hi << 32) ^ k0:0 ^ p1 and lo = (lo << 32)
+    ^ k1:0 ^ p0.  Counters must stay below 2^32 (N_MAX keeps them below
+    2^21): three counter words are then zero and round 1 is one multiply.
     """
-    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    shape = (keys.shape[0], count)
-    k0 = (keys & _MASK32)[:, None]
-    k1 = (keys >> _SH32)[:, None]
-    p0, p1, t = (np.empty(shape, dtype=np.uint64) for _ in range(3))
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))[:, None]
     with np.errstate(over="ignore"):
-        # Round 1 on the counter (pos, 0, 0, 0): only pos * M0 is nonzero.
-        pos = np.arange(start, start + count, dtype=np.uint64) * _M0
-        c0 = np.broadcast_to(k0, shape).copy()
-        c1 = np.zeros(shape, dtype=np.uint64)
-        c2 = (pos >> _SH32) ^ k1
-        c3 = np.broadcast_to(pos & _MASK32, shape).copy()
-        for _ in range(9):
-            k0 = (k0 + _W0) & _MASK32
-            k1 = (k1 + _W1) & _MASK32
-            np.multiply(c0, _M0, out=p0)
-            np.multiply(c2, _M1, out=p1)
-            np.right_shift(p1, _SH32, out=t)
-            np.bitwise_xor(t, c1, out=t)
-            np.bitwise_xor(t, k0, out=t)
-            np.bitwise_and(p1, _MASK32, out=c1)
-            c0, t = t, c0
-            np.right_shift(p0, _SH32, out=t)
-            np.bitwise_xor(t, c3, out=t)
-            np.bitwise_xor(t, k1, out=t)
-            np.bitwise_and(p0, _MASK32, out=c3)
-            c2, t = t, c2
-        np.left_shift(c0, _SH32, out=c0)
-        np.bitwise_or(c0, c1, out=c0)
-        np.left_shift(c2, _SH32, out=c2)
-        np.bitwise_or(c2, c3, out=c2)
-    return c0, c2
+        # The keys of rounds 1..10 in the high half (k:0), shape (10, R, 1).
+        bumps = np.arange(10, dtype=np.uint64)[:, None, None] << _SH32
+        rk0 = (keys << _SH32) + bumps * _W0
+        rk1 = (keys & ~_MASK32) + bumps * _W1
+        # Round 1 on the counter (pos, 0, 0, 0) leaves hi = k0:0 and
+        # lo = pos*M0 ^ k1:0, so round 2 has hi << 32 = 0 and p0 = k0*M0.
+        lo = (np.arange(start, start + count, dtype=np.uint64) * _M0) ^ rk1[0]
+        hi = (lo >> _SH32) * _M1 ^ rk0[1]
+        lo <<= _SH32
+        lo ^= rk1[1] ^ (keys & _MASK32) * _M0
+        p0, p1 = np.empty_like(lo), np.empty_like(lo)
+        for k0, k1 in zip(rk0[2:], rk1[2:]):
+            np.multiply(np.right_shift(hi, _SH32, out=p0), _M0, out=p0)
+            np.multiply(np.right_shift(lo, _SH32, out=p1), _M1, out=p1)
+            np.left_shift(hi, _SH32, out=hi)
+            np.bitwise_xor(hi, k0, out=hi)
+            np.bitwise_xor(hi, p1, out=hi)
+            np.left_shift(lo, _SH32, out=lo)
+            np.bitwise_xor(lo, k1, out=lo)
+            np.bitwise_xor(lo, p0, out=lo)
+    return hi, lo
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:

@@ -104,20 +104,23 @@ def _advance(tree: np.ndarray, width: int, lanes, gen_keys: np.ndarray,
     counter c of the row's key, with lane l's slope and noise scale.  Tiles of
     at most TILE_VALUES parents (whole rows, or column slices of a wider row)
     keep the Philox words in cache and draw each normal once for all lanes, by
-    counter, so tiles change no bit.  Column tiles run right to left and read
-    their parents before writing children over them.  sums[l, r, j] gets the
-    sum of lane l's funcs[j] over child row r, evaluated through `row`."""
+    counter, so tiles change no bit; they are scaled once per distinct sigma,
+    and a child is a * parent + sigma * z as for a lane alone.  Column tiles
+    run right to left and read their parents before writing children over
+    them.  sums[l, r, j] gets the sum of lane l's funcs[j] over child row r,
+    evaluated through `row`."""
     rows = tree.shape[1]
     cols, step = min(width, TILE_VALUES), max(1, TILE_VALUES // width)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         for c in reversed(range(0, width, cols)):
             d = min(c + cols, width)
-            z0, z1 = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
+            z = batch_normal_pairs(gen_keys[lo:hi], d - c, c)
+            scaled = {s: [s * zk for zk in z] for s in {p.sigma for p, _ in lanes}}
             for l, (params, _) in enumerate(lanes):
                 av = params.a * tree[l, lo:hi, c:d]
-                tree[l, lo:hi, 2 * c:2 * d:2] = av + params.sigma * z0
-                tree[l, lo:hi, 2 * c + 1:2 * d:2] = av + params.sigma * z1
+                for k, noise in enumerate(scaled[params.sigma]):
+                    np.add(av, noise, out=tree[l, lo:hi, 2 * c + k:2 * d:2])
         _sum_funcs(tree[:, lo:hi, :2 * width], lanes, sums[:, lo:hi], row)
 
 

@@ -854,6 +854,32 @@ def test_inputs_past_the_parser_limits_exit_two(argv, text, tmp_path, capsys):
         assert "1..8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--a", "0.5", "--n", _HUGE, "--replicas", "3"],
+    ["variance", "--a", "0.5", "--f", "y" * 3000],
+    ["variance", "--a", "q" * 3000],
+    ["clt", "--a", "0.5", "--n", "4", "--replicas", "10", "--nu", "q" * 3000],
+    ["slopes", "--n", "8", "--replicas", "4", "--alphas", "z" * 3000],
+], ids=["int", "f", "float", "nu", "alphas"])
+def test_long_rejected_values_give_one_short_error_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200 and "..." in err
+
+
+def test_short_rejected_values_are_echoed_whole(tmp_path, capsys):
+    for argv, message in (
+            (["simulate", "--a", "0.5", "--n", "3.5", "--replicas", "3"],
+             "error: option --n needs an integer, got '3.5'\n"),
+            (["variance", "--a", "0.5", "--f", "y"],
+             "error: --f takes x, x^p, 1, or a coefficient list, got 'y'\n"),
+            (["clt", "--a", "0.5", "--n", "4", "--replicas", "10", "--nu", "q"],
+             "error: --nu takes stationary, dirac:X, or gaussian:MEAN,VAR, got 'q'\n")):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_empty_slope_grid_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_F_CONFIGS["slopes"], "alphas": []}),

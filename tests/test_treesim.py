@@ -450,6 +450,24 @@ def test_lane_bits_ignore_chunks_tiles_and_threads(monkeypatch, nu):
                               baseline)
 
 
+@pytest.mark.parametrize("tile", [None, 7], ids=["rows", "columns"])
+def test_lanes_sharing_a_noise_scale_keep_their_bits(monkeypatch, tile):
+    # Two lanes share sigma = 1 and one does not, so the tile's scaled noise
+    # is shared by some lanes only.  At depth 9 the default tile holds whole
+    # rows; a tile of 7 splits the wider rows into column slices.
+    if tile is not None:
+        monkeypatch.setattr(treesim, "TILE_VALUES", tile)
+    lanes = []
+    for a, sigma in ((0.5, 1.0), (0.8, 1.0), (-0.6, 0.7)):
+        params = BarParams(a, sigma)
+        lanes.append((params, [identity(params.sigma_a()),
+                               from_monomial([0.1, 0.0, 1.0], params.sigma_a())]))
+    keys, nu = _keys(31, 5), InitialLaw.stationary()
+    sums = generation_sums(lanes, nu, 9, keys)
+    for l, lane in enumerate(lanes):
+        assert np.array_equal(sums[l], generation_sums([lane], nu, 9, keys)[0])
+
+
 def test_lanes_need_matching_function_counts():
     params = BarParams(0.5)
     f = identity(params.sigma_a())
