@@ -8,9 +8,9 @@ offset sums of the limit variance, the finite-depth variance summed over
 node pairs, the closed-form moments built one SpectralFn at a time with
 numpy's Hermite product, the absolute series that bounds their rounding,
 numpy's He-to-monomial conversion, the enumerated cross moment with one
-Gauss-Hermite pair expectation per node pair, and the assumption checker's
-quadrature sums with the order^3 inner sum taken term by term.  The
-program itself needs none of them.
+Gauss-Hermite pair expectation per node pair, the L2 size of one density
+row, and Gauss-Hermite sums of the three norm integrals the assumption
+checker decides in closed form.  The program itself needs none of them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from bmclab.kernels import (
     CRITICAL,
     BarParams,
     classify_regime,
-    density_row_norm,
     hermite_nodes,
 )
 from bmclab.moments import _check_enum_depth, _pair_expects, common_ancestor_depth
@@ -228,14 +227,26 @@ def per_pair_cross_moment(f: SpectralFn, g: SpectralFn, params: BarParams,
     return math.fsum(terms)
 
 
+def density_row_norm(x, a: float):
+    """L2 size of one density row: (integral of q(x,.)^2 d(invariant))^(1/2).
+
+    Closed form (1-a^4)^(-1/4) * exp(a^2(1-a^2)/(1+a^2) * x^2/2) at sigma = 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c = (1.0 - a**4) ** -0.25
+    g = a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0)
+    return c * np.exp(g * x * x)
+
+
 @np.errstate(over="ignore")
 def direct_quadrature_sums(a: float, order: int) -> tuple[float, float, float]:
     """Gauss-Hermite sums of the three norm integrals of the assumption checker.
 
-    The kernel step of h on the two-level grid sums h(a*mids[i, j] + rt2*t_k)
-    over k directly, two outer rows at a time.  kernels._quadrature_sums
-    factors that sum into a matrix product and must agree with this to
-    rounding.
+    With h = density_row_norm(., a), the sums approximate E[h^4], E[(Qh)^4]
+    and E[(Q((Qh)^2) * Qh)^2] under the invariant law at sigma = 1: the
+    powers of the closed-form norms h_L4, Qh_L4 and hilsch2_L2.  The kernel
+    step of h on the two-level grid sums h(a*mids[i, j] + rt2*t_k) over k
+    directly, two outer rows at a time.
     """
     sa = math.sqrt(1.0 / (1.0 - a * a))
     rt2 = math.sqrt(2.0)

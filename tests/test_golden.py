@@ -51,9 +51,9 @@ CASES = {
                       "--replicas", "50", "--seed", "5"],
     "martingale": ["martingale", "--a", "0.85", "--n", "6", "--seed", "4"],
     "check-assumptions": ["check-assumptions", "--a", "0.75"],
-    # Raises near-threshold:hilsch2 and quadrature-slow-convergence:hilsch2.
+    # Raises near-threshold:hilsch2, its only flag.
     "check-assumptions-near-threshold": ["check-assumptions", "--a", "0.7239"],
-    # All three norms diverge, and the quadrature sums must grow with the order.
+    # All three norms diverge, so the report holds only the three margins.
     "check-assumptions-divergent": ["check-assumptions", "--a", "0.9"],
 }
 
@@ -80,7 +80,7 @@ GOLDEN = {
         "assumptions.json": "cfca4f13a2e6e14d17ff4017b19f65a1",
     },
     "check-assumptions-near-threshold": {
-        "assumptions.json": "7ff3d616cd2da55374ca167845eba091",
+        "assumptions.json": "462078298ccf21f76bbc1bce32231391",
     },
     "clt-critical": {
         "clt.csv": "c76c4add6e21eed5f7f49cb31e0376e3",

@@ -14,13 +14,7 @@ from numpy.polynomial import hermite_e
 
 import bmclab
 from bmclab.errors import ConfigError, DegreeCapError
-from bmclab.kernels import (
-    _CROSS_CHECK_ORDERS,
-    BarParams,
-    _quadrature_sums,
-    check_assumptions,
-    hermite_nodes,
-)
+from bmclab.kernels import BarParams, check_assumptions, hermite_nodes
 from bmclab.moments import enumerated_cross_moment, exact_cross_moment
 from bmclab.spectral import (
     DEGREE_CAP,
@@ -147,8 +141,8 @@ def test_monomials_only_at_the_input_boundary():
 
 def test_spectral_caches_stay_bounded():
     # The rules are keyed by an order the cap bounds, so no input grows the
-    # cache: beside the assumption checker's three orders, one Gauss-Hermite
-    # rule per moment order (deg f + deg g) // 2 + 1 <= DEGREE_CAP + 1.
+    # cache: one Gauss-Hermite rule per moment order
+    # (deg f + deg g) // 2 + 1 <= DEGREE_CAP + 1, and none for the checker.
     rng = np.random.default_rng(14)
     hermite_nodes.cache_clear()
     check_assumptions(0.5)
@@ -160,7 +154,7 @@ def test_spectral_caches_stay_bounded():
         product(random_fn(rng, degree // 2, 1.3), random_fn(rng, degree - degree // 2, 1.3))
     with pytest.raises(DegreeCapError):
         from_monomial(np.ones(DEGREE_CAP + 2), 1.3)
-    assert hermite_nodes.cache_info().currsize <= DEGREE_CAP + 1 + len(_CROSS_CHECK_ORDERS)
+    assert hermite_nodes.cache_info().currsize <= DEGREE_CAP + 1
     rules = sum(hermite_nodes(k)[0].nbytes * 2 for k in range(1, DEGREE_CAP + 2))
     assert rules < 1 << 20
 
@@ -173,8 +167,8 @@ from bmclab.kernels import BarParams, hermite_nodes
 from bmclab.spectral import DEGREE_CAP, SpectralFn
 
 # numpy's hermgauss wakes the helper for one spin at order 65, where its
-# eigenvalue solve leaves LAPACK's unblocked path, as it does at the assumption
-# checker's order 128.  The rule is cached, so it is taken first and the spin
+# eigenvalue solve leaves LAPACK's unblocked path; no other order the package
+# takes is above 64.  The rule is cached, so it is taken first and the spin
 # let pass: the window below measures the moments.
 hermite_nodes(DEGREE_CAP + 1)
 time.sleep(0.5)
@@ -195,16 +189,15 @@ print(usage.ru_utime + usage.ru_stime - before)
 
 def test_products_stay_under_the_openblas_thread_cutoff():
     # OpenBLAS runs a product of more than M*N*K = 2^18 multiply-adds on a
-    # second thread, which then spins for about 130 ms of CPU.  The only matrix
-    # product in the package is the assumption checker's slab line, whose size
-    # test_kernels pins; the moments take none: at degree 64 x 64 their rule
-    # of order 65 gives elementwise products, summed by math.fsum.
+    # second thread, which then spins for about 130 ms of CPU.  The package
+    # takes no matrix product at all: the assumption checker decides from
+    # sign conditions, and at degree 64 x 64 the moments' rule of order 65
+    # gives elementwise products, summed by math.fsum.
     products = [(path.stem, ast.unparse(node)) for path in SRC.glob("*.py")
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult)]
-    assert products == [("kernels", "left[i:i + _SLAB_ROWS] @ right")]
-    assert products[0][1] in inspect.getsource(_quadrature_sums)
+    assert products == []
     # A fresh process that runs an enumeration and a cross moment at degree
     # 64 x 64, and a cross moment with 300 rows of degree-20 functions, uses
     # no CPU while it then sleeps 200 ms.

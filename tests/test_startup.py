@@ -89,8 +89,8 @@ def test_a_callers_blas_thread_count_wins(tmp_path):
 @pytest.mark.parametrize("case", ["check-assumptions", "check-assumptions-divergent",
                                   "check-assumptions-near-threshold", "clt-critical"])
 def test_one_shot_command_writes_the_golden_bytes(case, tmp_path):
-    # hermgauss's eigen-solve and the quadrature slab products run on a
-    # one-thread BLAS here; the bytes must be those of the golden table.
+    # A fresh process, whose BLAS runs on one thread, must write the bytes of
+    # the golden table.
     subprocess.run([sys.executable, "-m", "bmclab.cli", *CASES[case],
                     "--out", str(tmp_path)],
                    env=_env(), check=True, capture_output=True)
