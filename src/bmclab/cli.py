@@ -348,10 +348,9 @@ def _run_supercritical(cfg: dict, threads: int, args: argparse.Namespace) -> _Ou
     ecfg = _experiment_config(cfg)
     res = supercritical_study(ecfg, threads=threads)
     rows = ((str(g), _g17(v)) for g, v in enumerate(res.martingale_l1_diffs))
-    a = ecfg.params.a
     return {"supercritical.csv": _csv(("level", "martingale_l1_diff"), rows)}, [
         f"ratio_median = {_g17(res.ratio_median)}",
-        f"ratio_limit = {_g17(2.0 * a / (2.0 * a - 1.0))}",
+        f"ratio_limit = {_g17(res.ratio_limit)}",
         *(f"flag: {flag}" for flag in res.flags)]
 
 

@@ -77,6 +77,7 @@ class SupercriticalResult:
     """Outcome of one supercritical run at a fixed depth."""
 
     ratio_median: float
+    ratio_limit: float
     martingale_l1_diffs: np.ndarray
     flags: tuple[str, ...]
 
@@ -117,24 +118,39 @@ def replicate(cfg: ExperimentConfig, threads: int = 1) -> np.ndarray:
     r), so the output is ordered by replica index and is a pure function of
     the configuration.  A statistic that overflows raises ComputationRejected.
     """
-    a, n = cfg.params.a, cfg.n
-    regime = classify_regime(a)
-    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, n, 1)
-    sums = generation_sums([(cfg.params, [center(cfg.f)])], cfg.nu, n, keys,
+    keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, cfg.n, 1)
+    sums = generation_sums([(cfg.params, [center(cfg.f)])], cfg.nu, cfg.n, keys,
                            threads=threads)[0, :, :, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if regime == SUPERCRITICAL:
-            raw = sums.sum(axis=1) if cfg.tree else sums[:, n]
-            scale = (2.0 * a) ** n
-        else:
-            raw = np.zeros(cfg.replicas)
-            for g in range(n, -1, -1) if cfg.tree else [n]:
-                raw += sums[:, g]
-            scale = math.sqrt(2.0**n) if regime == SUBCRITICAL else math.sqrt(n * 2.0**n)
-        values = raw / scale
+    values = _normalized(sums, cfg.params.a, cfg.tree)
     if not np.all(np.isfinite(values)):
         raise ComputationRejected("the fluctuation statistic overflows double precision")
     return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _normalized(sums: np.ndarray, a: float, tree: bool) -> np.ndarray:
+    """Deepest generation sum, or all n+1 added deepest-first to a zero start if
+    tree, over a's regime scale: one order, so every driver gets the same bits."""
+    n = sums.shape[1] - 1
+    raw = np.zeros(len(sums))
+    for g in range(n, -1, -1) if tree else [n]:
+        raw += sums[:, g]
+    regime = classify_regime(a)
+    if regime == SUPERCRITICAL:
+        return raw / (2.0 * a) ** n
+    return raw / math.sqrt((1 if regime == SUBCRITICAL else n) * 2.0**n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _martingale_paths(sums: np.ndarray, a: float) -> np.ndarray:
+    """Generation-g sums times (2a)^(-g), non-finite if a power overflows.
+    The powers are Python's scalar ones, not numpy's vectorized ones: the two
+    can differ in the last bit, and martingale.csv is written from these."""
+    try:
+        scales = np.array([(2.0 * a) ** (-g) for g in range(sums.shape[-1])])
+    except OverflowError:
+        scales = math.inf
+    return sums * scales
 
 
 def clt_study(cfg: ExperimentConfig, threads: int = 1) -> CltResult:
@@ -175,12 +191,12 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     """Track the rescaled statistics and the additive martingale.
 
     Reports the median over replicas of the whole-tree to deepest-generation
-    ratio of the (2a)^(-n)-rescaled centered sums, and the mean absolute
-    martingale increment at each depth.  Replicas whose deepest-generation
-    statistic is zero are left out of the median and flagged; when none is
-    left, the ratio is undefined and ComputationRejected is raised, as it is
-    when a statistic, the ratio or an increment overflows.  Both
-    sums are taken, so cfg.tree is not read.
+    ratio of replicate's statistic, the limit 2a/(2a-1) of that ratio, and
+    the mean absolute martingale increment at each depth.  Replicas whose
+    deepest-generation statistic is zero are left out of the median and
+    flagged; when none is left, the ratio is undefined and ComputationRejected
+    is raised, as it is when a statistic, the ratio or an increment
+    overflows.  Both sums are taken, so cfg.tree is not read.
     """
     a = cfg.params.a
     if classify_regime(a) != SUPERCRITICAL:
@@ -188,27 +204,22 @@ def supercritical_study(cfg: ExperimentConfig, threads: int = 1) -> Supercritica
     keys = keys_for_replicas(seed_key(cfg.master_seed), cfg.replicas, cfg.n, 2)
     sums = generation_sums([(cfg.params, [center(cfg.f), project_linear(cfg.f)])],
                            cfg.nu, cfg.n, keys, threads=threads)[0]
-
-    flags: list[str] = []
-    scale = (2.0 * a) ** (-cfg.n)
+    gen_stat, tree_stat = (_normalized(sums[:, :, 0], a, tree) for tree in (False, True))
+    usable = gen_stat != 0.0
+    flags = [] if np.all(usable) else [f"ratio-excluded:{int(np.sum(~usable))}"]
+    if not np.any(usable):
+        raise ComputationRejected(
+            "every replica's deepest-generation statistic is zero, so the "
+            "ratio is undefined")
     with np.errstate(over="ignore", invalid="ignore"):
-        gen_stat = scale * sums[:, cfg.n, 0]
-        tree_stat = scale * sums[:, :, 0].sum(axis=1)
-        usable = gen_stat != 0.0
-        if not np.all(usable):
-            flags.append(f"ratio-excluded:{int(np.sum(~usable))}")
-        if not np.any(usable):
-            raise ComputationRejected(
-                "every replica's deepest-generation statistic is zero, so the "
-                "ratio is undefined")
         ratio_median = float(np.median(tree_stat[usable] / gen_stat[usable]))
-        paths = sums[:, :, 1] * (2.0 * a) ** (-np.arange(cfg.n + 1))
-        l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
+        l1_diffs = np.abs(np.diff(_martingale_paths(sums[:, :, 1], a), axis=1)).mean(axis=0)
     if not (np.all(np.isfinite(gen_stat)) and np.all(np.isfinite(tree_stat))
             and math.isfinite(ratio_median) and np.all(np.isfinite(l1_diffs))):
         raise ComputationRejected("the supercritical statistics overflow double precision")
     return SupercriticalResult(
         ratio_median=ratio_median,
+        ratio_limit=2.0 * a / (2.0 * a - 1.0),
         martingale_l1_diffs=l1_diffs,
         flags=tuple(flags),
     )
@@ -230,13 +241,7 @@ def martingale_path(f: SpectralFn, params: BarParams, nu: InitialLaw, n: int,
         raise RegimeError("the additive martingale needs a nonzero slope")
     keys = keys_for_replicas(seed_key(master_seed), 1, n, 1)
     sums = generation_sums([(params, [project_linear(f)])], nu, n, keys)[0]
-    # Python's scalar power, not numpy's vectorized one: the two can differ
-    # in the last bit, and these values are written to martingale.csv.
-    try:
-        path = np.array([(2.0 * a) ** (-g) * float(sum_g)
-                         for g, sum_g in enumerate(sums[0, :, 0])])
-    except OverflowError:
-        path = np.array([math.inf])
+    path = _martingale_paths(sums[0, :, 0], a)
     if not np.all(np.isfinite(path)):
         raise ComputationRejected("the martingale path overflows double precision")
     return path

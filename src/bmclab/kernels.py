@@ -71,11 +71,6 @@ def classify_regime(a: float) -> str:
     return SUPERCRITICAL
 
 
-def _row_envelope(a: float) -> tuple[float, float]:
-    """(c, g): the L2 size of density row x is c * exp(g * x^2) at sigma = 1."""
-    return (1.0 - a**4) ** -0.25, a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0)
-
-
 # --- assumption checker ----------------------------------------------------
 #
 # Every function below is a Gaussian envelope c*exp(g*x^2); the kernel maps
@@ -130,7 +125,8 @@ def check_assumptions(a: float) -> AssumptionReport:
     flags: list[str] = []
     norms: dict[str, float] = {}
 
-    c_h, g_h = _row_envelope(a)
+    # The L2 size of density row x is c_h * exp(g_h * x^2) at sigma = 1.
+    c_h, g_h = (1.0 - a**4) ** -0.25, a * a * (1.0 - a * a) / ((1.0 + a * a) * 2.0)
 
     def l_norm(c: float, g: float, power: int) -> tuple[bool, float, float]:
         """(finite?, norm value, margin) of the L^power invariant norm.

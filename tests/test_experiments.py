@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from bmclab.experiments import (
     clt_study,
     h1,
     h2,
+    martingale_path,
+    replicate,
     slope_study,
     supercritical_study,
 )
 from bmclab.kernels import CRITICAL, SUBCRITICAL, BarParams
-from bmclab.spectral import from_monomial
-from bmclab.treesim import InitialLaw
+from bmclab.rng import derive_keys, seed_key
+from bmclab.spectral import from_monomial, project_linear
+from bmclab.treesim import InitialLaw, generation_sums
 from oracles import constant, identity
 
 A_CRIT = 1.0 / math.sqrt(2.0)
@@ -166,6 +170,55 @@ def test_supercritical_study():
     flat = _single_config(a, [1.0], n=4, replicas=5, seed=0)
     with pytest.raises(ComputationRejected):
         supercritical_study(flat)
+
+
+# Supercritical runs on which two arithmetics for one number differ in the
+# last bit: slopes of both signs, a stationary and an off-centre dirac root,
+# and a cubic f at sigma = 1.3, so every He degree up to 3 is present.
+_SUPER_GRID = [(a, seed, nu) for a in (0.75, 0.85, -0.9, 0.95) for seed in range(5)
+               for nu in (InitialLaw.stationary(), InitialLaw.dirac(0.5))]
+
+
+def _super_config(a, seed, nu):
+    return _single_config(a, [0.3, 1.0, 0.5, 0.2], n=8, replicas=40, seed=seed,
+                          nu=nu, sigma=1.3)
+
+
+def test_supercritical_ratio_is_the_ratio_of_replicates_statistics():
+    # ratio_median is the median of replicate's tree statistic over its
+    # generation statistic, over replicas whose generation statistic is
+    # nonzero, bit for bit: both drivers take one normalized statistic.
+    misses = []
+    for a, seed, nu in _SUPER_GRID:
+        cfg = _super_config(a, seed, nu)
+        single = replicate(cfg)
+        tree = replicate(replace(cfg, tree=True))
+        usable = single != 0.0
+        want = float(np.median(tree[usable] / single[usable]))
+        if supercritical_study(cfg).ratio_median != want:
+            misses.append((a, seed, nu.kind))
+    assert misses == [], f"{len(misses)} of {len(_SUPER_GRID)}: {misses}"
+
+
+def test_martingale_increments_and_path_take_the_scalar_powers():
+    # Each replica's martingale path is its linear-part generation sums times
+    # Python's scalar (2a)^(-g).  supercritical_study's mean absolute
+    # increments and martingale_path, which follows replica 0, are that path
+    # bit for bit: both drivers take one martingale scaling.
+    misses = []
+    for a, seed, nu in _SUPER_GRID:
+        cfg = _super_config(a, seed, nu)
+        keys = derive_keys(seed_key(seed), np.arange(cfg.replicas))
+        sums = generation_sums([(cfg.params, [project_linear(cfg.f)])], nu, cfg.n,
+                               keys)[0, :, :, 0]
+        paths = sums * np.array([(2.0 * a) ** (-g) for g in range(cfg.n + 1)])
+        l1_diffs = np.abs(np.diff(paths, axis=1)).mean(axis=0)
+        if not np.array_equal(supercritical_study(cfg).martingale_l1_diffs, l1_diffs):
+            misses.append(("increments", a, seed, nu.kind))
+        if not np.array_equal(martingale_path(cfg.f, cfg.params, nu, cfg.n, seed),
+                              paths[0]):
+            misses.append(("path", a, seed, nu.kind))
+    assert misses == [], f"{len(misses)} of {2 * len(_SUPER_GRID)}: {misses}"
 
 
 def test_slope_study_locates_exponents():
